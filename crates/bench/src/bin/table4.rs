@@ -13,8 +13,6 @@ use pardec_bench::{
 use pardec_core::hadi::mr_hadi;
 use pardec_core::mr_impl::{mr_bfs, mr_cluster};
 use pardec_core::{ClusterParams, HadiParams};
-use pardec_graph::diameter::apsp_diameter;
-use pardec_graph::traversal::bfs_parallel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,9 +92,6 @@ fn main() {
                 hadi_pairs as f64 / 1e6
             ),
         ]);
-        // Cross-check against the exact diameter on small quotients only.
-        let _ = apsp_diameter; // (used by table3 path; kept for parity)
-        let _ = bfs_parallel::<pardec_graph::CsrGraph>;
     }
     t.print();
     println!("\npaper shape: on long-diameter graphs CLUSTER beats BFS by ~8-20x and HADI by");

@@ -39,8 +39,10 @@ pub struct DiameterParams {
     pub seed: u64,
     /// Which clustering algorithm to run.
     pub decomposition: Decomposition,
-    /// Also compute the weighted-quotient bound `Δ″` (costs one APSP over
-    /// the quotient, like the paper's tightened estimate).
+    /// Also compute the weighted-quotient bound `Δ″` (the paper's tightened
+    /// estimate). It costs one APSP over the weighted quotient, except on a
+    /// [`crate::session::Session`] holding an oracle: the oracle already
+    /// stores that APSP, and `Δ″` reads `Δ′_C` from it.
     pub weighted: bool,
     /// Theorem 4's sparsification path: when the quotient has more edges
     /// than this (the `M_L` stand-in), replace it with a Baswana–Sen
@@ -81,7 +83,7 @@ impl DiameterParams {
 }
 
 /// Output of [`approximate_diameter`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiameterApprox {
     /// `Δ_C` — the quotient diameter, a lower bound on `Δ`.
     pub lower_bound: u64,
@@ -150,6 +152,21 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
     growth_steps: usize,
     params: &DiameterParams,
 ) -> DiameterApprox {
+    bounds_of_clustering(g, clustering, growth_steps, params, None)
+}
+
+/// [`approximate_diameter_of_clustering`] with `Δ′_C` optionally supplied
+/// by the caller (a resident oracle's [`DistanceOracle::quotient_diameter`])
+/// instead of recomputed by an APSP over the weighted quotient.
+///
+/// [`DistanceOracle::quotient_diameter`]: crate::oracle::DistanceOracle::quotient_diameter
+pub(crate) fn bounds_of_clustering<G: NeighborAccess>(
+    g: &G,
+    clustering: Clustering,
+    growth_steps: usize,
+    params: &DiameterParams,
+    weighted_quotient_diameter: Option<u64>,
+) -> DiameterApprox {
     let radius = clustering.max_radius();
 
     let (mut q, quotient_kernel) = clustering.quotient_with_stats(g);
@@ -175,8 +192,8 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
     let upper = 2 * radius as u64 * (q_diam + 1) + q_diam;
 
     let upper_weighted = params.weighted.then(|| {
-        let wq = clustering.weighted_quotient(g);
-        let wdiam = wq.apsp_diameter();
+        let wdiam = weighted_quotient_diameter
+            .unwrap_or_else(|| clustering.weighted_quotient(g).apsp_diameter());
         2 * radius as u64 + wdiam
     });
 

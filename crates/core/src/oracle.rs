@@ -17,7 +17,9 @@ use crate::cluster::ClusterParams;
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
+use pardec_graph::weighted::max_finite;
 use pardec_graph::{NeighborAccess, NodeId};
+use rayon::prelude::*;
 
 /// Approximate distance oracle built from a clustering (§4).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,18 +47,11 @@ impl DistanceOracle {
             Decomposition::Cluster2 => cluster2(g, &params).clustering,
             Decomposition::Cluster => crate::cluster::cluster(g, &params).clustering,
         };
-        let wq = clustering.weighted_quotient(g);
-        let apsp = wq.apsp_matrix();
-        DistanceOracle {
-            radius: clustering.max_radius(),
-            assignment: clustering.assignment,
-            dist_to_center: clustering.dist_to_center,
-            radii: clustering.radii,
-            apsp,
-        }
+        Self::from_clustering(g, &clustering)
     }
 
-    /// Builds from an existing clustering (reuse after a diameter run).
+    /// Builds from an existing clustering: one APSP over its weighted
+    /// quotient.
     pub fn from_clustering<G: NeighborAccess>(g: &G, clustering: &Clustering) -> Self {
         let wq = clustering.weighted_quotient(g);
         DistanceOracle {
@@ -122,6 +117,18 @@ impl DistanceOracle {
     /// The quotient APSP matrix (for persistence).
     pub fn apsp_matrix(&self) -> &[Vec<u64>] {
         &self.apsp
+    }
+
+    /// `Δ′_C`, the weighted-quotient diameter: the largest finite entry of
+    /// the stored APSP matrix, scanned on demand. Equals
+    /// `weighted_quotient(g).apsp_diameter()` of the source clustering,
+    /// without a second APSP.
+    pub fn quotient_diameter(&self) -> u64 {
+        self.apsp
+            .par_iter()
+            .map(|row| max_finite(row))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Upper bound on `dist(u, v)`; `u64::MAX` when the endpoints are in
@@ -302,9 +309,25 @@ mod tests {
         let params = ClusterParams::new(4, 9);
         let c = crate::cluster::cluster(&g, &params).clustering;
         let a = DistanceOracle::from_clustering(&g, &c);
-        // Smoke: same radius and cluster count as the source clustering.
+        assert_eq!(a, DistanceOracle::build(&g, 4, 9, Decomposition::Cluster));
         assert_eq!(a.radius(), c.max_radius());
         assert_eq!(a.num_clusters(), c.num_clusters());
-        assert!(a.memory_words() >= 2 * g.num_nodes());
+    }
+
+    #[test]
+    fn quotient_diameter_matches_weighted_quotient_apsp() {
+        // Connected and disconnected: the scan skips unreachable entries
+        // exactly as `apsp_diameter` maxes per-component diameters.
+        for g in [
+            generators::road_network(15, 15, 0.4, 3),
+            generators::disjoint_union(&generators::mesh(9, 9), &generators::cycle(11)),
+        ] {
+            let c = crate::cluster::cluster(&g, &ClusterParams::new(4, 2)).clustering;
+            let oracle = DistanceOracle::from_clustering(&g, &c);
+            assert_eq!(
+                oracle.quotient_diameter(),
+                c.weighted_quotient(&g).apsp_diameter()
+            );
+        }
     }
 }

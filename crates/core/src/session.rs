@@ -35,11 +35,15 @@
 //!
 //! All integers little-endian; all size arithmetic checked, so hostile
 //! section payloads error rather than panic or over-allocate.
+//!
+//! A loaded session answers `distance`, `eccentricity` and the `Δ″` bound
+//! of [`Session::diameter`] from the stored `ORCL` matrix; both load paths
+//! check its shape, not its distances.
 
 use crate::cluster::{cluster, ClusterParams};
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
-use crate::diameter::{approximate_diameter_of_clustering, DiameterApprox, DiameterParams};
+use crate::diameter::{bounds_of_clustering, DiameterApprox, DiameterParams};
 use crate::mpx::mpx_with_frontier;
 use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
@@ -93,8 +97,9 @@ pub struct SessionParams {
     pub algo: SessionAlgo,
     /// Frontier strategy for growth phases *and* later `nearest` batches.
     pub frontier: FrontierStrategy,
-    /// Also build the §4 distance oracle (costs one quotient APSP; enables
-    /// `distance` / `eccentricity` queries).
+    /// Also build the §4 distance oracle (costs one weighted-quotient APSP;
+    /// enables `distance` / `eccentricity` queries). The session then pays
+    /// for that APSP once: [`Session::diameter`] reads `Δ″` from it.
     pub build_oracle: bool,
     /// Adjacency storage backend the resident graph is held under. Like
     /// `frontier`, a memory/wall-clock knob only: every backend produces
@@ -438,15 +443,28 @@ impl Session {
 
     /// The §4 diameter bounds of the resident clustering — the same numbers
     /// `pardec dist approx` reports, computed without re-clustering.
+    ///
+    /// With an oracle resident, `Δ″` takes `Δ′_C` from the oracle's stored
+    /// quotient APSP ([`DistanceOracle::quotient_diameter`]) instead of
+    /// running a second one. A loaded session thus takes `Δ″` from the
+    /// snapshot's stored `ORCL` matrix, which both load paths only
+    /// shape-check: the trust `distance` and `eccentricity` already place
+    /// in it.
     pub fn diameter(&self, weighted: bool, sparsify_above: Option<usize>) -> DiameterApprox {
         let mut params = DiameterParams::new(1, 0).with_frontier(self.frontier);
         params.weighted = weighted;
         params.sparsify_above = sparsify_above;
-        approximate_diameter_of_clustering(
+        let stored = self
+            .oracle
+            .as_ref()
+            .filter(|_| weighted)
+            .map(DistanceOracle::quotient_diameter);
+        bounds_of_clustering(
             &self.graph,
             self.clustering.clone(),
             self.growth_steps,
             &params,
+            stored,
         )
     }
 
@@ -861,15 +879,61 @@ mod tests {
         assert!(buf.len() < plain_buf.len());
     }
 
+    /// The full recompute `Session::diameter` must match when it reads `Δ″`
+    /// from the resident oracle.
+    fn recompute_diameter(s: &Session) -> DiameterApprox {
+        let params = DiameterParams::new(1, 0).with_frontier(s.frontier());
+        crate::diameter::approximate_diameter_of_clustering(
+            s.graph(),
+            s.clustering().clone(),
+            s.growth_steps(),
+            &params,
+        )
+    }
+
     #[test]
     fn diameter_reuses_resident_clustering() {
         let g = generators::mesh(15, 15);
         let s = Session::build(g.clone(), &SessionParams::new(4, 2));
         let d = s.diameter(true, None);
         assert_eq!(d.clustering, *s.clustering());
+        assert_eq!(d, recompute_diameter(&s));
         let truth = pardec_graph::diameter::exact_diameter(&g) as u64;
         assert!(d.lower_bound <= truth);
         assert!(d.estimate() >= truth);
+    }
+
+    #[test]
+    fn oracle_diameter_matches_full_recompute() {
+        let g = generators::disjoint_union(
+            &generators::road_network(12, 12, 0.4, 4),
+            &generators::preferential_attachment(120, 3, 8),
+        );
+        for algo in [
+            SessionAlgo::Cluster,
+            SessionAlgo::Cluster2,
+            SessionAlgo::Mpx { beta: 0.3 },
+        ] {
+            for backend in [Backend::Plain, Backend::Compressed] {
+                let params = SessionParams::new(4, 5)
+                    .with_algo(algo)
+                    .with_backend(backend);
+                let built = Session::build(g.clone(), &params);
+                let mut buf = Vec::new();
+                built.save(&mut buf).unwrap();
+                let sessions = [
+                    Session::load(&buf, built.frontier()).unwrap(),
+                    Session::load_checked(&buf, built.frontier()).unwrap(),
+                    built,
+                ];
+                for s in &sessions {
+                    assert!(s.oracle().is_some());
+                    let full = recompute_diameter(s);
+                    assert!(full.upper_bound_weighted.is_some());
+                    assert_eq!(s.diameter(true, None), full, "{} {backend}", algo.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,34 @@
 //! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP matrix is the distance oracle.
 
 use crate::combine::{self, pack};
-use crate::{NodeId, INVALID_NODE};
+use crate::NodeId;
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Sentinel for "unreachable" in weighted distance arrays.
 pub const INFINITE_WEIGHT: u64 = u64::MAX;
+
+/// Most buckets the single-source kernel allocates: graphs whose largest
+/// weight is below this run on Dial's bucket queue, heavier ones on a
+/// binary heap. Weighted quotients of unweighted clusterings carry weights
+/// of at most `2R + 1`, so they get buckets for any radius `R < 512`.
+const MAX_BUCKETS: u64 = 1024;
+
+/// Sources per parallel task of the all-sources kernels; each task reuses
+/// one queue (and, for [`WeightedGraph::apsp_diameter`], one distance row).
+const SOURCE_CHUNK: usize = 16;
+
+/// Reusable priority queue of the single-source kernel.
+#[derive(Clone)]
+enum Queue {
+    /// Dial's circular bucket queue: with weights `< len`, every queued
+    /// tentative distance lies in `[d, d + len)` of the distance `d` being
+    /// settled, so bucket `dist % len` holds exactly one distance.
+    Buckets(Vec<Vec<NodeId>>),
+    /// `(dist, node)` min-heap with lazy deletion, for heavy weights.
+    Heap(BinaryHeap<Reverse<(u64, NodeId)>>),
+}
 
 /// Sorted `(neighbor, weight)` iterator of one node (see
 /// [`WeightedGraph::wneighbor_iter`]).
@@ -141,57 +162,124 @@ impl WeightedGraph {
         self.neighbors(u).filter(move |&(v, _)| v > u)
     }
 
-    /// Single-source shortest paths (Dijkstra, binary heap).
-    pub fn dijkstra(&self, src: NodeId) -> Vec<u64> {
-        let n = self.num_nodes();
-        let mut dist = vec![INFINITE_WEIGHT; n];
-        let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+    /// A fresh queue for this graph: buckets when the largest weight
+    /// allows, else a heap. The choice depends on the weights alone.
+    fn new_queue(&self) -> Queue {
+        let max_w = self.weights.iter().copied().max().unwrap_or(0);
+        if max_w < MAX_BUCKETS {
+            Queue::Buckets(vec![Vec::new(); max_w as usize + 1])
+        } else {
+            Queue::Heap(BinaryHeap::new())
+        }
+    }
+
+    /// The single-source kernel: shortest-path distances from `src` into
+    /// `dist` (length `n`, overwritten), reusing `queue`'s buffers. Every
+    /// queue yields the same exact distances.
+    fn sssp_into(&self, src: NodeId, dist: &mut [u64], queue: &mut Queue) {
+        dist.fill(INFINITE_WEIGHT);
         dist[src as usize] = 0;
-        heap.push(Reverse((0, src)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue; // stale entry
+        match queue {
+            Queue::Buckets(buckets) => {
+                let len = buckets.len();
+                buckets[0].push(src);
+                let (mut queued, mut at, mut d) = (1usize, 0usize, 0u64);
+                while queued > 0 {
+                    // Jump to the next non-empty bucket.
+                    while buckets[at].is_empty() {
+                        at = if at + 1 == len { 0 } else { at + 1 };
+                        d += 1;
+                    }
+                    // Zero weights push back into this bucket; drain it all.
+                    while let Some(u) = buckets[at].pop() {
+                        queued -= 1;
+                        if dist[u as usize] != d {
+                            continue; // stale: settled at a smaller distance
+                        }
+                        for (v, w) in self.wneighbor_iter(u) {
+                            let nd = d + w;
+                            if nd < dist[v as usize] {
+                                dist[v as usize] = nd;
+                                let b = at + w as usize;
+                                buckets[if b >= len { b - len } else { b }].push(v);
+                                queued += 1;
+                            }
+                        }
+                    }
+                }
             }
-            for (v, w) in self.neighbors(u) {
-                let nd = d + w;
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
+            Queue::Heap(heap) => {
+                heap.push(Reverse((0, src)));
+                while let Some(Reverse((d, u))) = heap.pop() {
+                    if d > dist[u as usize] {
+                        continue; // stale entry
+                    }
+                    for (v, w) in self.wneighbor_iter(u) {
+                        let nd = d + w;
+                        if nd < dist[v as usize] {
+                            dist[v as usize] = nd;
+                            heap.push(Reverse((nd, v)));
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// Single-source shortest paths (Dijkstra on Dial's bucket queue for
+    /// weights below 1024, else on a binary heap).
+    pub fn dijkstra(&self, src: NodeId) -> Vec<u64> {
+        let mut dist = vec![INFINITE_WEIGHT; self.num_nodes()];
+        self.sssp_into(src, &mut dist, &mut self.new_queue());
         dist
     }
 
     /// Weighted eccentricity of `u` (max finite Dijkstra distance).
     pub fn eccentricity(&self, u: NodeId) -> u64 {
-        self.dijkstra(u)
-            .into_iter()
-            .filter(|&d| d != INFINITE_WEIGHT)
-            .max()
-            .unwrap_or(0)
+        max_finite(&self.dijkstra(u))
     }
 
-    /// Weighted diameter via all-sources Dijkstra, parallelized. Returns the
-    /// largest finite eccentricity (i.e. per-component diameters are maxed).
+    /// Weighted diameter via all-sources Dijkstra, parallelized over fixed
+    /// chunks of sources. Returns the largest finite eccentricity (i.e.
+    /// per-component diameters are maxed).
     pub fn apsp_diameter(&self) -> u64 {
-        if self.num_nodes() == 0 {
-            return 0;
-        }
-        (0..self.num_nodes() as NodeId)
+        let n = self.num_nodes();
+        let empty = self.new_queue();
+        (0..n.div_ceil(SOURCE_CHUNK))
             .into_par_iter()
-            .map(|u| self.eccentricity(u))
+            .map(|chunk| {
+                let mut queue = empty.clone();
+                let mut dist = vec![INFINITE_WEIGHT; n];
+                let first = chunk * SOURCE_CHUNK;
+                (first..(first + SOURCE_CHUNK).min(n))
+                    .map(|u| {
+                        self.sssp_into(u as NodeId, &mut dist, &mut queue);
+                        max_finite(&dist)
+                    })
+                    .max()
+                    .unwrap_or(0)
+            })
             .max()
             .unwrap_or(0)
     }
 
-    /// Full APSP matrix (row per source). Quadratic space — intended for
-    /// quotient graphs, which the paper keeps small enough for one machine.
+    /// Full APSP matrix (row per source), parallelized over fixed chunks of
+    /// sources. Quadratic space — intended for quotient graphs, which the
+    /// paper keeps small enough for one machine.
     pub fn apsp_matrix(&self) -> Vec<Vec<u64>> {
-        (0..self.num_nodes() as NodeId)
-            .into_par_iter()
-            .map(|u| self.dijkstra(u))
-            .collect()
+        let n = self.num_nodes();
+        let empty = self.new_queue();
+        let mut rows = vec![Vec::new(); n];
+        rows.par_chunks_mut(SOURCE_CHUNK)
+            .enumerate()
+            .for_each(|(chunk, rows)| {
+                let mut queue = empty.clone();
+                for (i, row) in rows.iter_mut().enumerate() {
+                    *row = vec![INFINITE_WEIGHT; n];
+                    self.sssp_into((chunk * SOURCE_CHUNK + i) as NodeId, row, &mut queue);
+                }
+            });
+        rows
     }
 
     /// Nearest node of `set` to `u`, by weighted distance. Returns
@@ -224,9 +312,17 @@ impl WeightedGraph {
                 }
             }
         }
-        let _ = INVALID_NODE; // silence unused import on some cfgs
         Ok(())
     }
+}
+
+/// Largest finite entry of a distance array (0 when none is finite).
+pub fn max_finite(dist: &[u64]) -> u64 {
+    dist.iter()
+        .copied()
+        .filter(|&d| d != INFINITE_WEIGHT)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -220,6 +220,26 @@ fn weighted_diameter_is_delta_and_pool_invariant() {
     }
 }
 
+/// The all-sources weighted kernels run sources in fixed chunks, so the
+/// APSP matrix and diameter are byte-identical across pool sizes — on the
+/// weighted quotient of a real decomposition (bucket queue) and on the same
+/// quotient with weights scaled past the bucket cap (heap fallback).
+#[test]
+fn weighted_apsp_is_byte_identical_across_pool_sizes() {
+    for (name, g) in workload_graphs() {
+        let c = cluster(&g, &ClusterParams::new(8, 42)).clustering;
+        let wq = c.weighted_quotient(&g);
+        let heavy_edges: Vec<(NodeId, NodeId, u64)> = (0..wq.num_nodes() as NodeId)
+            .flat_map(|u| wq.upper_neighbors(u).map(move |(v, w)| (u, v, w * 10_000)))
+            .collect();
+        let heavy = WeightedGraph::from_edges(wq.num_nodes(), &heavy_edges);
+        for (queue, q) in [("bucket", &wq), ("heap", &heavy)] {
+            let (one, four) = on_both_pools(|| (q.apsp_matrix(), q.apsp_diameter()));
+            assert_eq!(one, four, "{queue} APSP diverged across pools on {name}");
+        }
+    }
+}
+
 /// The frontier engine's full contract in one matrix: for every strategy,
 /// 1-thread and 4-thread pools agree, and all strategies agree with each
 /// other — over raw multi-source BFS and over the full decomposition.

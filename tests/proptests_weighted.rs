@@ -11,6 +11,9 @@
 //!   sequential heap oracle `weighted_cluster::naive` at every δ and pool
 //!   size, and every clustering it produces passes `validate`;
 //! * `weighted_diameter` brackets the true weighted diameter;
+//! * the single-source kernel behind `dijkstra` / `apsp_matrix` /
+//!   `apsp_diameter` (bucket queue, or heap past the bucket cap) equals a
+//!   textbook binary-heap Dijkstra;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
@@ -152,8 +155,81 @@ fn per_source_oracle(
     (owner, dist, hops, dedup)
 }
 
+/// Textbook binary-heap Dijkstra: the reference for the library's
+/// single-source kernel.
+fn heap_dijkstra(g: &WeightedGraph, src: NodeId) -> Vec<u64> {
+    let mut dist = vec![INFINITE_WEIGHT; g.num_nodes()];
+    let mut heap = BinaryHeap::new();
+    dist[src as usize] = 0;
+    heap.push(Reverse((0u64, src)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
+        }
+        for (v, w) in g.neighbors(u) {
+            if d + w < dist[v as usize] {
+                dist[v as usize] = d + w;
+                heap.push(Reverse((d + w, v)));
+            }
+        }
+    }
+    dist
+}
+
+/// Graphs for the single-source kernel: the arbitrary families above plus
+/// raw edge soups (duplicates, isolated nodes, disconnected parts) whose
+/// weights are mostly zero, small, or past the bucket cap (heap fallback).
+fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
+    prop_oneof![
+        arbitrary_weighted(),
+        (
+            2usize..50,
+            proptest::collection::vec((0u32..50, 0u32..50, 0u64..40), 0..150),
+            prop_oneof![Just(0u8), Just(1), Just(2)],
+        )
+            .prop_map(|(n, raw, mode)| {
+                let edges: Vec<_> = raw
+                    .into_iter()
+                    .map(|(u, v, w)| {
+                        let w = match mode {
+                            0 => w % 2,
+                            1 => w,
+                            _ => w * 100_000,
+                        };
+                        (u % n as u32, v % n as u32, w)
+                    })
+                    .collect();
+                WeightedGraph::from_edges(n, &edges)
+            }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every `apsp_matrix` row (and `dijkstra`) equals the heap reference,
+    /// `apsp_diameter` is the matrix's largest finite entry, and both are
+    /// identical on 1 and 4 threads.
+    #[test]
+    fn apsp_kernel_matches_heap_dijkstra(g in kernel_graphs()) {
+        let (one, four) = on_both_pools(|| (g.apsp_matrix(), g.apsp_diameter()));
+        prop_assert_eq!(&one, &four);
+        let (matrix, diameter) = one;
+        prop_assert_eq!(matrix.len(), g.num_nodes());
+        for (u, row) in matrix.iter().enumerate() {
+            let reference = heap_dijkstra(&g, u as NodeId);
+            prop_assert_eq!(row, &reference, "row {}", u);
+            prop_assert_eq!(&g.dijkstra(u as NodeId), &reference, "dijkstra({})", u);
+        }
+        let largest = matrix
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&d| d != INFINITE_WEIGHT)
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(diameter, largest);
+    }
 
     /// The bucketed engine equals the per-source Dijkstra oracle for every
     /// bucket width, at 1 and 4 threads, byte for byte.
