@@ -12,13 +12,15 @@
 //! end-to-end equivalence check. Legs: mesh / power-law / road clusterings
 //! at 1, 2, and 4 threads, for the unweighted quotient, the weighted
 //! quotient, and the builder's symmetrize-dedup build; plus the weighted
-//! quotient APSP diameter the seed bench tracked.
+//! quotient APSP diameter the seed bench tracked, and that APSP against the
+//! seed-era heap APSP with every weight scaled by 1, 8, 128 and 1000 (and
+//! on a weighted path) — the measurement behind the bucket queue's cap.
 
 use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
 use pardec_core::{cluster, ClusterParams};
 use pardec_graph::quotient::{quotient_with_stats, weighted_quotient};
-use pardec_graph::{generators, naive, CsrGraph, GraphBuilder, NodeId};
+use pardec_graph::{generators, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
 
 const THREAD_CONFIGS: [usize; 3] = [1, 2, 4];
 
@@ -162,6 +164,54 @@ fn main() {
             k,
             diam,
             secs,
+            pardec_bench::alloc::peak_bytes(),
+        );
+        scaled_apsp_rows(name, &wq);
+    }
+    // The bucket queue's worst shape: on a path the heap never holds more
+    // than two entries, while every bucket jump is as long as an edge.
+    let path: Vec<(NodeId, NodeId, u64)> = (0..PATH_NODES - 1).map(|u| (u, u + 1, 1)).collect();
+    scaled_apsp_rows(
+        "path",
+        &WeightedGraph::from_edges(PATH_NODES as usize, &path),
+    );
+}
+
+/// Weight multipliers of the `weighted-apsp-scaled` rows.
+const WEIGHT_SCALES: [u64; 4] = [1, 8, 128, 1000];
+const PATH_NODES: NodeId = 600;
+
+/// One `weighted-apsp-scaled` row per weight multiplier: the library APSP
+/// diameter (bucket queue while the largest weight is below its cap, else
+/// heap) against the seed-era heap APSP on the same graph, 4-thread pool.
+/// The two diameters must agree.
+fn scaled_apsp_rows(name: &str, wq: &WeightedGraph) {
+    for scale in WEIGHT_SCALES {
+        let edges: Vec<(NodeId, NodeId, u64)> = (0..wq.num_nodes() as NodeId)
+            .flat_map(|u| wq.upper_neighbors(u).map(move |(v, w)| (u, v, w * scale)))
+            .collect();
+        let g = WeightedGraph::from_edges(wq.num_nodes(), &edges);
+        let max_w = edges.iter().map(|&(_, _, w)| w).max().unwrap_or(0);
+        let (heap_diam, heap_secs) = best_of_3(4, || naive::apsp_diameter(&g));
+        let (diam, secs) = best_of_3(4, || g.apsp_diameter());
+        assert_eq!(
+            diam, heap_diam,
+            "APSP kernel diverged from the heap APSP on {name} at weight scale {scale}"
+        );
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"weighted-apsp-scaled\",\"graph\":\"{}\",\
+             \"nodes\":{},\"edges\":{},\"weight_scale\":{},\"max_weight\":{},\
+             \"diameter\":{},\"threads\":4,\"seconds_heap\":{:.6},\"seconds_kernel\":{:.6},\
+             \"speedup_kernel_vs_heap\":{:.3},\"peak_alloc_bytes\":{}}}",
+            name,
+            g.num_nodes(),
+            g.num_edges(),
+            scale,
+            max_w,
+            diam,
+            heap_secs,
+            secs,
+            heap_secs / secs,
             pardec_bench::alloc::peak_bytes(),
         );
     }

@@ -312,6 +312,7 @@ mod tests {
         assert_eq!(a, DistanceOracle::build(&g, 4, 9, Decomposition::Cluster));
         assert_eq!(a.radius(), c.max_radius());
         assert_eq!(a.num_clusters(), c.num_clusters());
+        assert!(a.memory_words() >= 2 * g.num_nodes());
     }
 
     #[test]

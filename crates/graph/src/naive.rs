@@ -1,15 +1,20 @@
-//! Seed-era sequential reference implementations of every contraction path,
-//! retained verbatim as executable specs.
+//! Seed-era reference implementations of every contraction path and of the
+//! weighted APSP, retained verbatim as executable specs. All are sequential
+//! except the APSP, which spreads its sources over the pool.
 //!
-//! The [`crate::combine`] kernel replaced these on the hot paths; they live
-//! on here as the oracles that `tests/proptests_quotient.rs` and
-//! `bench_quotient` compare against byte-for-byte. Nothing in the library
-//! itself calls them.
+//! The [`crate::combine`] kernel and the bucket-queue Dijkstra of
+//! [`WeightedGraph`] replaced these on the hot paths; they live on here as
+//! the oracles that `tests/proptests_quotient.rs`,
+//! `tests/proptests_weighted.rs` and `bench_quotient` compare against
+//! byte-for-byte. Nothing in the library itself calls them.
 
 use crate::contract::{Contraction, EdgeCounts};
 use crate::csr::CsrGraph;
+use crate::weighted::{max_finite, INFINITE_WEIGHT};
 use crate::{NodeId, WeightedGraph};
-use std::collections::HashMap;
+use rayon::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The seed-era [`GraphBuilder::build`]: symmetrize into a growable arc
 /// list, one global sort, `dedup`, then a sequential offset count.
@@ -128,4 +133,36 @@ pub fn cut_size(g: &CsrGraph, labels: &[NodeId]) -> usize {
     g.edges()
         .filter(|&(u, v)| labels[u as usize] != labels[v as usize])
         .count()
+}
+
+/// The seed-era [`WeightedGraph::dijkstra`]: a fresh binary heap with lazy
+/// deletion per call.
+pub fn dijkstra(g: &WeightedGraph, src: NodeId) -> Vec<u64> {
+    let mut dist = vec![INFINITE_WEIGHT; g.num_nodes()];
+    let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+    dist[src as usize] = 0;
+    heap.push(Reverse((0, src)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry
+        }
+        for (v, w) in g.neighbors(u) {
+            let nd = d + w;
+            if nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(Reverse((nd, v)));
+            }
+        }
+    }
+    dist
+}
+
+/// The seed-era [`WeightedGraph::apsp_diameter`]: one heap [`dijkstra`]
+/// per source, parallel over sources.
+pub fn apsp_diameter(g: &WeightedGraph) -> u64 {
+    (0..g.num_nodes() as NodeId)
+        .into_par_iter()
+        .map(|u| max_finite(&dijkstra(g, u)))
+        .max()
+        .unwrap_or(0)
 }

@@ -18,6 +18,12 @@ pub const INFINITE_WEIGHT: u64 = u64::MAX;
 /// weight is below this run on Dial's bucket queue, heavier ones on a
 /// binary heap. Weighted quotients of unweighted clusterings carry weights
 /// of at most `2R + 1`, so they get buckets for any radius `R < 512`.
+///
+/// Set from `bench_quotient`'s `weighted-apsp-scaled` rows (weights scaled
+/// up to 1000×): below the cap the buckets beat the heap on every measured
+/// quotient, and a jump to the next non-empty bucket reads at most 16
+/// occupancy words, which bounds the loss on a weighted path (where the
+/// heap never holds more than two entries).
 const MAX_BUCKETS: u64 = 1024;
 
 /// Sources per parallel task of the all-sources kernels; each task reuses
@@ -29,10 +35,40 @@ const SOURCE_CHUNK: usize = 16;
 enum Queue {
     /// Dial's circular bucket queue: with weights `< len`, every queued
     /// tentative distance lies in `[d, d + len)` of the distance `d` being
-    /// settled, so bucket `dist % len` holds exactly one distance.
-    Buckets(Vec<Vec<NodeId>>),
+    /// settled, so bucket `dist % len` holds exactly one distance. Bit `b`
+    /// of `occupied` is set while bucket `b` may be non-empty.
+    Buckets {
+        buckets: Vec<Vec<NodeId>>,
+        occupied: Vec<u64>,
+    },
     /// `(dist, node)` min-heap with lazy deletion, for heavy weights.
     Heap(BinaryHeap<Reverse<(u64, NodeId)>>),
+}
+
+/// The first set bit of `occupied` at or circularly after bit `at`.
+///
+/// # Panics
+/// Panics if no bit is set.
+fn next_occupied(occupied: &[u64], at: usize) -> usize {
+    let (word, bit) = (at / 64, at % 64);
+    let ahead = occupied[word] & (u64::MAX << bit);
+    if ahead != 0 {
+        return word * 64 + ahead.trailing_zeros() as usize;
+    }
+    // Later words, then (wrapping) the earlier ones and the low bits of
+    // `word` itself.
+    let words = occupied.len();
+    (1..=words)
+        .map(|k| (word + k) % words)
+        .find_map(|w| {
+            let bits = if w == word {
+                occupied[w] & !(u64::MAX << bit)
+            } else {
+                occupied[w]
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
+        .expect("a non-empty queue has an occupied bucket")
 }
 
 /// Sorted `(neighbor, weight)` iterator of one node (see
@@ -167,7 +203,11 @@ impl WeightedGraph {
     fn new_queue(&self) -> Queue {
         let max_w = self.weights.iter().copied().max().unwrap_or(0);
         if max_w < MAX_BUCKETS {
-            Queue::Buckets(vec![Vec::new(); max_w as usize + 1])
+            let len = max_w as usize + 1;
+            Queue::Buckets {
+                buckets: vec![Vec::new(); len],
+                occupied: vec![0; len.div_ceil(64)],
+            }
         } else {
             Queue::Heap(BinaryHeap::new())
         }
@@ -180,16 +220,21 @@ impl WeightedGraph {
         dist.fill(INFINITE_WEIGHT);
         dist[src as usize] = 0;
         match queue {
-            Queue::Buckets(buckets) => {
+            Queue::Buckets { buckets, occupied } => {
                 let len = buckets.len();
                 buckets[0].push(src);
+                occupied[0] |= 1;
                 let (mut queued, mut at, mut d) = (1usize, 0usize, 0u64);
                 while queued > 0 {
                     // Jump to the next non-empty bucket.
-                    while buckets[at].is_empty() {
-                        at = if at + 1 == len { 0 } else { at + 1 };
-                        d += 1;
-                    }
+                    let next = next_occupied(occupied, at);
+                    let gap = if next >= at {
+                        next - at
+                    } else {
+                        next + len - at
+                    };
+                    d += gap as u64;
+                    at = next;
                     // Zero weights push back into this bucket; drain it all.
                     while let Some(u) = buckets[at].pop() {
                         queued -= 1;
@@ -201,11 +246,14 @@ impl WeightedGraph {
                             if nd < dist[v as usize] {
                                 dist[v as usize] = nd;
                                 let b = at + w as usize;
-                                buckets[if b >= len { b - len } else { b }].push(v);
+                                let b = if b >= len { b - len } else { b };
+                                buckets[b].push(v);
+                                occupied[b / 64] |= 1 << (b % 64);
                                 queued += 1;
                             }
                         }
                     }
+                    occupied[at / 64] &= !(1 << (at % 64));
                 }
             }
             Queue::Heap(heap) => {
@@ -363,6 +411,16 @@ mod tests {
         assert_eq!(m[0][3], 9);
         assert_eq!(m[3][0], 9);
         assert_eq!(m[1][2], 3);
+    }
+
+    #[test]
+    fn bucket_jumps_cross_occupancy_words() {
+        // Weights just under the cap: 1000 buckets span 16 occupancy
+        // words, and the second hop wraps past the end of the ring.
+        let g = WeightedGraph::from_edges(4, &[(0, 1, 999), (1, 2, 700), (0, 3, 65)]);
+        assert_eq!(g.dijkstra(0), vec![0, 999, 1699, 65]);
+        assert_eq!(g.dijkstra(2), vec![1699, 700, 0, 1764]);
+        assert_eq!(g.apsp_diameter(), 1764);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //!   size, and every clustering it produces passes `validate`;
 //! * `weighted_diameter` brackets the true weighted diameter;
 //! * the single-source kernel behind `dijkstra` / `apsp_matrix` /
-//!   `apsp_diameter` (bucket queue, or heap past the bucket cap) equals a
-//!   textbook binary-heap Dijkstra;
+//!   `apsp_diameter` (bucket queue, or heap past the bucket cap) equals the
+//!   seed-era binary-heap Dijkstra `graph::naive::dijkstra`;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
 use pardec::core::weighted_cluster::naive;
 use pardec::graph::frontier::{multi_source_bfs, FrontierStrategy};
+use pardec::graph::naive::dijkstra as heap_dijkstra;
 use pardec::graph::weighted::INFINITE_WEIGHT;
 use pardec::graph::wfrontier::multi_source_dijkstra;
 use pardec::prelude::*;
@@ -155,37 +156,17 @@ fn per_source_oracle(
     (owner, dist, hops, dedup)
 }
 
-/// Textbook binary-heap Dijkstra: the reference for the library's
-/// single-source kernel.
-fn heap_dijkstra(g: &WeightedGraph, src: NodeId) -> Vec<u64> {
-    let mut dist = vec![INFINITE_WEIGHT; g.num_nodes()];
-    let mut heap = BinaryHeap::new();
-    dist[src as usize] = 0;
-    heap.push(Reverse((0u64, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (v, w) in g.neighbors(u) {
-            if d + w < dist[v as usize] {
-                dist[v as usize] = d + w;
-                heap.push(Reverse((d + w, v)));
-            }
-        }
-    }
-    dist
-}
-
 /// Graphs for the single-source kernel: the arbitrary families above plus
 /// raw edge soups (duplicates, isolated nodes, disconnected parts) whose
-/// weights are mostly zero, small, or past the bucket cap (heap fallback).
+/// weights are mostly zero, small, just under the bucket cap (jumps across
+/// many occupancy words), or past it (heap fallback).
 fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
     prop_oneof![
         arbitrary_weighted(),
         (
             2usize..50,
             proptest::collection::vec((0u32..50, 0u32..50, 0u64..40), 0..150),
-            prop_oneof![Just(0u8), Just(1), Just(2)],
+            prop_oneof![Just(0u8), Just(1), Just(2), Just(3)],
         )
             .prop_map(|(n, raw, mode)| {
                 let edges: Vec<_> = raw
@@ -194,6 +175,7 @@ fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
                         let w = match mode {
                             0 => w % 2,
                             1 => w,
+                            2 => w * 26,
                             _ => w * 100_000,
                         };
                         (u % n as u32, v % n as u32, w)
