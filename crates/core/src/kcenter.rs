@@ -10,7 +10,7 @@
 //! far below the `k` sequential BFS waves Gonzalez needs.
 
 use crate::cluster::{cluster, log2n, ClusterParams};
-use pardec_graph::traversal::bfs_multi;
+use pardec_graph::frontier::{multi_source_bfs, FrontierStrategy};
 use pardec_graph::{components, CsrGraph, NodeId, INFINITE_DIST, INVALID_NODE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,7 @@ pub fn kcenter_objective(g: &CsrGraph, centers: &[NodeId]) -> u32 {
     if centers.is_empty() {
         return INFINITE_DIST;
     }
-    let (res, _) = bfs_multi(g, centers);
+    let (res, _) = multi_source_bfs(g, centers, FrontierStrategy::TopDown);
     if res.visited < g.num_nodes() {
         INFINITE_DIST
     } else {

@@ -46,6 +46,14 @@ pub trait NeighborAccess: Sync {
     /// Sorted neighbors of `u`.
     fn neighbors_iter(&self, u: NodeId) -> Self::Neighbors<'_>;
 
+    /// Cost of visiting one arc, in units of a plain CSR slice walk. The
+    /// frontier engine multiplies a level's frontier degree by it before
+    /// comparing against its parallel grain, so a backend whose arcs cost
+    /// more goes parallel on narrower levels.
+    fn arc_cost(&self) -> usize {
+        1
+    }
+
     /// The `v > u` tail of `u`'s sorted adjacency — each undirected edge
     /// appears in exactly one tail (the contraction kernel's half-arc
     /// emission order). The default skips the `v ≤ u` prefix; backends with

@@ -342,6 +342,17 @@ impl NeighborAccess for CcsrGraph {
     fn neighbors_iter(&self, u: NodeId) -> Self::Neighbors<'_> {
         CcsrGraph::neighbors_iter(self, u)
     }
+
+    /// Every record lookup skips its block's earlier records and every
+    /// neighbor is a varint decode: a sequential top-down level costs 5–7×
+    /// the plain backend's on a road graph and 7–22× on a power-law graph,
+    /// and the frontier engine's parallel pass pays from the 2,048–4,096
+    /// frontier-arc band on both, against 16,384–65,536 on plain CSR
+    /// (`crates/bench/results/frontier_grain.jsonl`).
+    #[inline]
+    fn arc_cost(&self) -> usize {
+        8
+    }
 }
 
 /// Decoding iterator over one vertex's gap-coded neighbor list.

@@ -28,9 +28,11 @@
 //! the node's in-frontier neighbours — smallest owner id first, then
 //! smallest distance:
 //!
-//! * top-down realizes the minimum with an atomic `fetch_min` propose phase
-//!   followed by an atomic `swap` claim phase (first-writer-wins on the
-//!   drained slot, value-determinate regardless of thread interleaving);
+//! * top-down realizes the minimum with an atomic `fetch_min` propose phase,
+//!   where the one proposal that takes a node's slot from empty lists the
+//!   node, followed by a claim phase that walks those lists (each node once,
+//!   after every proposal landed, so its value is the final minimum
+//!   regardless of thread interleaving);
 //! * bottom-up realizes the *same* minimum with a per-node sequential scan
 //!   of the adjacency list.
 //!
@@ -150,13 +152,35 @@ impl Default for FrontierParams {
 /// Sentinel for "no proposal" in the packed proposal slots.
 const NO_PROPOSAL: u64 = u64::MAX;
 
-/// Below this many frontier out-edges a level is expanded sequentially —
-/// the scheduler overhead of a parallel pass dwarfs the work itself. The
-/// cutoff is data-dependent only, so the same path is taken at every pool
-/// size and the left-to-right claim order is preserved exactly.
-const SEQ_EDGE_CUTOFF: usize = 2048;
+/// A top-down level whose work — frontier out-degree sum times the backend's
+/// [`NeighborAccess::arc_cost`] — is at most this runs sequentially on the
+/// calling thread; a wider one runs as one chunked parallel pass.
+///
+/// Set from `crates/bench/results/frontier_grain.jsonl` (both paths timed
+/// on every level of 1- to 4096-source waves, 2-worker pool, three runs).
+/// On a plain road graph the parallel pass costs 1.2–1.9× the sequential
+/// step at 2,048–8,192 arcs, 0.74–1.07× at 8,192–16,384 and 0.55–0.79×
+/// from 16,384 up; on a plain power-law graph it costs 1.4–1.9× at
+/// 4,096–16,384 arcs, 0.75–1.05× at 65,536–262,144 and 0.46–0.67× from
+/// 524,288 up. This value sits between the two crossovers. The rule reads
+/// only the frontier, so every pool size takes the same path, and either
+/// path claims the same nodes with the same values.
+const PARALLEL_GRAIN: usize = 32_768;
 
-/// Below this many nodes, bottom-up sweeps run sequentially (same rationale).
+/// Work per chunk of a parallel top-down level, in the grain's units
+/// (frontier arcs times the backend's arc cost): a level above the grain
+/// splits into more than 8 runs of consecutive frontier nodes, a wider one
+/// into more, up to [`MAX_CHUNKS`]. Both are fixed, like the grain, so the split
+/// never depends on the pool size.
+const CHUNK_WORK: usize = PARALLEL_GRAIN / 8;
+
+/// Most chunks of one parallel level. The `rayon` shim runs up to 32 items
+/// as one task each and batches longer inputs 16 items to a task, so more
+/// chunks would only add lists, not tasks.
+const MAX_CHUNKS: usize = 32;
+
+/// Below this many nodes, bottom-up sweeps run sequentially: the scheduler
+/// overhead of a parallel pass dwarfs the work itself.
 const SEQ_NODE_CUTOFF: usize = 2048;
 
 #[inline]
@@ -209,6 +233,7 @@ pub struct FrontierEngine<'g, G: NeighborAccess = CsrGraph> {
     claimed: usize,
     steps: usize,
     bottom_up_steps: usize,
+    parallel_steps: usize,
     /// `Σ deg(v)` over unclaimed `v` — the heuristic's `m_u`.
     unexplored_arcs: usize,
     /// `Σ deg(v)` over the current frontier — the heuristic's `m_f`,
@@ -245,6 +270,7 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
             claimed: 0,
             steps: 0,
             bottom_up_steps: 0,
+            parallel_steps: 0,
             unexplored_arcs: g.num_arcs(),
             frontier_degree: 0,
             prev_frontier_len: 0,
@@ -276,6 +302,13 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
     /// How many of those steps ran bottom-up (0 under pure top-down).
     pub fn bottom_up_steps(&self) -> usize {
         self.bottom_up_steps
+    }
+
+    /// How many of those steps ran on the pool rather than on the calling
+    /// thread: top-down levels wider than the parallel grain, and bottom-up
+    /// sweeps of graphs above the sequential node cutoff.
+    pub fn parallel_steps(&self) -> usize {
+        self.parallel_steps
     }
 
     /// How often the hybrid heuristic flipped direction (0 for the pure
@@ -331,22 +364,23 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         if self.frontier.is_empty() {
             return 0;
         }
-        let frontier_degree = self.frontier_degree;
-        let next = if self.choose_bottom_up(frontier_degree) {
+        let (next, claimed_degree) = if self.choose_bottom_up(self.frontier_degree) {
             self.bottom_up_steps += 1;
             self.step_bottom_up()
+        } else if self.top_down_work() > PARALLEL_GRAIN {
+            self.parallel_steps += 1;
+            self.top_down_parallel()
         } else {
-            self.step_top_down(frontier_degree)
+            self.top_down_sequential()
         };
+        self.advance(next, claimed_degree)
+    }
+
+    /// Installs `next` as the frontier. `claimed_degree` is `Σ deg(next)`,
+    /// summed once at claim time: it is both the next level's `m_f` and what
+    /// leaves `m_u`.
+    fn advance(&mut self, next: Vec<NodeId>, claimed_degree: usize) -> usize {
         self.prev_frontier_len = self.frontier.len();
-        // Sum each claim's degree once; it is both the next level's `m_f`
-        // and what leaves `m_u`. Integer addition is order-independent, so
-        // the parallel sum is exact at any pool size.
-        let claimed_degree: usize = if next.len() > SEQ_EDGE_CUTOFF {
-            next.par_iter().map(|&v| self.g.degree(v)).sum()
-        } else {
-            next.iter().map(|&v| self.g.degree(v)).sum()
-        };
         self.unexplored_arcs -= claimed_degree;
         self.frontier_degree = claimed_degree;
         self.claimed += next.len();
@@ -356,7 +390,8 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
 
     /// Runs steps until the frontier dies out. Emits one `frontier.wave`
     /// trace span covering the whole wave (strategy, rounds, direction
-    /// switches, peak frontier, claims) when tracing is enabled.
+    /// switches, bottom-up and parallel levels, peak frontier, claims) when
+    /// tracing is enabled; every count is this wave's own.
     pub fn run(&mut self) {
         let mut wave = pardec_obs::span!(
             "frontier.wave",
@@ -366,6 +401,8 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         let steps_before = self.steps;
         let claimed_before = self.claimed;
         let switches_before = self.switches;
+        let bottom_up_before = self.bottom_up_steps;
+        let parallel_before = self.parallel_steps;
         let mut max_frontier = self.frontier.len();
         while !self.frontier.is_empty() {
             self.step();
@@ -374,7 +411,8 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         wave.field("rounds", self.steps - steps_before);
         wave.field("claimed", self.claimed - claimed_before);
         wave.field("switches", self.switches - switches_before);
-        wave.field("bottom_up_steps", self.bottom_up_steps);
+        wave.field("bottom_up_steps", self.bottom_up_steps - bottom_up_before);
+        wave.field("parallel_steps", self.parallel_steps - parallel_before);
         wave.field("max_frontier", max_frontier);
     }
 
@@ -413,91 +451,100 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         }
     }
 
-    /// Push expansion. Phase 1 publishes the packed proposal to every
-    /// unclaimed neighbour via `fetch_min`; phase 2 drains each proposed
-    /// slot exactly once with `swap`. The sequential fast path performs the
-    /// same min-merge in frontier order, yielding the identical claim set
-    /// and values. The *order* of the next-frontier vector is internal
-    /// state only: a node proposed from several fold chunks is drained by
-    /// whichever worker swaps first, so its position can race under a
-    /// multi-worker pool — which is never observable, because claims are
-    /// min-merged and never order-sensitive. Do not expose or depend on
-    /// frontier ordering.
-    fn step_top_down(&self, frontier_degree: usize) -> Vec<NodeId> {
-        let g = self.g;
-        let owner = &self.owner;
-        let dist = &self.dist;
-        let proposals = &self.proposals;
+    /// The work of a top-down level: its frontier arcs, weighted by the
+    /// backend's per-arc cost.
+    fn top_down_work(&self) -> usize {
+        self.frontier_degree * self.g.arc_cost()
+    }
 
-        if frontier_degree <= SEQ_EDGE_CUTOFF {
-            let mut candidates = Vec::new();
-            for &u in &self.frontier {
-                let prop = pack(
-                    owner[u as usize].load(Ordering::Relaxed),
-                    dist[u as usize].load(Ordering::Relaxed) + 1,
-                );
-                for v in g.neighbors_iter(u) {
-                    if owner[v as usize].load(Ordering::Relaxed) == INVALID_NODE {
-                        let cur = proposals[v as usize].load(Ordering::Relaxed);
-                        if cur == NO_PROPOSAL {
-                            candidates.push(v);
-                        }
-                        if prop < cur {
-                            proposals[v as usize].store(prop, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            let mut next = Vec::with_capacity(candidates.len());
-            for &v in &candidates {
-                let p = proposals[v as usize].swap(NO_PROPOSAL, Ordering::Relaxed);
-                if p != NO_PROPOSAL {
-                    let (o, d) = unpack(p);
-                    owner[v as usize].store(o, Ordering::Relaxed);
-                    dist[v as usize].store(d, Ordering::Relaxed);
-                    next.push(v);
-                }
-            }
-            return next;
-        }
+    /// Push expansion on the calling thread. [`Self::propose`] lists every
+    /// node it proposes to once, so its list is exactly the claim set and
+    /// becomes the next frontier as [`Self::claim`] walks it.
+    fn top_down_sequential(&self) -> (Vec<NodeId>, usize) {
+        let mut next = Vec::new();
+        self.propose::<false>(&self.frontier, &mut next);
+        let claimed_degree = self.claim(&next);
+        (next, claimed_degree)
+    }
 
-        let candidates: Vec<NodeId> = self
+    /// Push expansion as one parallel pass over at most [`MAX_CHUNKS`]
+    /// frontier chunks of about [`CHUNK_WORK`] each. Each chunk proposes
+    /// with `fetch_min` and lists the nodes whose slot it took from empty,
+    /// so every claimed node sits in exactly one list; the claim pass walks
+    /// the lists in parallel and sums their degrees.
+    ///
+    /// The *order* of the next frontier is internal state only: which chunk
+    /// lists a node contested across chunks depends on which worker's
+    /// `fetch_min` lands first, so positions can race under a multi-worker
+    /// pool. That is never observable, because claims are min-merged and
+    /// never order-sensitive. Do not expose or depend on frontier ordering.
+    fn top_down_parallel(&self) -> (Vec<NodeId>, usize) {
+        let chunks = self
+            .top_down_work()
+            .div_ceil(CHUNK_WORK)
+            .clamp(1, MAX_CHUNKS);
+        let lists: Vec<Vec<NodeId>> = self
             .frontier
-            .par_iter()
-            .fold(Vec::new, |mut acc, &u| {
-                let prop = pack(
-                    owner[u as usize].load(Ordering::Relaxed),
-                    dist[u as usize].load(Ordering::Relaxed) + 1,
-                );
-                for v in g.neighbors_iter(u) {
-                    if owner[v as usize].load(Ordering::Relaxed) == INVALID_NODE {
-                        proposals[v as usize].fetch_min(prop, Ordering::Relaxed);
-                        acc.push(v);
+            .par_chunks(self.frontier.len().div_ceil(chunks))
+            .map(|chunk| {
+                let mut list = Vec::new();
+                self.propose::<true>(chunk, &mut list);
+                list
+            })
+            .collect();
+        let claimed_degree = lists.par_iter().map(|list| self.claim(list)).sum();
+        (lists.concat(), claimed_degree)
+    }
+
+    /// Proposes `(owner, dist + 1)` of every node of `chunk` to its unclaimed
+    /// neighbours, keeping the minimum in each neighbour's slot, and pushes a
+    /// neighbour onto `listed` when this call took its slot from empty. A
+    /// slot already holding a smaller proposal is only read. `SHARED` says
+    /// whether other chunks propose concurrently (then the minimum needs
+    /// `fetch_min`, and only its return value tells who emptied the slot).
+    /// `Relaxed` suffices: the pool's join that ends the proposing pass
+    /// orders every proposal before the claim pass reads it.
+    fn propose<const SHARED: bool>(&self, chunk: &[NodeId], listed: &mut Vec<NodeId>) {
+        let (owner, dist, proposals) = (&self.owner, &self.dist, &self.proposals);
+        for &u in chunk {
+            let prop = pack(
+                owner[u as usize].load(Ordering::Relaxed),
+                dist[u as usize].load(Ordering::Relaxed) + 1,
+            );
+            for v in self.g.neighbors_iter(u) {
+                if owner[v as usize].load(Ordering::Relaxed) != INVALID_NODE {
+                    continue;
+                }
+                let slot = &proposals[v as usize];
+                let cur = slot.load(Ordering::Relaxed);
+                if prop < cur {
+                    let prev = if SHARED {
+                        slot.fetch_min(prop, Ordering::Relaxed)
+                    } else {
+                        slot.store(prop, Ordering::Relaxed);
+                        cur
+                    };
+                    if prev == NO_PROPOSAL {
+                        listed.push(v);
                     }
                 }
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            });
+            }
+        }
+    }
 
-        candidates
-            .par_iter()
-            .fold(Vec::new, |mut acc, &v| {
-                let p = proposals[v as usize].swap(NO_PROPOSAL, Ordering::Relaxed);
-                if p != NO_PROPOSAL {
-                    let (o, d) = unpack(p);
-                    owner[v as usize].store(o, Ordering::Relaxed);
-                    dist[v as usize].store(d, Ordering::Relaxed);
-                    acc.push(v);
-                }
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
+    /// Claims every listed node with its winning proposal, empties its slot
+    /// for the next level, and returns the listed nodes' degree sum.
+    fn claim(&self, listed: &[NodeId]) -> usize {
+        let mut degree = 0;
+        for &v in listed {
+            let slot = &self.proposals[v as usize];
+            let (o, d) = unpack(slot.load(Ordering::Relaxed));
+            slot.store(NO_PROPOSAL, Ordering::Relaxed);
+            self.owner[v as usize].store(o, Ordering::Relaxed);
+            self.dist[v as usize].store(d, Ordering::Relaxed);
+            degree += self.g.degree(v);
+        }
+        degree
     }
 
     /// Pull expansion: rebuild the dense frontier bitmap, then let every
@@ -505,8 +552,9 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
     /// neighbours. No early exit — the full minimum is what keeps bottom-up
     /// byte-identical to top-down's `fetch_min`. The next frontier comes out
     /// in ascending node order (a different order than top-down produces,
-    /// which is unobservable: claims are min-merged, never order-sensitive).
-    fn step_bottom_up(&mut self) -> Vec<NodeId> {
+    /// which is unobservable: claims are min-merged, never order-sensitive),
+    /// together with its degree sum.
+    fn step_bottom_up(&mut self) -> (Vec<NodeId>, usize) {
         let n = self.g.num_nodes();
         let words = n.div_ceil(64);
         if self.in_frontier.len() != words {
@@ -533,9 +581,9 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         let g = self.g;
         let owner = &self.owner;
         let dist = &self.dist;
-        let scan = |v: NodeId| -> Option<NodeId> {
+        let scan = |(mut next, degree): (Vec<NodeId>, usize), v: NodeId| {
             if owner[v as usize].load(Ordering::Relaxed) != INVALID_NODE {
-                return None;
+                return (next, degree);
             }
             let mut best = NO_PROPOSAL;
             for u in g.neighbors_iter(v) {
@@ -548,17 +596,28 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
                 }
             }
             if best == NO_PROPOSAL {
-                return None;
+                return (next, degree);
             }
             let (o, d) = unpack(best);
             owner[v as usize].store(o, Ordering::Relaxed);
             dist[v as usize].store(d, Ordering::Relaxed);
-            Some(v)
+            next.push(v);
+            (next, degree + g.degree(v))
         };
         if sequential {
-            (0..n as NodeId).filter_map(scan).collect()
+            (0..n as NodeId).fold((Vec::new(), 0), scan)
         } else {
-            (0..n as NodeId).into_par_iter().filter_map(scan).collect()
+            self.parallel_steps += 1;
+            (0..n as NodeId)
+                .into_par_iter()
+                .fold(|| (Vec::new(), 0), scan)
+                .reduce(
+                    || (Vec::new(), 0),
+                    |(mut a, da), (mut b, db)| {
+                        a.append(&mut b);
+                        (a, da + db)
+                    },
+                )
         }
     }
 }
@@ -707,6 +766,130 @@ mod tests {
     }
 
     #[test]
+    fn multi_source_matches_per_source_minimum() {
+        let g = generators::mesh(9, 11);
+        let sources = [3u32, 57, 90];
+        for strat in FrontierStrategy::ALL {
+            let (r, owner) = multi_source_bfs(&g, &sources, strat);
+            for (v, (&dv, &ov)) in r.dist.iter().zip(&owner).enumerate() {
+                let (best_d, best_i) = sources
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (traversal::bfs(&g, s).dist[v], i as NodeId))
+                    .min()
+                    .unwrap();
+                assert_eq!(dv, best_d, "{strat}: node {v}");
+                assert_eq!(ov, best_i, "{strat}: node {v}");
+            }
+        }
+    }
+
+    /// Runs a top-down wave from `sources` on a 4-worker pool, checks it
+    /// against the per-source sequential-BFS minimum (distance, then the
+    /// smallest source index), and returns how many levels ran in parallel.
+    fn parallel_levels_of_checked_wave<G: NeighborAccess>(g: &G, sources: &[NodeId]) -> usize {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("pool construction cannot fail");
+        let (parts, claimed, parallel_steps) = pool.install(|| {
+            let mut eng = FrontierEngine::new(g, FrontierStrategy::TopDown);
+            for &s in sources {
+                eng.add_source(s);
+            }
+            eng.run();
+            let (claimed, parallel_steps) = (eng.claimed(), eng.parallel_steps());
+            (eng.into_parts(), claimed, parallel_steps)
+        });
+        // A node listed by two chunks would be counted twice.
+        let reached = parts.dist.iter().filter(|&&d| d != INFINITE_DIST).count();
+        assert_eq!(claimed, reached);
+        let per_source: Vec<Vec<u32>> =
+            sources.iter().map(|&s| traversal::bfs(g, s).dist).collect();
+        for v in 0..g.num_nodes() {
+            let (best_d, best_i) = per_source
+                .iter()
+                .enumerate()
+                .map(|(i, dist)| (dist[v], i as NodeId))
+                .min()
+                .unwrap();
+            assert_eq!(parts.dist[v], best_d, "node {v}");
+            let expected_owner = if best_d == INFINITE_DIST {
+                INVALID_NODE
+            } else {
+                best_i
+            };
+            assert_eq!(parts.owner[v], expected_owner, "node {v}");
+        }
+        parallel_steps
+    }
+
+    #[test]
+    fn wide_levels_take_the_parallel_pass_and_match_bfs() {
+        // 16 arcs per node over `PARALLEL_GRAIN / 4` nodes: a power-law
+        // graph of small diameter, whose middle levels carry most of its
+        // `4 · PARALLEL_GRAIN` arcs.
+        let powerlaw = generators::preferential_attachment(PARALLEL_GRAIN / 4, 8, 5);
+        let n = powerlaw.num_nodes() as NodeId;
+        for sources in [vec![0], (0..16).map(|i| i * (n / 16)).collect()] {
+            let parallel = parallel_levels_of_checked_wave(&powerlaw, &sources);
+            assert!(
+                parallel > 0,
+                "{} sources: no level above the grain",
+                sources.len()
+            );
+        }
+        // Maximal contention: 64 sources whose first level alone exceeds the
+        // grain, each proposing to every unclaimed node of a complete graph.
+        // Every non-source is one hop from all of them and goes to owner 0.
+        let n = PARALLEL_GRAIN / 64 + 88;
+        let complete = generators::complete(n);
+        let sources: Vec<NodeId> = (0..64).map(|i| (i * (n / 64)) as NodeId).collect();
+        for _ in 0..8 {
+            assert!(parallel_levels_of_checked_wave(&complete, &sources) > 0);
+        }
+        // A road-like wave never gets near the grain.
+        let road = generators::road_network(60, 60, 0.4, 3);
+        assert_eq!(parallel_levels_of_checked_wave(&road, &[0, 1800, 3599]), 0);
+    }
+
+    #[test]
+    fn wave_span_counts_only_its_own_steps() {
+        // Two bottom-up steps before `run()`: the span must report the
+        // wave's own rounds, not the engine's running totals.
+        let g = generators::path(41);
+        let mut eng = FrontierEngine::new(&g, FrontierStrategy::BottomUp);
+        eng.add_source(0);
+        eng.step();
+        eng.step();
+        pardec_obs::enable();
+        eng.run();
+        pardec_obs::disable();
+        let field = |e: &pardec_obs::Event, key: &str| {
+            e.fields
+                .iter()
+                .find(|f| f.key == key)
+                .map(|f| f.value.clone())
+        };
+        let u = |v: usize| Some(pardec_obs::Value::U64(v as u64));
+        // Other tests may trace concurrently; this wave is the only one to
+        // claim 38 nodes in 39 bottom-up rounds.
+        let wave = pardec_obs::drain()
+            .into_iter()
+            .find(|e| {
+                e.name == "frontier.wave"
+                    && field(e, "strategy") == Some(pardec_obs::Value::Str("bottomup".into()))
+                    && field(e, "claimed") == u(38)
+                    && field(e, "rounds") == u(39)
+            })
+            .expect("the wave emitted its span");
+        assert_eq!(field(&wave, "bottom_up_steps"), u(39));
+        assert_eq!(field(&wave, "parallel_steps"), u(0));
+        assert_eq!(field(&wave, "switches"), u(0));
+        assert_eq!(eng.bottom_up_steps(), 41);
+    }
+
+    #[test]
     fn hybrid_switches_on_dense_graphs() {
         // A star saturates immediately: the single middle level must run
         // bottom-up under the hybrid heuristic.
@@ -775,6 +958,100 @@ mod tests {
         assert_eq!(eng.step(), 0);
         assert_eq!(eng.steps(), 1);
         assert_eq!(eng.claimed(), 0);
+    }
+
+    /// Times the sequential and the parallel top-down step on every level of
+    /// 1-, 16-, 256- and 4096-source waves over a road graph and a power-law
+    /// graph, each on the plain and the compressed backend, on a 2-worker
+    /// pool. Prints one JSON line per (family, backend, frontier-degree band,
+    /// variant): the median over the band's levels of each level's median
+    /// time over 5 passes. `crates/bench/results/frontier_grain.jsonl` holds
+    /// the rows behind [`PARALLEL_GRAIN`]. Run it in release:
+    ///
+    /// ```text
+    /// cargo test --release -p pardec-graph --lib frontier::tests::grain_sweep -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "timing sweep; run it in release (see its doc comment)"]
+    fn grain_sweep() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool construction cannot fail");
+        let road = generators::road_network(400, 400, 0.4, 1);
+        let powerlaw = generators::windowed_preferential_attachment(125_000, 8, 0.025, 1);
+        for (family, g) in [("road", &road), ("powerlaw", &powerlaw)] {
+            let ccsr = crate::CcsrGraph::from_csr(g);
+            pool.install(|| {
+                sweep(family, "plain", g);
+                sweep(family, "ccsr", &ccsr);
+            });
+        }
+    }
+
+    fn sweep<G: NeighborAccess>(family: &str, backend: &str, g: &G) {
+        const PASSES: usize = 5;
+        let median = |mut xs: Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs[xs.len() / 2]
+        };
+        let n = g.num_nodes();
+        // Band `b` holds the levels with 2^b ≤ Σ deg(frontier) < 2^(b+1).
+        let mut bands: std::collections::BTreeMap<u32, Vec<[f64; 2]>> = Default::default();
+        for sources in [1, 16, 256, 4096] {
+            let srcs: Vec<NodeId> = (0..sources)
+                .map(|i| (i * (n / sources)) as NodeId)
+                .collect();
+            // The wave is deterministic, so level `i` expands the same
+            // frontier in every pass of either variant.
+            let mut degrees = Vec::new();
+            let mut times: Vec<[Vec<f64>; 2]> = Vec::new();
+            for pass in 0..PASSES {
+                for (variant, parallel) in [false, true].into_iter().enumerate() {
+                    let mut eng = FrontierEngine::new(g, FrontierStrategy::TopDown);
+                    for &s in &srcs {
+                        eng.add_source(s);
+                    }
+                    let mut level = 0;
+                    while !eng.frontier.is_empty() {
+                        let start = std::time::Instant::now();
+                        let (next, degree) = if parallel {
+                            eng.top_down_parallel()
+                        } else {
+                            eng.top_down_sequential()
+                        };
+                        let secs = start.elapsed().as_secs_f64();
+                        if pass == 0 && variant == 0 {
+                            degrees.push(eng.frontier_degree);
+                            times.push(Default::default());
+                        }
+                        times[level][variant].push(secs);
+                        eng.advance(next, degree);
+                        level += 1;
+                    }
+                }
+            }
+            for (degree, [seq, par]) in degrees.into_iter().zip(times) {
+                bands
+                    .entry(degree.max(1).ilog2())
+                    .or_default()
+                    .push([median(seq), median(par)]);
+            }
+        }
+        for (band, levels) in bands {
+            for (variant, i) in [("sequential", 0), ("chunked", 1)] {
+                let us = median(levels.iter().map(|l| l[i]).collect()) * 1e6;
+                println!(
+                    "{{\"variant\":\"{variant}\",\"family\":\"{family}\",\"backend\":\"{backend}\",\
+                     \"nodes\":{n},\"arcs\":{},\"threads\":2,\"chunk_work\":{CHUNK_WORK},\"max_chunks\":{MAX_CHUNKS},\
+                     \"band_arcs\":[{},{}],\"levels\":{},\"median_us\":{us:.1}}}",
+                    g.num_arcs(),
+                    1u64 << band,
+                    1u64 << (band + 1),
+                    levels.len(),
+                );
+            }
+        }
     }
 
     #[test]

@@ -196,6 +196,14 @@ impl NeighborAccess for GraphRepr {
             GraphRepr::Compressed(g) => ReprNeighbors::Compressed(g.neighbors_iter(u)),
         }
     }
+
+    #[inline]
+    fn arc_cost(&self) -> usize {
+        match self {
+            GraphRepr::Plain(g) => g.arc_cost(),
+            GraphRepr::Compressed(g) => g.arc_cost(),
+        }
+    }
 }
 
 /// Neighbor iterator of [`GraphRepr`] — one branch per `next()`.

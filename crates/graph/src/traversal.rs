@@ -1,17 +1,14 @@
-//! Breadth-first traversals: sequential, level-synchronous parallel, and
-//! multi-source with per-source ownership.
+//! Sequential breadth-first traversals.
 //!
-//! The multi-source variant is the primitive behind disjoint cluster growth
-//! (§3 of the paper): every source claims the nodes it reaches first, ties
-//! broken deterministically by the smallest owner id (the paper allows
-//! arbitrary tie-breaking). Everything except the plain sequential [`bfs`]
-//! is backed by the [`crate::frontier`] engine; [`bfs`] itself stays a
-//! direct queue-based implementation on purpose — it is the simple,
-//! independent reference that the engine's property tests
-//! (`tests/proptests_frontier.rs`) compare against.
+//! [`bfs`] is a direct queue-based implementation on purpose — it is the
+//! simple, independent reference that the frontier engine's property tests
+//! (`tests/proptests_frontier.rs`) compare against. Parallel, multi-source
+//! and direction-optimizing BFS (with per-source ownership, the primitive
+//! behind disjoint cluster growth in §3 of the paper) live in
+//! [`crate::frontier`]: [`crate::frontier::multi_source_bfs`] and
+//! [`crate::frontier::single_source_bfs`].
 
 use crate::access::NeighborAccess;
-use crate::frontier::{self, FrontierStrategy};
 use crate::{NodeId, INFINITE_DIST, INVALID_NODE};
 
 /// Result of a (single- or multi-source) BFS.
@@ -124,42 +121,9 @@ pub fn bfs_with_parents<G: NeighborAccess>(g: &G, src: NodeId) -> (BfsResult, Ve
     )
 }
 
-/// Multi-source BFS with ownership: every node reached is claimed by the
-/// source whose wave arrives first (smaller source index on ties).
-///
-/// Returns the BFS result together with `owner[v]` = index into `sources` of
-/// the claiming source ([`INVALID_NODE`] if unreachable). Delegates to the
-/// [`crate::frontier`] engine's top-down strategy; callers wanting the
-/// bottom-up or hybrid engine should use
-/// [`frontier::multi_source_bfs`] directly — all strategies produce
-/// identical output.
-pub fn bfs_multi<G: NeighborAccess>(g: &G, sources: &[NodeId]) -> (BfsResult, Vec<NodeId>) {
-    frontier::multi_source_bfs(g, sources, FrontierStrategy::TopDown)
-}
-
-/// Level-synchronous parallel BFS from a single source.
-///
-/// Each level expands the whole frontier in parallel through the
-/// [`crate::frontier`] engine; a node is claimed with an atomic min-merge on
-/// its proposal slot, so distances — and every other observable — are
-/// identical to sequential BFS at any thread count.
-pub fn bfs_parallel<G: NeighborAccess>(g: &G, src: NodeId) -> BfsResult {
-    frontier::single_source_bfs(g, src, FrontierStrategy::TopDown)
-}
-
 /// Eccentricity of `u`: the maximum BFS distance to any reachable node.
 pub fn eccentricity<G: NeighborAccess>(g: &G, u: NodeId) -> u32 {
     bfs(g, u).levels
-}
-
-/// Direction-optimizing parallel BFS (Beamer et al.): switches from
-/// top-down frontier expansion to bottom-up "pull" sweeps when the frontier
-/// covers a large fraction of the remaining edges — the standard HPC
-/// optimization for low-diameter graphs, where the middle levels touch most
-/// of the graph. Produces distances identical to [`bfs`]. This is the
-/// [`crate::frontier`] engine's hybrid strategy.
-pub fn bfs_direction_optimizing<G: NeighborAccess>(g: &G, src: NodeId) -> BfsResult {
-    frontier::single_source_bfs(g, src, FrontierStrategy::Hybrid)
 }
 
 #[cfg(test)]
@@ -186,51 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_parallel_matches_sequential() {
-        let g = generators::mesh(17, 23);
-        let seq = bfs(&g, 5);
-        let par = bfs_parallel(&g, 5);
-        assert_eq!(seq.dist, par.dist);
-        assert_eq!(seq.visited, par.visited);
-        assert_eq!(seq.levels, par.levels);
-    }
-
-    #[test]
-    fn multi_source_ownership_tie_break() {
-        // path 0-1-2-3-4, sources at both ends: node 2 is equidistant and
-        // must go to the first-listed source.
-        let g = generators::path(5);
-        let (r, owner) = bfs_multi(&g, &[0, 4]);
-        assert_eq!(r.dist, vec![0, 1, 2, 1, 0]);
-        assert_eq!(owner, vec![0, 0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn multi_source_duplicate_source() {
-        let g = generators::path(3);
-        let (r, owner) = bfs_multi(&g, &[1, 1]);
-        assert_eq!(r.dist, vec![1, 0, 1]);
-        assert_eq!(owner, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn multi_source_matches_per_source_minimum() {
-        let g = generators::mesh(9, 11);
-        let sources = [3u32, 57, 90];
-        let (r, owner) = bfs_multi(&g, &sources);
-        for (v, (&dv, &ov)) in r.dist.iter().zip(&owner).enumerate() {
-            let (best_d, best_i) = sources
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (bfs(&g, s).dist[v], i as NodeId))
-                .min()
-                .unwrap();
-            assert_eq!(dv, best_d, "node {v}");
-            assert_eq!(ov, best_i, "node {v}");
-        }
-    }
-
-    #[test]
     fn parents_trace_shortest_path() {
         let g = generators::mesh(4, 4);
         let (r, parent) = bfs_with_parents(&g, 0);
@@ -243,32 +162,6 @@ mod tests {
             assert!(hops <= 100, "cycle in parent pointers");
         }
         assert_eq!(hops, r.dist[15]);
-    }
-
-    #[test]
-    fn direction_optimizing_matches_plain_bfs() {
-        for (name, g) in [
-            ("mesh", generators::mesh(13, 19)),
-            ("social", generators::preferential_attachment(2000, 6, 3)),
-            ("star", generators::star(100)),
-            ("path", generators::path(60)),
-        ] {
-            let a = bfs(&g, 0);
-            let b = bfs_direction_optimizing(&g, 0);
-            assert_eq!(a.dist, b.dist, "{name}");
-            assert_eq!(a.visited, b.visited, "{name}");
-        }
-    }
-
-    #[test]
-    fn direction_optimizing_disconnected() {
-        let g = crate::GraphBuilder::new(5)
-            .add_edges([(0, 1), (2, 3)])
-            .build();
-        let r = bfs_direction_optimizing(&g, 0);
-        assert_eq!(r.dist[1], 1);
-        assert_eq!(r.dist[2], INFINITE_DIST);
-        assert_eq!(r.visited, 2);
     }
 
     #[test]

@@ -240,27 +240,44 @@ fn weighted_apsp_is_byte_identical_across_pool_sizes() {
     }
 }
 
+/// A power-law graph of small diameter whose middle levels are wide enough
+/// for the frontier engine's parallel pass (asserted where it is used).
+/// Kept out of [`workload_graphs`], which every other test here shares.
+fn wide_powerlaw() -> CsrGraph {
+    generators::preferential_attachment(12_000, 8, 13)
+}
+
+/// Top-down levels of a wave from `sources` that ran on the pool.
+fn parallel_steps_of_wave<G: NeighborAccess>(g: &G, sources: &[NodeId]) -> usize {
+    let mut eng = pardec::graph::frontier::FrontierEngine::new(g, FrontierStrategy::TopDown);
+    for &s in sources {
+        eng.add_source(s);
+    }
+    eng.run();
+    eng.parallel_steps()
+}
+
 /// The frontier engine's full contract in one matrix: for every strategy,
 /// 1-thread and 4-thread pools agree, and all strategies agree with each
-/// other — over raw multi-source BFS and over the full decomposition.
+/// other — over raw multi-source BFS and over the full decomposition. The
+/// shared workloads keep every level below the engine's parallel grain; the
+/// wide power-law graph, on both backends, takes the parallel pass.
 #[test]
 fn frontier_strategies_byte_identical_across_pool_sizes() {
-    use pardec::graph::frontier::{multi_source_bfs, FrontierStrategy};
-    for (name, g) in workload_graphs() {
-        let n = g.num_nodes() as NodeId;
-        let sources: Vec<NodeId> = (0..16).map(|i| i * (n / 16)).collect();
+    fn check<G: NeighborAccess>(name: &str, g: &G, sources: &[NodeId]) {
+        use pardec::graph::frontier::multi_source_bfs;
         let mut bfs_outputs = Vec::new();
         let mut cluster_outputs = Vec::new();
         for strategy in FrontierStrategy::ALL {
             let (one, four) = on_both_pools(|| {
-                let (r, owner) = multi_source_bfs(&g, &sources, strategy);
+                let (r, owner) = multi_source_bfs(g, sources, strategy);
                 (r.dist, owner, r.visited, r.levels)
             });
             assert_eq!(one, four, "msbfs/{strategy} diverged on {name}");
             bfs_outputs.push(one);
 
             let (one, four) = on_both_pools(|| {
-                let r = cluster(&g, &ClusterParams::new(8, 42).with_frontier(strategy));
+                let r = cluster(g, &ClusterParams::new(8, 42).with_frontier(strategy));
                 r.clustering
             });
             assert_eq!(one, four, "cluster/{strategy} diverged on {name}");
@@ -279,6 +296,28 @@ fn frontier_strategies_byte_identical_across_pool_sizes() {
             );
         }
     }
+    let sources_of = |n: usize| -> Vec<NodeId> {
+        let n = n as NodeId;
+        (0..16).map(|i| i * (n / 16)).collect()
+    };
+    for (name, g) in workload_graphs() {
+        let sources = sources_of(g.num_nodes());
+        check(name, &g, &sources);
+        if name == "road" {
+            assert_eq!(
+                parallel_steps_of_wave(&g, &sources),
+                0,
+                "road went parallel"
+            );
+        }
+    }
+    let wide = wide_powerlaw();
+    let sources = sources_of(wide.num_nodes());
+    let compressed = CcsrGraph::from_csr(&wide);
+    assert!(parallel_steps_of_wave(&wide, &sources) > 0);
+    assert!(parallel_steps_of_wave(&compressed, &sources) > 0);
+    check("powerlaw-wide/plain", &wide, &sources);
+    check("powerlaw-wide/compressed", &compressed, &sources);
 }
 
 /// The compressed backend's determinism contract: the graph representation
@@ -403,13 +442,17 @@ fn hadi_is_byte_identical_across_pool_sizes() {
 
 #[test]
 fn parallel_bfs_matches_sequential_bfs_on_a_real_pool() {
-    let g = generators::windowed_preferential_attachment(4_000, 6, 0.025, 5);
+    let g = wide_powerlaw();
+    assert!(
+        parallel_steps_of_wave(&g, &[0]) > 0,
+        "no level ran in parallel"
+    );
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .expect("pool construction cannot fail");
     let seq = pardec::graph::traversal::bfs(&g, 0);
-    let par = pool.install(|| pardec::graph::traversal::bfs_parallel(&g, 0));
+    let par = pool.install(|| frontier::single_source_bfs(&g, 0, FrontierStrategy::TopDown));
     assert_eq!(seq.dist, par.dist);
     assert_eq!(seq.visited, par.visited);
     assert_eq!(seq.levels, par.levels);

@@ -139,7 +139,7 @@ proptest! {
         prop_assume!(n > 0);
         let src = (src_pick as usize % n) as NodeId;
         let a = traversal::bfs(&g, src);
-        let b = traversal::bfs_direction_optimizing(&g, src);
+        let b = frontier::single_source_bfs(&g, src, FrontierStrategy::Hybrid);
         prop_assert_eq!(a.dist, b.dist);
     }
 }

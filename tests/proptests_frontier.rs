@@ -75,12 +75,12 @@ fn per_source_minimum_oracle(g: &CsrGraph, sources: &[NodeId]) -> (Vec<u32>, Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// All three strategies produce identical observables, which also equal
-    /// the simple `traversal::bfs_multi` entry point.
+    /// All three strategies produce the observables of the default
+    /// top-down engine.
     #[test]
     fn strategies_are_observably_identical(case in graph_and_sources()) {
         let (g, sources) = case;
-        let (simple_r, simple_o) = traversal::bfs_multi(&g, &sources);
+        let (simple_r, simple_o) = multi_source_bfs(&g, &sources, FrontierStrategy::TopDown);
         for strategy in FrontierStrategy::ALL {
             let (r, o) = multi_source_bfs(&g, &sources, strategy);
             prop_assert_eq!(&simple_r.dist, &r.dist, "dist diverged under {}", strategy);
