@@ -180,13 +180,7 @@ pub(crate) fn bounds_of_clustering<G: NeighborAccess>(
             q = sp.graph;
         }
     }
-    let q_diam = if q.num_nodes() <= 4096 {
-        exact::apsp_diameter(&q) as u64
-    } else if pardec_graph::components::is_connected(&q) {
-        exact::ifub(&q, 0).0 as u64
-    } else {
-        exact::exact_diameter(&q) as u64
-    };
+    let q_diam = exact::exact_diameter(&q) as u64;
     // With sparsification, q_diam over-estimates Δ_C by at most `stretch`.
     let delta_c = q_diam / stretch;
     let upper = 2 * radius as u64 * (q_diam + 1) + q_diam;

@@ -1,8 +1,8 @@
 //! §4 (closing remark) — a linear-space approximate **distance oracle**.
 //!
 //! Cluster the graph with CLUSTER2(τ), keep per-node `(cluster, distance to
-//! center)` and the APSP matrix of the weighted quotient graph. A query
-//! `(u, v)` answers
+//! center)` and the APSP of the weighted quotient graph. A query `(u, v)`
+//! answers
 //!
 //! ```text
 //! d′(u, v) = dist(u, c_u) + apsp[C_u][C_v] + dist(v, c_v)
@@ -10,26 +10,37 @@
 //!
 //! an upper bound on `dist(u, v)` that the paper shows is
 //! `O(dist(u, v)·log³ n + R_ALG2)` — polylogarithmic for far-apart pairs.
-//! With `τ = O(√n / log⁴ n)` the matrix is `O(n)` words, keeping the oracle
-//! linear-space.
+//! The quotient APSP is symmetric, so it is stored once, as the packed upper
+//! triangle of `q(q + 1)/2` words. With `τ = O(√n / log⁴ n)`, `q² = O(n)`,
+//! keeping the oracle linear-space.
 
 use crate::cluster::ClusterParams;
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
-use pardec_graph::weighted::max_finite;
+use pardec_graph::weighted::{max_finite, upper_row_start};
 use pardec_graph::{NeighborAccess, NodeId};
 use rayon::prelude::*;
+
+/// Words of the APSP triangle per parallel task of
+/// [`DistanceOracle::quotient_diameter`]'s scan: 512 KiB, so that a task's
+/// scan outweighs handing it to the pool.
+const SCAN_CHUNK: usize = 1 << 16;
 
 /// Approximate distance oracle built from a clustering (§4).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DistanceOracle {
     assignment: Vec<NodeId>,
     dist_to_center: Vec<u32>,
-    /// APSP over the weighted quotient (connecting-path metric).
-    apsp: Vec<Vec<u64>>,
-    /// Per-cluster growth radii (drives [`Self::eccentricity_bound`]).
+    /// APSP over the weighted quotient (connecting-path metric), as the
+    /// packed upper triangle of [`pardec_graph::WeightedGraph::apsp_upper`].
+    apsp: Vec<u64>,
+    /// Per-cluster growth radii.
     radii: Vec<u32>,
+    /// `ecc[c]`: the largest `apsp[c][C] + radius(C)` over the clusters `C`
+    /// reachable from `c`. Derived from `apsp` and `radii` at build and at
+    /// load; snapshots do not store it. Drives [`Self::eccentricity_bound`].
+    ecc: Vec<u64>,
     radius: u32,
 }
 
@@ -53,46 +64,76 @@ impl DistanceOracle {
     /// Builds from an existing clustering: one APSP over its weighted
     /// quotient.
     pub fn from_clustering<G: NeighborAccess>(g: &G, clustering: &Clustering) -> Self {
-        let wq = clustering.weighted_quotient(g);
-        DistanceOracle {
-            radius: clustering.max_radius(),
-            assignment: clustering.assignment.clone(),
-            dist_to_center: clustering.dist_to_center.clone(),
-            radii: clustering.radii.clone(),
-            apsp: wq.apsp_matrix(),
-        }
+        let apsp = clustering.weighted_quotient(g).apsp_upper();
+        Self::assemble(
+            clustering.assignment.clone(),
+            clustering.dist_to_center.clone(),
+            clustering.radii.clone(),
+            apsp,
+        )
     }
 
-    /// Reassembles an oracle from its stored parts (snapshot load path).
+    /// Reassembles an oracle from its stored parts (snapshot load path):
+    /// `apsp` is the packed upper triangle over `radii.len()` clusters.
     /// Shape-validates everything; returns the first violation found.
-    pub fn from_raw_parts(
+    pub(crate) fn from_raw_parts(
         assignment: Vec<NodeId>,
         dist_to_center: Vec<u32>,
         radii: Vec<u32>,
-        apsp: Vec<Vec<u64>>,
+        apsp: Vec<u64>,
     ) -> Result<Self, String> {
         let q = radii.len();
         if assignment.len() != dist_to_center.len() {
             return Err("assignment / dist_to_center length mismatch".into());
         }
-        if apsp.len() != q || apsp.iter().any(|row| row.len() != q) {
-            return Err("APSP matrix is not q x q".into());
+        if apsp.len() != upper_row_start(q, q) {
+            return Err("APSP triangle does not have q(q + 1)/2 entries".into());
         }
         if assignment.iter().any(|&c| (c as usize) >= q) {
             return Err("assignment references a cluster beyond q".into());
         }
-        Ok(DistanceOracle {
+        Ok(Self::assemble(assignment, dist_to_center, radii, apsp))
+    }
+
+    /// The oracle over shape-checked parts, with `ecc` computed in one pass
+    /// over the triangle: entry `(i, j)` offers `d + radius(j)` to `ecc[i]`
+    /// and `d + radius(i)` to `ecc[j]`.
+    fn assemble(
+        assignment: Vec<NodeId>,
+        dist_to_center: Vec<u32>,
+        radii: Vec<u32>,
+        apsp: Vec<u64>,
+    ) -> Self {
+        let q = radii.len();
+        let mut ecc = vec![0u64; q];
+        let mut rows = apsp.as_slice();
+        for i in 0..q {
+            let (row, rest) = rows.split_at(q - i);
+            rows = rest;
+            let r_i = radii[i] as u64;
+            let mut best = 0;
+            for ((&d, &r_j), e_j) in row.iter().zip(&radii[i..]).zip(&mut ecc[i..]) {
+                if d != u64::MAX {
+                    // Saturating: a hostile snapshot may store any distance.
+                    best = best.max(d.saturating_add(r_j as u64));
+                    *e_j = (*e_j).max(d.saturating_add(r_i));
+                }
+            }
+            ecc[i] = ecc[i].max(best);
+        }
+        DistanceOracle {
             radius: radii.iter().copied().max().unwrap_or(0),
             assignment,
             dist_to_center,
-            radii,
             apsp,
-        })
+            radii,
+            ecc,
+        }
     }
 
     /// Number of clusters (quotient nodes).
     pub fn num_clusters(&self) -> usize {
-        self.apsp.len()
+        self.radii.len()
     }
 
     /// Max cluster radius of the underlying decomposition.
@@ -100,13 +141,15 @@ impl DistanceOracle {
         self.radius
     }
 
-    /// Words of storage held (per-node arrays + quotient matrix) — the
-    /// linear-space claim is `n + n + q²` with `q = O(√n)`.
+    /// Words of storage held: the per-node arrays, the quotient triangle,
+    /// the per-cluster radii and eccentricities — `n + n + q(q + 1)/2 + 2q`,
+    /// linear in `n` when `q = O(√n)`.
     pub fn memory_words(&self) -> usize {
         self.assignment.len()
             + self.dist_to_center.len()
+            + self.apsp.len()
             + self.radii.len()
-            + self.apsp.len() * self.apsp.len()
+            + self.ecc.len()
     }
 
     /// Per-cluster growth radii of the underlying decomposition.
@@ -114,19 +157,19 @@ impl DistanceOracle {
         &self.radii
     }
 
-    /// The quotient APSP matrix (for persistence).
-    pub fn apsp_matrix(&self) -> &[Vec<u64>] {
+    /// The packed upper triangle of the quotient APSP (for persistence).
+    pub(crate) fn apsp_upper(&self) -> &[u64] {
         &self.apsp
     }
 
     /// `Δ′_C`, the weighted-quotient diameter: the largest finite entry of
-    /// the stored APSP matrix, scanned on demand. Equals
+    /// the stored APSP triangle, scanned on demand. Equals
     /// `weighted_quotient(g).apsp_diameter()` of the source clustering,
     /// without a second APSP.
     pub fn quotient_diameter(&self) -> u64 {
         self.apsp
-            .par_iter()
-            .map(|row| max_finite(row))
+            .par_chunks(SCAN_CHUNK)
+            .map(max_finite)
             .max()
             .unwrap_or(0)
     }
@@ -146,7 +189,8 @@ impl DistanceOracle {
             // Through the shared center.
             return du + dv;
         }
-        let between = self.apsp[cu as usize][cv as usize];
+        let (i, j) = (cu.min(cv) as usize, cu.max(cv) as usize);
+        let between = self.apsp[upper_row_start(self.num_clusters(), i) + (j - i)];
         if between == u64::MAX {
             return u64::MAX;
         }
@@ -155,21 +199,16 @@ impl DistanceOracle {
 
     /// Upper bound on the eccentricity of `v` **within its connected
     /// component**: the maximum, over clusters `C` reachable from `v`'s
-    /// cluster, of `dist(v, c_v) + apsp[C_v][C] + radius(C)`.
+    /// cluster, of `dist(v, c_v) + apsp[C_v][C] + radius(C)`. That maximum
+    /// less `dist(v, c_v)` depends on `C_v` alone and is kept per cluster,
+    /// so the bound is one lookup.
     ///
     /// Every node of a reachable cluster is reachable (clusters are
     /// internally connected) and lies within `radius(C)` of `C`'s center,
     /// so this dominates `max_u dist(v, u)` over the component.
     pub fn eccentricity_bound(&self, v: NodeId) -> u64 {
         let cv = self.assignment[v as usize] as usize;
-        let dv = self.dist_to_center[v as usize] as u64;
-        self.apsp[cv]
-            .iter()
-            .zip(&self.radii)
-            .filter(|(&between, _)| between != u64::MAX)
-            .map(|(&between, &r)| dv + between + r as u64)
-            .max()
-            .unwrap_or(dv)
+        (self.dist_to_center[v as usize] as u64).saturating_add(self.ecc[cv])
     }
 }
 
@@ -289,18 +328,20 @@ mod tests {
             oracle.assignment.clone(),
             oracle.dist_to_center.clone(),
             vec![0; 1], // q shrinks: assignment now out of range
-            vec![vec![0]],
+            vec![0],
         )
         .is_err());
-        let mut ragged = oracle.apsp.clone();
-        ragged[0].push(0);
-        assert!(DistanceOracle::from_raw_parts(
-            oracle.assignment.clone(),
-            oracle.dist_to_center.clone(),
-            oracle.radii.clone(),
-            ragged,
-        )
-        .is_err());
+        for len in [oracle.apsp.len() - 1, oracle.apsp.len() + 1] {
+            let mut apsp = oracle.apsp.clone();
+            apsp.resize(len, 0);
+            assert!(DistanceOracle::from_raw_parts(
+                oracle.assignment.clone(),
+                oracle.dist_to_center.clone(),
+                oracle.radii.clone(),
+                apsp,
+            )
+            .is_err());
+        }
     }
 
     #[test]
@@ -312,7 +353,11 @@ mod tests {
         assert_eq!(a, DistanceOracle::build(&g, 4, 9, Decomposition::Cluster));
         assert_eq!(a.radius(), c.max_radius());
         assert_eq!(a.num_clusters(), c.num_clusters());
-        assert!(a.memory_words() >= 2 * g.num_nodes());
+        let q = a.num_clusters();
+        assert_eq!(
+            a.memory_words(),
+            2 * g.num_nodes() + q * (q + 1) / 2 + 2 * q
+        );
     }
 
     #[test]

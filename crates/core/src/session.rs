@@ -15,8 +15,8 @@
 //!
 //! * [`Session::distance`] — §4 oracle upper bounds, O(1) per pair;
 //! * [`Session::cluster_of`] — assignment lookups;
-//! * [`Session::eccentricity`] — per-node eccentricity upper bounds from the
-//!   oracle's quotient APSP + cluster radii;
+//! * [`Session::eccentricity`] — per-node eccentricity upper bounds, O(1)
+//!   per node from the oracle's per-cluster eccentricities;
 //! * [`Session::nearest`] — the batch-amortized traversal: **one**
 //!   multi-source [`FrontierEngine`] wave answers every probe in the batch
 //!   (nearest source + exact hop distance), so hundreds of queries cost one
@@ -31,13 +31,17 @@
 //! | tag | version | payload |
 //! |-----|---------|---------|
 //! | `CLUS` | 1 | `n u64, k u64, growth_steps u64, assignment n×u32, centers k×u32, dist_to_center n×u32, radii k×u32` |
-//! | `ORCL` | 1 | `q u64, apsp q²×u64` (row-major; per-node arrays are shared with `CLUS`) |
+//! | `ORCL` | 2 | `q u64, apsp q(q+1)/2×u64` (the packed upper triangle: `d(i, j)` for `i ≤ j`, row-major; per-node arrays are shared with `CLUS`) |
+//!
+//! `ORCL` version 1 (`q u64, apsp q²×u64`, the full row-major matrix) is
+//! still read: the loader keeps its upper triangle, so older snapshots load
+//! (and hot-reload) into the same oracle. Saves always write version 2.
 //!
 //! All integers little-endian; all size arithmetic checked, so hostile
 //! section payloads error rather than panic or over-allocate.
 //!
 //! A loaded session answers `distance`, `eccentricity` and the `Δ″` bound
-//! of [`Session::diameter`] from the stored `ORCL` matrix; both load paths
+//! of [`Session::diameter`] from the stored `ORCL` triangle; both load paths
 //! check its shape, not its distances.
 
 use crate::cluster::{cluster, ClusterParams};
@@ -49,6 +53,7 @@ use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot};
+use pardec_graph::weighted::upper_row_start;
 use pardec_graph::{Backend, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE};
 use std::io::{self, Write};
 
@@ -58,8 +63,9 @@ pub const SECTION_CLUSTERING: u32 = u32::from_le_bytes(*b"CLUS");
 pub const SECTION_CLUSTERING_VERSION: u32 = 1;
 /// Section tag for the persisted [`DistanceOracle`] state (`b"ORCL"`).
 pub const SECTION_ORACLE: u32 = u32::from_le_bytes(*b"ORCL");
-/// Layout version of the oracle section.
-pub const SECTION_ORACLE_VERSION: u32 = 1;
+/// Layout version of the oracle section [`Session::save`] writes (the
+/// packed triangle); version 1 (the full matrix) still loads.
+pub const SECTION_ORACLE_VERSION: u32 = 2;
 
 /// Which decomposition a session runs at build time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -373,7 +379,8 @@ impl Session {
     }
 
     /// Batched per-node eccentricity upper bounds (within each node's
-    /// connected component), from the oracle's quotient APSP + radii.
+    /// connected component), O(1) per node; see
+    /// [`DistanceOracle::eccentricity_bound`].
     pub fn eccentricity(&self, nodes: &[NodeId]) -> Result<(Vec<u64>, QueryLedger), SessionError> {
         let oracle = self.require_oracle()?;
         let mut out = Vec::with_capacity(nodes.len());
@@ -447,7 +454,7 @@ impl Session {
     /// With an oracle resident, `Δ″` takes `Δ′_C` from the oracle's stored
     /// quotient APSP ([`DistanceOracle::quotient_diameter`]) instead of
     /// running a second one. A loaded session thus takes `Δ″` from the
-    /// snapshot's stored `ORCL` matrix, which both load paths only
+    /// snapshot's stored `ORCL` triangle, which both load paths only
     /// shape-check: the trust `distance` and `eccentricity` already place
     /// in it.
     pub fn diameter(&self, weighted: bool, sparsify_above: Option<usize>) -> DiameterApprox {
@@ -527,14 +534,7 @@ impl Session {
         }
         let oracle = match snap.section(SECTION_ORACLE) {
             None => None,
-            Some((version, body)) => {
-                if version != SECTION_ORACLE_VERSION {
-                    return Err(data_err(format!(
-                        "unsupported oracle section version {version}"
-                    )));
-                }
-                Some(decode_oracle(body, &clustering)?)
-            }
+            Some((version, body)) => Some(decode_oracle(version, body, &clustering)?),
         };
         load_span.field("nodes", graph.num_nodes());
         load_span.field("oracle", oracle.is_some());
@@ -611,18 +611,18 @@ fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering,
 }
 
 fn encode_oracle(o: &DistanceOracle) -> Vec<u8> {
-    let q = o.num_clusters();
-    let mut buf = Vec::with_capacity(8 + 8 * q * q);
-    buf.put_u64_le(q as u64);
-    for row in o.apsp_matrix() {
-        for &d in row {
-            buf.put_u64_le(d);
-        }
+    let apsp = o.apsp_upper();
+    let mut buf = Vec::with_capacity(8 + 8 * apsp.len());
+    buf.put_u64_le(o.num_clusters() as u64);
+    for &d in apsp {
+        buf.put_u64_le(d);
     }
     buf
 }
 
-fn decode_oracle(body: &[u8], clustering: &Clustering) -> io::Result<DistanceOracle> {
+/// Decodes an `ORCL` payload of layout `version` (1: full `q × q` matrix,
+/// 2: packed upper triangle) into the oracle, in one pass over the words.
+fn decode_oracle(version: u32, body: &[u8], clustering: &Clustering) -> io::Result<DistanceOracle> {
     let mut buf = body;
     if buf.remaining() < 8 {
         return Err(data_err("truncated oracle header"));
@@ -631,16 +631,36 @@ fn decode_oracle(body: &[u8], clustering: &Clustering) -> io::Result<DistanceOra
     if q != clustering.num_clusters() {
         return Err(data_err("oracle cluster count does not match clustering"));
     }
-    let expected = q
-        .checked_mul(q)
+    let words = match version {
+        1 => q.checked_mul(q),
+        2 => q
+            .checked_add(1)
+            .and_then(|t| t.checked_mul(q))
+            .map(|t| t / 2),
+        _ => {
+            return Err(data_err(format!(
+                "unsupported oracle section version {version}"
+            )))
+        }
+    };
+    let expected = words
         .and_then(|t| t.checked_mul(8))
         .ok_or_else(|| data_err("oracle sizes overflow"))?;
     if buf.remaining() != expected {
         return Err(data_err("oracle length mismatch"));
     }
-    let apsp: Vec<Vec<u64>> = (0..q)
-        .map(|_| (0..q).map(|_| buf.get_u64_le()).collect())
-        .collect();
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"));
+    let apsp: Vec<u64> = if version == 1 {
+        // Row `i` of the full matrix contributes its entries `j ≥ i`. (With
+        // `q = 0` the payload is empty; `max(1)` keeps the chunk size legal.)
+        let mut upper = Vec::with_capacity(upper_row_start(q, q));
+        for (i, row) in buf.chunks_exact(8 * q.max(1)).enumerate() {
+            upper.extend(row[8 * i..].chunks_exact(8).map(word));
+        }
+        upper
+    } else {
+        buf.chunks_exact(8).map(word).collect()
+    };
     DistanceOracle::from_raw_parts(
         clustering.assignment.clone(),
         clustering.dist_to_center.clone(),
@@ -716,6 +736,49 @@ mod tests {
                 .max()
                 .unwrap() as u64;
             assert!(bounds[i] >= truth, "ecc({v}) bound {} < {truth}", bounds[i]);
+        }
+    }
+
+    /// `ECC` answers are the row-scan definition, `dist(v, c_v)` plus the
+    /// largest `apsp[C_v][C] + radius(C)` over reachable clusters `C`, on a
+    /// built session and on both loaded ones. The reference rows come from
+    /// heap Dijkstra on the weighted quotient.
+    #[test]
+    fn eccentricity_equals_the_row_scan_definition() {
+        let g = generators::disjoint_union(
+            &generators::disjoint_union(&generators::mesh(9, 9), &generators::cycle(11)),
+            &CsrGraph::empty(5),
+        );
+        let built = Session::build(g.clone(), &SessionParams::new(4, 5));
+        let c = built.clustering().clone();
+        let wq = c.weighted_quotient(&g);
+        let rows: Vec<Vec<u64>> = (0..wq.num_nodes() as NodeId)
+            .map(|k| pardec_graph::naive::dijkstra(&wq, k))
+            .collect();
+        let nodes: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let reference: Vec<u64> = nodes
+            .iter()
+            .map(|&v| {
+                let dv = c.dist_to_center[v as usize] as u64;
+                rows[c.assignment[v as usize] as usize]
+                    .iter()
+                    .zip(&c.radii)
+                    .filter(|(&d, _)| d != u64::MAX)
+                    .map(|(&d, &r)| dv + d + r as u64)
+                    .max()
+                    .unwrap_or(dv)
+            })
+            .collect();
+        let mut buf = Vec::new();
+        built.save(&mut buf).unwrap();
+        for s in [
+            Session::load(&buf, built.frontier()).unwrap(),
+            Session::load_checked(&buf, built.frontier()).unwrap(),
+            built,
+        ] {
+            let (ecc, ledger) = s.eccentricity(&nodes).unwrap();
+            assert_eq!(ledger.waves, 0);
+            assert_eq!(ecc, reference);
         }
     }
 

@@ -115,29 +115,58 @@ pub fn ifub(g: &CsrGraph, start: NodeId) -> (u32, usize) {
 }
 
 /// Exact diameter of an arbitrary graph: the maximum over connected
-/// components (0 for the empty graph). Small components fall back to APSP;
-/// large ones use iFUB.
+/// components (0 for the empty graph). Components of up to 1024 nodes fall
+/// back to APSP; larger ones use iFUB.
+///
+/// Nodes are bucketed by component once, components of fewer than 3 nodes
+/// (diameter `size − 1`) are never extracted, and the rest are cut out
+/// through one shared id map, so many small components cost little more
+/// than their nodes.
 pub fn exact_diameter(g: &CsrGraph) -> u32 {
-    if g.num_nodes() == 0 {
+    let n = g.num_nodes();
+    if n == 0 {
         return 0;
     }
-    if components::is_connected(g) {
-        return if g.num_nodes() <= 1024 {
-            apsp_diameter(g)
-        } else {
-            ifub(g, 0).0
-        };
-    }
     let (count, labels) = components::connected_components(g);
+    if count == 1 {
+        return connected_diameter(g);
+    }
+    // Each component's nodes, contiguous and in increasing id order.
+    let mut members: Vec<NodeId> = (0..n as NodeId).collect();
+    members.sort_unstable_by_key(|&v| (labels[v as usize], v));
+    // `local[v]`: `v`'s index within its component, which increases with
+    // `v`, so relabelled adjacency lists stay sorted: each component is a
+    // valid CSR as is.
+    let mut local = vec![0 as NodeId; n];
     let mut best = 0;
-    for c in 0..count as NodeId {
-        let nodes: Vec<NodeId> = (0..g.num_nodes() as NodeId)
-            .filter(|&v| labels[v as usize] == c)
-            .collect();
-        let (sub, _) = crate::contract::induced_subgraph(g, &nodes);
-        best = best.max(exact_diameter(&sub));
+    for nodes in members.chunk_by(|&a, &b| labels[a as usize] == labels[b as usize]) {
+        if nodes.len() < 3 {
+            best = best.max(nodes.len() as u32 - 1);
+            continue;
+        }
+        for (i, &v) in nodes.iter().enumerate() {
+            local[v as usize] = i as NodeId;
+        }
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in nodes {
+            targets.extend(g.neighbors(v).iter().map(|&w| local[w as usize]));
+            offsets.push(targets.len());
+        }
+        best = best.max(connected_diameter(&CsrGraph::from_parts(offsets, targets)));
     }
     best
+}
+
+/// Exact diameter of a connected, non-empty graph: APSP up to 1024 nodes,
+/// iFUB above.
+fn connected_diameter(g: &CsrGraph) -> u32 {
+    if g.num_nodes() <= 1024 {
+        apsp_diameter(g)
+    } else {
+        ifub(g, 0).0
+    }
 }
 
 /// Sampled eccentricity spectrum: eccentricities of `samples` evenly spaced
@@ -160,7 +189,7 @@ pub fn eccentricity_sample(g: &CsrGraph, samples: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, GraphBuilder};
 
     #[test]
     fn apsp_on_known_shapes() {
@@ -222,6 +251,49 @@ mod tests {
         assert_eq!(exact_diameter(&g), 6);
         let g = generators::disjoint_union(&generators::path(20), &generators::cycle(6));
         assert_eq!(exact_diameter(&g), 19);
+
+        // Many components: isolated nodes, pairs, paths and meshes, and one
+        // component above the APSP cutoff.
+        let union = |parts: &[CsrGraph]| {
+            parts
+                .iter()
+                .fold(CsrGraph::empty(0), |g, p| generators::disjoint_union(&g, p))
+        };
+        let isolated = CsrGraph::empty(1);
+        let pair = generators::path(2);
+        let many = [
+            union(&[isolated.clone(), isolated.clone(), isolated.clone()]),
+            union(&[pair.clone(), pair.clone(), isolated.clone(), pair.clone()]),
+            union(&[isolated.clone(), generators::path(3), pair.clone()]),
+            union(&[
+                generators::mesh(5, 6),
+                isolated.clone(),
+                generators::path(11),
+                pair.clone(),
+                generators::mesh(3, 3),
+                isolated.clone(),
+            ]),
+            union(&[
+                generators::disjoint_union(&CsrGraph::empty(40), &generators::mesh(8, 8)),
+                generators::cycle(9),
+                CsrGraph::empty(25),
+                generators::path(4),
+            ]),
+            union(&[
+                generators::mesh(30, 40),
+                CsrGraph::empty(10),
+                generators::path(5),
+            ]),
+        ];
+        for (i, g) in many.iter().enumerate() {
+            assert_eq!(exact_diameter(g), apsp_diameter(g), "graph {i}");
+        }
+        // A component relabelled through the shared id map keeps its
+        // structure when its ids are not contiguous.
+        let mixed = GraphBuilder::new(7)
+            .add_edges([(0, 3), (3, 6), (1, 5), (2, 4)])
+            .build();
+        assert_eq!(exact_diameter(&mixed), 2);
     }
 
     #[test]

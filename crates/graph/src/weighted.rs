@@ -3,7 +3,8 @@
 //! Weighted graphs appear in one place in the paper (§4): the *weighted
 //! quotient graph*, whose edge weights are shortest connecting-path lengths
 //! between adjacent clusters. Its diameter `Δ′_C` yields the tightened upper
-//! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP matrix is the distance oracle.
+//! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP (stored once, as a packed
+//! upper triangle) is the distance oracle.
 
 use crate::combine::{self, pack};
 use crate::NodeId;
@@ -27,7 +28,7 @@ pub const INFINITE_WEIGHT: u64 = u64::MAX;
 const MAX_BUCKETS: u64 = 1024;
 
 /// Sources per parallel task of the all-sources kernels; each task reuses
-/// one queue (and, for [`WeightedGraph::apsp_diameter`], one distance row).
+/// one queue and one distance row.
 const SOURCE_CHUNK: usize = 16;
 
 /// Reusable priority queue of the single-source kernel.
@@ -311,23 +312,42 @@ impl WeightedGraph {
             .unwrap_or(0)
     }
 
-    /// Full APSP matrix (row per source), parallelized over fixed chunks of
-    /// sources. Quadratic space — intended for quotient graphs, which the
-    /// paper keeps small enough for one machine.
-    pub fn apsp_matrix(&self) -> Vec<Vec<u64>> {
+    /// The APSP matrix stored once: its packed upper triangle, `d(i, j)` for
+    /// every `i ≤ j`, row-major in one vector of `n(n + 1)/2` words (entry
+    /// `(i, j)` sits at [`upper_row_start`]`(n, i) + j − i`). Distances are
+    /// symmetric, so the lower half adds nothing.
+    ///
+    /// Sources run in the fixed chunks of [`Self::apsp_diameter`]; each chunk
+    /// reuses one queue and one distance row, and copies each row's tail
+    /// `dist[i..]` into its own disjoint run of the triangle. Quadratic
+    /// space — intended for quotient graphs, which the paper keeps small
+    /// enough for one machine.
+    pub fn apsp_upper(&self) -> Vec<u64> {
         let n = self.num_nodes();
         let empty = self.new_queue();
-        let mut rows = vec![Vec::new(); n];
-        rows.par_chunks_mut(SOURCE_CHUNK)
-            .enumerate()
-            .for_each(|(chunk, rows)| {
-                let mut queue = empty.clone();
-                for (i, row) in rows.iter_mut().enumerate() {
-                    *row = vec![INFINITE_WEIGHT; n];
-                    self.sssp_into((chunk * SOURCE_CHUNK + i) as NodeId, row, &mut queue);
-                }
-            });
-        rows
+        let mut upper = vec![0; upper_row_start(n, n)];
+        // Chunk `first / SOURCE_CHUNK` owns rows `first..last`: a contiguous
+        // run of the packed layout.
+        let mut runs = Vec::with_capacity(n.div_ceil(SOURCE_CHUNK));
+        let mut rest = upper.as_mut_slice();
+        for first in (0..n).step_by(SOURCE_CHUNK) {
+            let last = (first + SOURCE_CHUNK).min(n);
+            let len = upper_row_start(n, last) - upper_row_start(n, first);
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            runs.push((first..last, run));
+            rest = tail;
+        }
+        runs.into_par_iter().for_each(|(sources, mut run)| {
+            let mut queue = empty.clone();
+            let mut dist = vec![INFINITE_WEIGHT; n];
+            for i in sources {
+                self.sssp_into(i as NodeId, &mut dist, &mut queue);
+                let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
+                row.copy_from_slice(&dist[i..]);
+                run = tail;
+            }
+        });
+        upper
     }
 
     /// Nearest node of `set` to `u`, by weighted distance. Returns
@@ -362,6 +382,14 @@ impl WeightedGraph {
         }
         Ok(())
     }
+}
+
+/// Offset of row `i` in a packed upper triangle of order `n` (the layout of
+/// [`WeightedGraph::apsp_upper`]); `upper_row_start(n, n)` is its length.
+#[inline]
+pub fn upper_row_start(n: usize, i: usize) -> usize {
+    // One of `i` and `2n + 1 − i` is even, so the halving is exact.
+    i * (2 * n + 1 - i) / 2
 }
 
 /// Largest finite entry of a distance array (0 when none is finite).
@@ -407,10 +435,16 @@ mod tests {
     fn apsp_diameter_weighted_path() {
         let g = WeightedGraph::from_edges(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 4)]);
         assert_eq!(g.apsp_diameter(), 9);
-        let m = g.apsp_matrix();
-        assert_eq!(m[0][3], 9);
-        assert_eq!(m[3][0], 9);
-        assert_eq!(m[1][2], 3);
+        // Rows 0..4 of the triangle hold 4, 3, 2 and 1 entries.
+        assert_eq!(
+            g.apsp_upper(),
+            vec![0, 2, 5, 9, 0, 3, 7, 0, 4, 0],
+            "d(i, j) for i <= j, row-major"
+        );
+        assert_eq!(upper_row_start(4, 1), 4);
+        assert_eq!(upper_row_start(4, 3), 9);
+        assert_eq!(upper_row_start(4, 4), 10);
+        assert!(WeightedGraph::from_edges(0, &[]).apsp_upper().is_empty());
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn weighted_diameter_is_delta_and_pool_invariant() {
 }
 
 /// The all-sources weighted kernels run sources in fixed chunks, so the
-/// APSP matrix and diameter are byte-identical across pool sizes — on the
+/// packed APSP triangle and diameter are byte-identical across pool sizes — on the
 /// weighted quotient of a real decomposition (bucket queue) and on the same
 /// quotient with weights scaled past the bucket cap (heap fallback).
 #[test]
@@ -234,7 +234,7 @@ fn weighted_apsp_is_byte_identical_across_pool_sizes() {
             .collect();
         let heavy = WeightedGraph::from_edges(wq.num_nodes(), &heavy_edges);
         for (queue, q) in [("bucket", &wq), ("heap", &heavy)] {
-            let (one, four) = on_both_pools(|| (q.apsp_matrix(), q.apsp_diameter()));
+            let (one, four) = on_both_pools(|| (q.apsp_upper(), q.apsp_diameter()));
             assert_eq!(one, four, "{queue} APSP diverged across pools on {name}");
         }
     }

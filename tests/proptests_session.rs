@@ -1,11 +1,19 @@
 //! Property tests for the PDEC2 session snapshot and the serve wire codec:
 //! `Session::save` → `Session::load` is the identity on bytes, every strict
-//! prefix of a snapshot is an error (never a silently shorter session), and
-//! request encoding round-trips through the frame decoder.
+//! prefix of a snapshot is an error (never a silently shorter session),
+//! snapshots with a version-1 `ORCL` section still load into the same
+//! session, and request encoding round-trips through the frame decoder.
 
+use pardec::core::session::{SECTION_ORACLE, SECTION_ORACLE_VERSION};
 use pardec::core::wire;
+use pardec::graph::io::Snapshot;
 use pardec::prelude::*;
 use proptest::prelude::*;
+
+/// A snapshot whose `ORCL` section is layout version 1 (the full `q × q`
+/// matrix): road 12×12, CLUSTER at τ = 2, seed 7. `tests/fixtures/README.md`
+/// records the commands that wrote it.
+const ORCL_V1: &[u8] = include_bytes!("fixtures/orcl_v1_road12_tau2_seed7.pdec");
 
 fn small_graph() -> impl Strategy<Value = CsrGraph> {
     prop_oneof![
@@ -321,4 +329,107 @@ fn live_reload_rejects_every_truncated_snapshot() {
     handle.shutdown();
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The session the version-1 fixture was saved from, built afresh on the
+/// plain backend.
+fn fixture_session() -> Session {
+    let g = generators::road_network(12, 12, 0.4, 7);
+    Session::build(
+        g,
+        &SessionParams::new(2, 7)
+            .with_frontier(FrontierStrategy::TopDown)
+            .with_backend(Backend::Plain),
+    )
+}
+
+/// `bytes` with the version field of its `ORCL` table entry replaced.
+fn with_oracle_version(bytes: &[u8], version: u32) -> Vec<u8> {
+    let index = Snapshot::parse(bytes)
+        .unwrap()
+        .sections()
+        .iter()
+        .position(|e| e.tag == SECTION_ORACLE)
+        .expect("snapshot has an ORCL section");
+    // Header: magic (6), table version (4), section count (4); then 24-byte
+    // entries `{tag, version, offset, len}`.
+    let at = 14 + 24 * index + 4;
+    let mut patched = bytes.to_vec();
+    patched[at..at + 4].copy_from_slice(&version.to_le_bytes());
+    patched
+}
+
+/// Both load paths read a version-1 `ORCL` snapshot into the oracle a fresh
+/// build computes, answer `DIST`, `ECC` and the diameter bounds identically,
+/// and re-save it as the fresh build's (version-2) snapshot.
+#[test]
+fn orcl_v1_snapshot_loads_like_a_fresh_build() {
+    let v1 = Snapshot::parse(ORCL_V1).unwrap();
+    assert_eq!(v1.section(SECTION_ORACLE).unwrap().0, 1);
+    let fresh = fixture_session();
+    let mut fresh_bytes = Vec::new();
+    fresh.save(&mut fresh_bytes).unwrap();
+    assert_eq!(
+        Snapshot::parse(&fresh_bytes)
+            .unwrap()
+            .section(SECTION_ORACLE)
+            .unwrap()
+            .0,
+        SECTION_ORACLE_VERSION
+    );
+
+    let n = fresh.graph().num_nodes() as NodeId;
+    let pairs: Vec<(NodeId, NodeId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+    let nodes: Vec<NodeId> = (0..n).collect();
+    let (fresh_dist, _) = fresh.distance(&pairs).unwrap();
+    let (fresh_ecc, _) = fresh.eccentricity(&nodes).unwrap();
+    for loaded in [
+        Session::load(ORCL_V1, FrontierStrategy::TopDown).unwrap(),
+        Session::load_checked(ORCL_V1, FrontierStrategy::TopDown).unwrap(),
+    ] {
+        assert_eq!(loaded.graph(), fresh.graph());
+        assert_eq!(loaded.clustering(), fresh.clustering());
+        assert_eq!(loaded.growth_steps(), fresh.growth_steps());
+        assert_eq!(loaded.oracle(), fresh.oracle());
+        assert_eq!(loaded.distance(&pairs).unwrap().0, fresh_dist);
+        assert_eq!(loaded.eccentricity(&nodes).unwrap().0, fresh_ecc);
+        assert_eq!(loaded.diameter(true, None), fresh.diameter(true, None));
+        let mut resaved = Vec::new();
+        loaded.save(&mut resaved).unwrap();
+        assert!(resaved == fresh_bytes, "re-saved v1 snapshot differs");
+    }
+}
+
+/// Every strict prefix of the version-1 fixture fails on both load paths.
+#[test]
+fn orcl_v1_snapshot_every_truncation_errors() {
+    for len in 0..ORCL_V1.len() {
+        let prefix = &ORCL_V1[..len];
+        assert!(
+            Session::load(prefix, FrontierStrategy::TopDown).is_err()
+                && Session::load_checked(prefix, FrontierStrategy::TopDown).is_err(),
+            "prefix of {len}/{} bytes loaded",
+            ORCL_V1.len()
+        );
+    }
+}
+
+/// An `ORCL` entry whose version does not match its payload is an error:
+/// version 2 over the full matrix, version 1 over the packed triangle, and
+/// an unknown version over either.
+#[test]
+fn orcl_version_must_match_the_payload() {
+    let mut v2 = Vec::new();
+    fixture_session().save(&mut v2).unwrap();
+    for (bytes, version) in [(ORCL_V1, 2), (ORCL_V1, 3), (&v2[..], 1), (&v2[..], 3)] {
+        let patched = with_oracle_version(bytes, version);
+        assert!(
+            Session::load(&patched, FrontierStrategy::TopDown).is_err()
+                && Session::load_checked(&patched, FrontierStrategy::TopDown).is_err(),
+            "ORCL version {version} accepted over a payload of another layout"
+        );
+    }
+    // The patch itself is sound: restoring each file's own version loads.
+    assert!(Session::load(&with_oracle_version(ORCL_V1, 1), FrontierStrategy::TopDown).is_ok());
+    assert!(Session::load(&with_oracle_version(&v2, 2), FrontierStrategy::TopDown).is_ok());
 }

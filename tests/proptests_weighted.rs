@@ -11,7 +11,7 @@
 //!   sequential heap oracle `weighted_cluster::naive` at every δ and pool
 //!   size, and every clustering it produces passes `validate`;
 //! * `weighted_diameter` brackets the true weighted diameter;
-//! * the single-source kernel behind `dijkstra` / `apsp_matrix` /
+//! * the single-source kernel behind `dijkstra` / `apsp_upper` /
 //!   `apsp_diameter` (bucket queue, or heap past the bucket cap) equals the
 //!   seed-era binary-heap Dijkstra `graph::naive::dijkstra`;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
@@ -20,7 +20,7 @@
 use pardec::core::weighted_cluster::naive;
 use pardec::graph::frontier::{multi_source_bfs, FrontierStrategy};
 use pardec::graph::naive::dijkstra as heap_dijkstra;
-use pardec::graph::weighted::INFINITE_WEIGHT;
+use pardec::graph::weighted::{upper_row_start, INFINITE_WEIGHT};
 use pardec::graph::wfrontier::multi_source_dijkstra;
 use pardec::prelude::*;
 use proptest::prelude::*;
@@ -189,23 +189,28 @@ fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every `apsp_matrix` row (and `dijkstra`) equals the heap reference,
-    /// `apsp_diameter` is the matrix's largest finite entry, and both are
+    /// Every `apsp_upper` entry `(i, j ≥ i)` equals both `naive::dijkstra(i)[j]`
+    /// and `naive::dijkstra(j)[i]`, `dijkstra` equals the heap reference,
+    /// `apsp_diameter` is the triangle's largest finite entry, and both are
     /// identical on 1 and 4 threads.
     #[test]
     fn apsp_kernel_matches_heap_dijkstra(g in kernel_graphs()) {
-        let (one, four) = on_both_pools(|| (g.apsp_matrix(), g.apsp_diameter()));
+        let (one, four) = on_both_pools(|| (g.apsp_upper(), g.apsp_diameter()));
         prop_assert_eq!(&one, &four);
-        let (matrix, diameter) = one;
-        prop_assert_eq!(matrix.len(), g.num_nodes());
-        for (u, row) in matrix.iter().enumerate() {
-            let reference = heap_dijkstra(&g, u as NodeId);
-            prop_assert_eq!(row, &reference, "row {}", u);
-            prop_assert_eq!(&g.dijkstra(u as NodeId), &reference, "dijkstra({})", u);
+        let (upper, diameter) = one;
+        let n = g.num_nodes();
+        prop_assert_eq!(upper.len(), n * (n + 1) / 2);
+        let reference: Vec<Vec<u64>> = (0..n as NodeId).map(|u| heap_dijkstra(&g, u)).collect();
+        for i in 0..n {
+            for j in i..n {
+                let d = upper[upper_row_start(n, i) + (j - i)];
+                prop_assert_eq!(d, reference[i][j], "d({}, {})", i, j);
+                prop_assert_eq!(d, reference[j][i], "d({}, {}) vs d({}, {})", i, j, j, i);
+            }
+            prop_assert_eq!(&g.dijkstra(i as NodeId), &reference[i], "dijkstra({})", i);
         }
-        let largest = matrix
+        let largest = upper
             .iter()
-            .flatten()
             .copied()
             .filter(|&d| d != INFINITE_WEIGHT)
             .max()
