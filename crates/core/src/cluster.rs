@@ -39,7 +39,7 @@ pub struct ClusterParams {
     pub stop_factor: f64,
     /// Frontier expansion strategy of the growth engine. Every strategy
     /// produces a byte-identical clustering; this trades wall-clock only.
-    /// Unused by [`crate::weighted_cluster`], whose bucketed Dijkstra
+    /// Unused by [`crate::weighted_cluster()`], whose bucketed Dijkstra
     /// growth has no level-synchronous frontier to flip.
     pub frontier: FrontierStrategy,
     /// Bucket width δ of the weighted engine (arrival-time window per

@@ -123,6 +123,7 @@ impl Clustering {
         }
         // Growth-tree property: every non-center node has an in-cluster
         // neighbour one step closer.
+        let g = g.indexed();
         for v in 0..n as NodeId {
             let d = self.dist_to_center[v as usize];
             if d == 0 {

@@ -339,7 +339,7 @@ fn claimed_radii(eng: &WeightedFrontierEngine<'_>, n: usize) -> (u64, u32) {
 }
 
 /// Sequential event-driven reference implementation, byte-identical to the
-/// engine-backed [`weighted_cluster`](super::weighted_cluster) on every
+/// engine-backed [`weighted_cluster`](fn@super::weighted_cluster) on every
 /// input.
 pub mod naive {
     use super::*;

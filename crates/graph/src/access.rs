@@ -12,6 +12,13 @@
 //! neighbors in the same strictly-ascending order on every backend, and the
 //! engines' determinism contracts are functions of that order alone.
 //!
+//! A traversal does not read the resident graph directly: it asks once, at
+//! its entry, for the graph's [`NeighborAccess::indexed`] form and reads
+//! that. For the plain backend the form is the graph itself, by reference;
+//! for the compressed backend it is a [`crate::ccsr::CcsrView`], which adds
+//! a per-node record index for as long as the traversal runs (see the
+//! "Traversals" section of [`crate::ccsr`]).
+//!
 //! [`WeightedNeighborAccess`] is the `(target, weight)` analogue for the
 //! delta-stepping engine ([`crate::wfrontier`]).
 
@@ -28,6 +35,21 @@ pub trait NeighborAccess: Sync {
     type Neighbors<'a>: Iterator<Item = NodeId> + 'a
     where
         Self: 'a;
+
+    /// The form a traversal reads: same nodes, same sorted lists, with
+    /// whatever per-traversal index makes [`Self::degree`] and
+    /// [`Self::neighbors_iter`] O(1) to start. The plain backend's form is
+    /// `&CsrGraph`, at no cost; the compressed backend's is a
+    /// [`crate::ccsr::CcsrView`], built in one parallel pass and holding 4
+    /// bytes per node until it is dropped. An indexed form's own form is
+    /// itself, by reference.
+    type Indexed<'a>: NeighborAccess
+    where
+        Self: 'a;
+
+    /// Builds the [`Self::Indexed`] form. Call it once per traversal, before
+    /// the node sweep or wave, not per node.
+    fn indexed(&self) -> Self::Indexed<'_>;
 
     /// Number of nodes `n`.
     fn num_nodes(&self) -> usize;
@@ -49,7 +71,9 @@ pub trait NeighborAccess: Sync {
     /// Cost of visiting one arc, in units of a plain CSR slice walk. The
     /// frontier engine multiplies a level's frontier degree by it before
     /// comparing against its parallel grain, so a backend whose arcs cost
-    /// more goes parallel on narrower levels.
+    /// more goes parallel on narrower levels. The engine reads it from the
+    /// [`Self::Indexed`] form it traverses, so only indexed forms override
+    /// it.
     fn arc_cost(&self) -> usize {
         1
     }
@@ -59,11 +83,7 @@ pub trait NeighborAccess: Sync {
     /// emission order). The default skips the `v ≤ u` prefix; backends with
     /// random access (plain CSR) override with a binary search.
     fn upper_neighbors_iter(&self, u: NodeId) -> UpperNeighbors<Self::Neighbors<'_>> {
-        UpperNeighbors {
-            inner: self.neighbors_iter(u),
-            pivot: u,
-            skipping: true,
-        }
+        UpperNeighbors::above(self.neighbors_iter(u), u)
     }
 }
 
@@ -75,6 +95,16 @@ pub struct UpperNeighbors<I> {
 }
 
 impl<I: Iterator<Item = NodeId>> UpperNeighbors<I> {
+    /// The `v > pivot` suffix of a whole sorted list, found by skipping its
+    /// prefix — the constructor for backends without random access.
+    pub fn above(inner: I, pivot: NodeId) -> Self {
+        UpperNeighbors {
+            inner,
+            pivot,
+            skipping: true,
+        }
+    }
+
     /// Wraps an iterator already positioned at the suffix (no skipping) —
     /// the fast-path constructor for slice backends.
     pub fn presliced(inner: I) -> Self {
@@ -101,8 +131,64 @@ impl<I: Iterator<Item = NodeId>> Iterator for UpperNeighbors<I> {
     }
 }
 
+/// A borrowed graph reads exactly like the graph: this is what makes
+/// `&CsrGraph` (the plain backend's indexed form) and `&CcsrView` (the
+/// compressed view's own) traversable.
+impl<T: NeighborAccess + ?Sized> NeighborAccess for &T {
+    type Neighbors<'a>
+        = T::Neighbors<'a>
+    where
+        Self: 'a;
+    type Indexed<'a>
+        = T::Indexed<'a>
+    where
+        Self: 'a;
+
+    #[inline]
+    fn indexed(&self) -> Self::Indexed<'_> {
+        (**self).indexed()
+    }
+
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        (**self).num_nodes()
+    }
+
+    #[inline]
+    fn num_arcs(&self) -> usize {
+        (**self).num_arcs()
+    }
+
+    #[inline]
+    fn degree(&self, u: NodeId) -> usize {
+        (**self).degree(u)
+    }
+
+    #[inline]
+    fn neighbors_iter(&self, u: NodeId) -> Self::Neighbors<'_> {
+        (**self).neighbors_iter(u)
+    }
+
+    #[inline]
+    fn arc_cost(&self) -> usize {
+        (**self).arc_cost()
+    }
+
+    #[inline]
+    fn upper_neighbors_iter(&self, u: NodeId) -> UpperNeighbors<Self::Neighbors<'_>> {
+        (**self).upper_neighbors_iter(u)
+    }
+}
+
 impl NeighborAccess for crate::CsrGraph {
     type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
+    type Indexed<'a> = &'a crate::CsrGraph;
+
+    /// Slices already give O(1) lookup: the graph itself, by reference.
+    #[inline]
+    fn indexed(&self) -> &crate::CsrGraph {
+        self
+    }
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -181,6 +267,10 @@ mod tests {
         assert_eq!(NeighborAccess::num_nodes(&g), 5);
         assert_eq!(NeighborAccess::num_arcs(&g), 10);
         assert_eq!(NeighborAccess::num_edges(&g), 5);
+        // The plain backend's indexed form is the graph itself, and so is
+        // the indexed form of that.
+        assert!(std::ptr::eq(g.indexed(), &g));
+        assert!(std::ptr::eq(g.indexed().indexed(), &g));
         for u in 0..5u32 {
             assert_eq!(NeighborAccess::degree(&g, u), g.degree(u));
             let via_trait: Vec<NodeId> = g.neighbors_iter(u).collect();
@@ -193,11 +283,7 @@ mod tests {
     #[test]
     fn upper_neighbors_adapter_skips_sorted_prefix() {
         let nbrs = [0u32, 2, 5, 9];
-        let upper = UpperNeighbors {
-            inner: nbrs.iter().copied(),
-            pivot: 2,
-            skipping: true,
-        };
+        let upper = UpperNeighbors::above(nbrs.iter().copied(), 2);
         assert_eq!(upper.collect::<Vec<_>>(), vec![5, 9]);
         let all = UpperNeighbors::presliced(nbrs.iter().copied());
         assert_eq!(all.collect::<Vec<_>>(), nbrs);

@@ -20,17 +20,39 @@
 //!              ...
 //! ```
 //!
-//! *Skipping* a record needs no arithmetic decode — read `deg`, then scan
-//! `deg` varint terminators (bytes without the continuation bit). A
-//! **block index** (`index[b]` = byte offset of vertex `b · BLOCK`'s
-//! record) turns random access into: jump to the block, skip at most
-//! `BLOCK - 1` records. With `BLOCK` constant, degree lookup is O(1)
-//! amortized and neighbor iteration O(deg), at an index overhead of
+//! *Skipping* a record needs no arithmetic decode — read `deg`, then count
+//! `deg` varint terminators (bytes without the continuation bit), eight
+//! bytes at a time. A **block index** (`index[b]` = byte offset of vertex
+//! `b · BLOCK`'s record) turns random access into: jump to the block, skip
+//! at most `BLOCK - 1` records. With `BLOCK` constant, degree lookup is
+//! O(1) amortized and neighbor iteration O(deg), at an index overhead of
 //! `8 / BLOCK` bytes per node.
 //!
 //! [`CweightedGraph`] is the `(target, weight)` analogue (each gap varint
 //! is followed by a weight varint), feeding the delta-stepping engine
 //! through [`crate::access::WeightedNeighborAccess`].
+//!
+//! # Traversals
+//!
+//! The in-block skip is cheap for one lookup and expensive for a
+//! traversal, which looks up every node it reaches at least twice (a
+//! top-down wave proposes from a node, then reads its degree when it is
+//! claimed) and so pays the average 7.5 record skips per lookup over and
+//! over. Traversals therefore read a [`CcsrView`] instead, the compressed
+//! graph's [`NeighborAccess::indexed`] form: it borrows the bytes and the
+//! block index and adds one `u32` per node, the record's offset from its
+//! block's base. A lookup is then two loads and a degree varint. The view
+//! is built in one parallel pass over the blocks (each walks at most
+//! `BLOCK` records) when a traversal starts and is dropped when it ends:
+//! the frontier engine, the quotient and contraction emitters and
+//! clustering validation each build one.
+//!
+//! The record index is not resident on purpose. Kept with the graph, its 4
+//! bytes per node would cost as much as a third of the representation on
+//! sparse graphs (a 20k-node power-law graph would fall from 3.06× smaller
+//! than plain CSR to 2.62×), for lookups that only traversals need. While a
+//! traversal runs it is a quarter of the 16 bytes per node the frontier
+//! engine already allocates.
 //!
 //! # Determinism
 //!
@@ -42,6 +64,7 @@
 
 use crate::access::{NeighborAccess, WeightedNeighborAccess};
 use crate::{CsrGraph, NodeId, WeightedGraph};
+use rayon::prelude::*;
 
 /// Vertices per block-index entry. Small enough that skipping to a vertex
 /// inside a block touches a handful of varints; large enough that the
@@ -80,15 +103,49 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> u64 {
 }
 
 /// Advances `*pos` past `count` varints without decoding them — a scan for
-/// `count` bytes with the continuation bit clear.
+/// `count` bytes with the continuation bit clear, eight bytes at a time.
+/// Within a little-endian word, multiplying the per-byte terminator flags
+/// by `0x0101…01` leaves in byte `i` the number of terminators in bytes
+/// `0..=i` (at most 8, so no byte carries into the next); the top byte is
+/// the word's total, and the first byte whose count reaches `count` is
+/// the last one to skip. A tail shorter than a word goes byte by byte.
+/// Trusted-path reader: panics if the buffer ends first.
 #[inline]
-fn skip_varints(data: &[u8], pos: &mut usize, count: u64) {
-    for _ in 0..count {
-        while data[*pos] & 0x80 != 0 {
-            *pos += 1;
+fn skip_varints(data: &[u8], pos: &mut usize, mut count: u64) {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut p = *pos;
+    while count > 0 {
+        let Some(word) = data.get(p..p + 8) else {
+            break;
+        };
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        let counts = ((!word >> 7) & ONES).wrapping_mul(ONES);
+        let total = counts >> 56;
+        if total < count {
+            count -= total;
+            p += 8;
+            continue;
         }
-        *pos += 1;
+        // `count ≤ 8` here: the high bit of byte `i` is set iff its
+        // running count is at least `count`.
+        let reached = counts.wrapping_add((0x80 - count) * ONES) & (0x80 * ONES);
+        *pos = p + reached.trailing_zeros() as usize / 8 + 1;
+        return;
     }
+    for _ in 0..count {
+        while data[p] & 0x80 != 0 {
+            p += 1;
+        }
+        p += 1;
+    }
+    *pos = p;
+}
+
+/// Advances `*pos` past one whole record of `stride` varints per neighbor.
+#[inline]
+fn skip_record(data: &[u8], pos: &mut usize, stride: u64) {
+    let deg = read_varint(data, pos);
+    skip_varints(data, pos, stride * deg);
 }
 
 /// Checked reader for untrusted bytes: `None` on truncation or a varint
@@ -156,14 +213,19 @@ impl CcsrGraph {
         b.finish()
     }
 
-    /// Decompresses back into plain CSR (the exact graph that was encoded).
+    /// Decompresses back into plain CSR (the exact graph that was encoded)
+    /// in one in-order walk of the records: each record starts where the
+    /// previous one's decode stopped, so no node is looked up.
     pub fn to_csr(&self) -> CsrGraph {
         let n = self.num_nodes;
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(self.num_arcs);
         offsets.push(0usize);
+        let mut pos = 0;
         for u in 0..n as NodeId {
-            targets.extend(self.neighbors_iter(u));
+            let mut list = Neighbors::at(&self.data, pos, u);
+            targets.extend(&mut list);
+            pos = list.pos;
             offsets.push(targets.len());
         }
         CsrGraph::from_parts(offsets, targets)
@@ -188,15 +250,15 @@ impl CcsrGraph {
     }
 
     /// Byte offset of vertex `u`'s record: jump to its block, then skip the
-    /// in-block predecessors (one varint read + jump each).
+    /// in-block predecessors. For one-off lookups; a traversal reads a
+    /// [`CcsrView`] instead.
     #[inline]
     fn locate(&self, u: NodeId) -> usize {
         let ui = u as usize;
         debug_assert!(ui < self.num_nodes);
         let mut pos = self.index[ui / BLOCK] as usize;
         for _ in 0..ui % BLOCK {
-            let deg = read_varint(&self.data, &mut pos);
-            skip_varints(&self.data, &mut pos, deg);
+            skip_record(&self.data, &mut pos, 1);
         }
         pos
     }
@@ -211,15 +273,37 @@ impl CcsrGraph {
     /// Sorted neighbors of `u`, decoded on the fly.
     #[inline]
     pub fn neighbors_iter(&self, u: NodeId) -> Neighbors<'_> {
-        let mut pos = self.locate(u);
-        let deg = read_varint(&self.data, &mut pos) as usize;
-        Neighbors {
-            data: &self.data,
-            pos,
-            remaining: deg,
-            prev: 0,
-            vertex: u,
-            first: true,
+        Neighbors::at(&self.data, self.locate(u), u)
+    }
+
+    /// The traversal form: this graph plus a per-node record index (see
+    /// the module's "Traversals" section). One parallel pass over the
+    /// blocks, 4 bytes per node.
+    ///
+    /// # Panics
+    /// Panics if a record starts 4 GiB or more past its block's base, which
+    /// a `u32` offset cannot hold.
+    pub fn view(&self) -> CcsrView<'_> {
+        let data = &self.data[..];
+        let mut offsets = vec![0u32; self.num_nodes];
+        offsets
+            .par_chunks_mut(BLOCK)
+            .zip(self.index.par_iter())
+            .for_each(|(block, &base)| {
+                let base = base as usize;
+                let mut pos = base;
+                // The block's first record sits at its base: offset 0.
+                for offset in &mut block[1..] {
+                    skip_record(data, &mut pos, 1);
+                    *offset = u32::try_from(pos - base)
+                        .expect("a record starts 4 GiB or more past its block's base");
+                }
+            });
+        CcsrView {
+            data,
+            index: &self.index,
+            offsets,
+            num_arcs: self.num_arcs,
         }
     }
 
@@ -322,6 +406,12 @@ impl CcsrGraph {
 
 impl NeighborAccess for CcsrGraph {
     type Neighbors<'a> = Neighbors<'a>;
+    type Indexed<'a> = CcsrView<'a>;
+
+    #[inline]
+    fn indexed(&self) -> CcsrView<'_> {
+        self.view()
+    }
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -342,16 +432,79 @@ impl NeighborAccess for CcsrGraph {
     fn neighbors_iter(&self, u: NodeId) -> Self::Neighbors<'_> {
         CcsrGraph::neighbors_iter(self, u)
     }
+}
 
-    /// Every record lookup skips its block's earlier records and every
-    /// neighbor is a varint decode: a sequential top-down level costs 5–7×
-    /// the plain backend's on a road graph and 7–22× on a power-law graph,
-    /// and the frontier engine's parallel pass pays from the 2,048–4,096
-    /// frontier-arc band on both, against 16,384–65,536 on plain CSR
-    /// (`crates/bench/results/frontier_grain.jsonl`).
+/// A [`CcsrGraph`] with a per-node record index: the compressed graph's
+/// [`NeighborAccess::indexed`] form, built by [`CcsrGraph::view`] when a
+/// traversal starts. It yields exactly the graph's lists; only the lookup
+/// changes, from an in-block skip to `index[u / BLOCK] + offsets[u]`.
+pub struct CcsrView<'a> {
+    data: &'a [u8],
+    index: &'a [u64],
+    /// `offsets[u]` = byte offset of `u`'s record from its block's base.
+    offsets: Vec<u32>,
+    num_arcs: usize,
+}
+
+impl CcsrView<'_> {
+    /// Byte offset of vertex `u`'s record.
+    #[inline]
+    fn locate(&self, u: NodeId) -> usize {
+        let ui = u as usize;
+        self.index[ui / BLOCK] as usize + self.offsets[ui] as usize
+    }
+}
+
+impl NeighborAccess for CcsrView<'_> {
+    type Neighbors<'b>
+        = Neighbors<'b>
+    where
+        Self: 'b;
+    type Indexed<'b>
+        = &'b Self
+    where
+        Self: 'b;
+
+    /// Already indexed: the view itself.
+    #[inline]
+    fn indexed(&self) -> &Self {
+        self
+    }
+
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        self.offsets.len()
+    }
+
+    #[inline]
+    fn num_arcs(&self) -> usize {
+        self.num_arcs
+    }
+
+    #[inline]
+    fn degree(&self, u: NodeId) -> usize {
+        let mut pos = self.locate(u);
+        read_varint(self.data, &mut pos) as usize
+    }
+
+    #[inline]
+    fn neighbors_iter(&self, u: NodeId) -> Neighbors<'_> {
+        Neighbors::at(self.data, self.locate(u), u)
+    }
+
+    /// Each neighbor is still a varint decode, but the lookup is not a
+    /// skip: a sequential top-down level costs 1.0–1.7× the plain
+    /// backend's on a road graph and 1.1–3.0× on a power-law graph (the
+    /// `"lookup":"view"` rows of `crates/bench/results/frontier_grain.jsonl`,
+    /// runs 4–7, levels of 1,024 frontier arcs and up). In the runs where
+    /// the parallel pass paid at all (5 and 6) it cost 1.14–1.47× the
+    /// sequential step at 4,096–8,192 arcs on both families, 0.68–0.84× on
+    /// road and 0.91–1.05× on power-law at 8,192–16,384, and 0.57–0.83×
+    /// from 16,384 up. This weight sends a level to the pool from 8,192
+    /// arcs.
     #[inline]
     fn arc_cost(&self) -> usize {
-        8
+        4
     }
 }
 
@@ -363,6 +516,22 @@ pub struct Neighbors<'a> {
     prev: u64,
     vertex: NodeId,
     first: bool,
+}
+
+impl<'a> Neighbors<'a> {
+    /// The list of the record of `vertex` that starts at byte `pos`.
+    #[inline]
+    fn at(data: &'a [u8], mut pos: usize, vertex: NodeId) -> Self {
+        let remaining = read_varint(data, &mut pos) as usize;
+        Neighbors {
+            data,
+            pos,
+            remaining,
+            prev: 0,
+            vertex,
+            first: true,
+        }
+    }
 }
 
 impl Iterator for Neighbors<'_> {
@@ -540,8 +709,7 @@ impl CweightedGraph {
         debug_assert!(ui < self.num_nodes);
         let mut pos = self.index[ui / BLOCK] as usize;
         for _ in 0..ui % BLOCK {
-            let deg = read_varint(&self.data, &mut pos);
-            skip_varints(&self.data, &mut pos, 2 * deg);
+            skip_record(&self.data, &mut pos, 2);
         }
         pos
     }
@@ -629,6 +797,12 @@ mod tests {
             let decoded: Vec<NodeId> = c.neighbors_iter(u).collect();
             assert_eq!(decoded, g.neighbors(u), "list diverged at {u}");
         }
+        assert_indexed_equiv(&c.indexed(), g);
+        let repr = crate::GraphRepr::Compressed(c);
+        assert_indexed_equiv(&repr.indexed(), g);
+        let crate::GraphRepr::Compressed(c) = repr else {
+            unreachable!()
+        };
         assert_eq!(&c.to_csr(), g);
         assert!(CcsrGraph::validate_parts(
             c.num_nodes(),
@@ -637,6 +811,74 @@ mod tests {
             c.raw_index()
         )
         .is_ok());
+    }
+
+    /// An indexed form answers every node exactly as the plain graph does.
+    fn assert_indexed_equiv<G: NeighborAccess>(view: &G, g: &CsrGraph) {
+        assert_eq!(view.num_nodes(), g.num_nodes());
+        assert_eq!(view.num_arcs(), g.num_arcs());
+        for u in 0..g.num_nodes() as NodeId {
+            assert_eq!(
+                view.degree(u),
+                g.degree(u),
+                "indexed degree diverged at {u}"
+            );
+            let decoded: Vec<NodeId> = view.neighbors_iter(u).collect();
+            assert_eq!(decoded, g.neighbors(u), "indexed list diverged at {u}");
+            let upper: Vec<NodeId> = view.upper_neighbors_iter(u).collect();
+            assert_eq!(upper, g.upper_neighbors(u), "indexed tail diverged at {u}");
+        }
+    }
+
+    /// The rule [`skip_varints`] must match: one byte at a time, up to and
+    /// past each terminator.
+    fn skip_bytewise(data: &[u8], mut pos: usize, count: usize) -> usize {
+        for _ in 0..count {
+            while data[pos] & 0x80 != 0 {
+                pos += 1;
+            }
+            pos += 1;
+        }
+        pos
+    }
+
+    #[test]
+    fn word_skip_matches_bytewise_skip() {
+        // One buffer per varint width 1..=10 and one mixing them all, each
+        // padded so no start sits a full word from the end.
+        let width_value = |w: u32| if w == 1 { 5 } else { 1u64 << (7 * (w - 1)) };
+        let mut buffers: Vec<Vec<u8>> = (1..=10u32)
+            .map(|w| {
+                let mut buf = Vec::new();
+                for _ in 0..24 {
+                    write_varint(&mut buf, width_value(w));
+                }
+                assert_eq!(buf.len(), 24 * w as usize);
+                buf
+            })
+            .collect();
+        let mut mixed = Vec::new();
+        for i in 0..40u32 {
+            write_varint(&mut mixed, width_value(1 + (i * 7) % 10));
+        }
+        buffers.push(mixed);
+        for data in &buffers {
+            // Starts anywhere, the last 16 bytes included; counts 0..=20 up
+            // to the number of terminators left.
+            for start in 0..data.len() {
+                let left = data[start..].iter().filter(|&&b| b & 0x80 == 0).count();
+                for count in 0..=20.min(left) {
+                    let mut pos = start;
+                    skip_varints(data, &mut pos, count as u64);
+                    assert_eq!(
+                        pos,
+                        skip_bytewise(data, start, count),
+                        "start {start} of {}, count {count}",
+                        data.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -680,6 +922,29 @@ mod tests {
         assert_equiv(&generators::complete(20));
         assert_equiv(&generators::preferential_attachment(500, 4, 7));
         assert_equiv(&generators::lollipop(40, 4, 60, 11));
+    }
+
+    #[test]
+    fn indexed_form_edge_cases() {
+        // Partial tail blocks: one node, then one node past a full block.
+        assert_equiv(&generators::cycle(17));
+        assert_equiv(&generators::gnm(33, 60, 3));
+        // Isolated nodes inside blocks, between and around nonempty records.
+        let sparse = GraphBuilder::new(40)
+            .add_edges([(1, 2), (2, 14), (17, 30), (30, 31), (33, 39)])
+            .build();
+        assert!((0..40).any(|u| u % BLOCK as NodeId != 0 && sparse.degree(u) == 0));
+        assert_equiv(&sparse);
+        // A hub adjacent to every other node of a 5,000-node path: its record
+        // spans hundreds of words and mixes 1- and 2-byte varints.
+        let n = 5_000;
+        let hub = 2_500;
+        let edges = (0..n - 1)
+            .map(|u| (u, u + 1))
+            .chain((0..n).filter(|&v| v != hub).map(|v| (hub, v)));
+        let g = GraphBuilder::new(n as usize).add_edges(edges).build();
+        assert_eq!(g.degree(hub), n as usize - 1);
+        assert_equiv(&g);
     }
 
     #[test]

@@ -113,6 +113,7 @@ pub fn contract<G: NeighborAccess>(g: &G, labels: &[NodeId], num_labels: usize) 
     // One record per undirected cut edge (scanning each edge once via the
     // upper adjacency tails), keyed by the normalized cluster pair;
     // sum-combine.
+    let g = &g.indexed();
     let cut: Vec<(u64, u64)> = combine::par_emit(
         g.num_nodes(),
         |u| crate::quotient::cut_degree(g, labels, u),

@@ -218,9 +218,12 @@ pub struct FrontierParts {
 /// (plain [`CsrGraph`], compressed [`crate::CcsrGraph`], or the runtime
 /// [`crate::GraphRepr`]) drives the identical wave — the backend only
 /// changes how neighbor lists are materialized, never their content, so
-/// the determinism contract above carries over byte-for-byte.
-pub struct FrontierEngine<'g, G: NeighborAccess = CsrGraph> {
-    g: &'g G,
+/// the determinism contract above carries over byte-for-byte. The engine
+/// reads the graph's [`NeighborAccess::indexed`] form, built once when the
+/// engine is: free on plain CSR, a per-node record index on the compressed
+/// backend.
+pub struct FrontierEngine<'g, G: NeighborAccess + 'g = CsrGraph> {
+    g: G::Indexed<'g>,
     strategy: FrontierStrategy,
     params: FrontierParams,
     owner: Vec<AtomicU32>,
@@ -258,7 +261,7 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
     pub fn with_params(g: &'g G, strategy: FrontierStrategy, params: FrontierParams) -> Self {
         let n = g.num_nodes();
         FrontierEngine {
-            g,
+            g: g.indexed(),
             strategy,
             params,
             owner: (0..n).map(|_| AtomicU32::new(INVALID_NODE)).collect(),
@@ -352,8 +355,9 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
 
     /// Iterator over currently unclaimed nodes, ascending (sequential scan).
     pub fn unclaimed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let owner = &self.owner;
         (0..self.g.num_nodes() as NodeId)
-            .filter(move |&v| self.owner[v as usize].load(Ordering::Relaxed) == INVALID_NODE)
+            .filter(move |&v| owner[v as usize].load(Ordering::Relaxed) == INVALID_NODE)
     }
 
     /// Executes one level expansion; returns the number of newly claimed
@@ -578,7 +582,7 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
             });
         }
 
-        let g = self.g;
+        let g = &self.g;
         let owner = &self.owner;
         let dist = &self.dist;
         let scan = |(mut next, degree): (Vec<NodeId>, usize), v: NodeId| {
@@ -965,8 +969,10 @@ mod tests {
     /// graph, each on the plain and the compressed backend, on a 2-worker
     /// pool. Prints one JSON line per (family, backend, frontier-degree band,
     /// variant): the median over the band's levels of each level's median
-    /// time over 5 passes. `crates/bench/results/frontier_grain.jsonl` holds
-    /// the rows behind [`PARALLEL_GRAIN`]. Run it in release:
+    /// time over 5 passes. The engine reads each backend's indexed form, so
+    /// the compressed rows carry `"lookup":"view"`.
+    /// `crates/bench/results/frontier_grain.jsonl` holds the rows behind
+    /// [`PARALLEL_GRAIN`] and the backends' arc costs. Run it in release:
     ///
     /// ```text
     /// cargo test --release -p pardec-graph --lib frontier::tests::grain_sweep -- --ignored --nocapture
@@ -983,13 +989,13 @@ mod tests {
         for (family, g) in [("road", &road), ("powerlaw", &powerlaw)] {
             let ccsr = crate::CcsrGraph::from_csr(g);
             pool.install(|| {
-                sweep(family, "plain", g);
-                sweep(family, "ccsr", &ccsr);
+                sweep(family, "plain", "slice", g);
+                sweep(family, "ccsr", "view", &ccsr);
             });
         }
     }
 
-    fn sweep<G: NeighborAccess>(family: &str, backend: &str, g: &G) {
+    fn sweep<G: NeighborAccess>(family: &str, backend: &str, lookup: &str, g: &G) {
         const PASSES: usize = 5;
         let median = |mut xs: Vec<f64>| {
             xs.sort_by(f64::total_cmp);
@@ -1038,14 +1044,16 @@ mod tests {
                     .push([median(seq), median(par)]);
             }
         }
+        let arc_cost = g.indexed().arc_cost();
         for (band, levels) in bands {
             for (variant, i) in [("sequential", 0), ("chunked", 1)] {
                 let us = median(levels.iter().map(|l| l[i]).collect()) * 1e6;
                 println!(
                     "{{\"variant\":\"{variant}\",\"family\":\"{family}\",\"backend\":\"{backend}\",\
-                     \"nodes\":{n},\"arcs\":{},\"threads\":2,\"chunk_work\":{CHUNK_WORK},\"max_chunks\":{MAX_CHUNKS},\
+                     \"lookup\":\"{lookup}\",\"nodes\":{n},\"arcs\":{},\"threads\":2,\"arc_cost\":{},\"chunk_work\":{CHUNK_WORK},\"max_chunks\":{MAX_CHUNKS},\
                      \"band_arcs\":[{},{}],\"levels\":{},\"median_us\":{us:.1}}}",
                     g.num_arcs(),
+                    arc_cost,
                     1u64 << band,
                     1u64 << (band + 1),
                     levels.len(),

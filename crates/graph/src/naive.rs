@@ -16,7 +16,7 @@ use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// The seed-era [`GraphBuilder::build`]: symmetrize into a growable arc
+/// The seed-era [`GraphBuilder::build`](crate::GraphBuilder::build): symmetrize into a growable arc
 /// list, one global sort, `dedup`, then a sequential offset count.
 pub fn build_csr(n: usize, edges: &[(NodeId, NodeId)]) -> CsrGraph {
     let mut arcs: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);

@@ -41,8 +41,9 @@ pub(crate) fn cut_degree<G: NeighborAccess>(g: &G, labels: &[NodeId], u: usize) 
 
 /// Emits one normalized `(min(cluster), max(cluster))` key per undirected
 /// cut edge of `g` under `labels`, node-parallel with a two-pass count +
-/// scatter.
+/// scatter over `g`'s indexed form.
 fn cut_half_arcs<G: NeighborAccess>(g: &G, labels: &[NodeId]) -> Vec<u64> {
+    let g = &g.indexed();
     combine::par_emit(
         g.num_nodes(),
         |u| cut_degree(g, labels, u),
@@ -115,6 +116,7 @@ pub fn weighted_quotient_with_stats<G: NeighborAccess>(
     // plain integer `min` — for equal keys, the smaller `u128` is exactly
     // the record with the smaller weight — and the sort/scatter move one
     // contiguous word.
+    let g = &g.indexed();
     let half: Vec<u128> = combine::par_emit(
         g.num_nodes(),
         |u| cut_degree(g, labels, u),

@@ -8,8 +8,8 @@
 //! backend** — only memory and wall-clock do (the same contract as
 //! `PARDEC_FRONTIER` and `PARDEC_DELTA`).
 
-use crate::access::NeighborAccess;
-use crate::ccsr::{self, CcsrGraph};
+use crate::access::{NeighborAccess, UpperNeighbors};
+use crate::ccsr::{self, CcsrGraph, CcsrView};
 use crate::{CsrGraph, NodeId};
 
 /// Environment variable consulted by [`Backend::from_env`] (the `--backend`
@@ -170,6 +170,15 @@ impl GraphRepr {
 
 impl NeighborAccess for GraphRepr {
     type Neighbors<'a> = ReprNeighbors<'a>;
+    type Indexed<'a> = ReprView<'a>;
+
+    #[inline]
+    fn indexed(&self) -> ReprView<'_> {
+        match self {
+            GraphRepr::Plain(g) => ReprView::Plain(g),
+            GraphRepr::Compressed(g) => ReprView::Compressed(g.view()),
+        }
+    }
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -196,12 +205,82 @@ impl NeighborAccess for GraphRepr {
             GraphRepr::Compressed(g) => ReprNeighbors::Compressed(g.neighbors_iter(u)),
         }
     }
+}
+
+/// The traversal form of a [`GraphRepr`] ([`NeighborAccess::indexed`]): the
+/// plain graph by reference, or the compressed graph's [`CcsrView`].
+pub enum ReprView<'a> {
+    /// The plain graph itself.
+    Plain(&'a CsrGraph),
+    /// The compressed graph with its per-traversal record index.
+    Compressed(CcsrView<'a>),
+}
+
+impl NeighborAccess for ReprView<'_> {
+    type Neighbors<'b>
+        = ReprNeighbors<'b>
+    where
+        Self: 'b;
+    type Indexed<'b>
+        = &'b Self
+    where
+        Self: 'b;
+
+    /// Already indexed: the view itself.
+    #[inline]
+    fn indexed(&self) -> &Self {
+        self
+    }
+
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        match self {
+            ReprView::Plain(g) => g.num_nodes(),
+            ReprView::Compressed(v) => v.num_nodes(),
+        }
+    }
+
+    #[inline]
+    fn num_arcs(&self) -> usize {
+        match self {
+            ReprView::Plain(g) => g.num_arcs(),
+            ReprView::Compressed(v) => v.num_arcs(),
+        }
+    }
+
+    #[inline]
+    fn degree(&self, u: NodeId) -> usize {
+        match self {
+            ReprView::Plain(g) => g.degree(u),
+            ReprView::Compressed(v) => v.degree(u),
+        }
+    }
+
+    #[inline]
+    fn neighbors_iter(&self, u: NodeId) -> ReprNeighbors<'_> {
+        match self {
+            ReprView::Plain(g) => ReprNeighbors::Plain(g.neighbors(u).iter().copied()),
+            ReprView::Compressed(v) => ReprNeighbors::Compressed(v.neighbors_iter(u)),
+        }
+    }
 
     #[inline]
     fn arc_cost(&self) -> usize {
         match self {
-            GraphRepr::Plain(g) => g.arc_cost(),
-            GraphRepr::Compressed(g) => g.arc_cost(),
+            ReprView::Plain(g) => g.arc_cost(),
+            ReprView::Compressed(v) => v.arc_cost(),
+        }
+    }
+
+    #[inline]
+    fn upper_neighbors_iter(&self, u: NodeId) -> UpperNeighbors<ReprNeighbors<'_>> {
+        match self {
+            ReprView::Plain(g) => UpperNeighbors::presliced(ReprNeighbors::Plain(
+                g.upper_neighbors(u).iter().copied(),
+            )),
+            ReprView::Compressed(v) => {
+                UpperNeighbors::above(ReprNeighbors::Compressed(v.neighbors_iter(u)), u)
+            }
         }
     }
 }

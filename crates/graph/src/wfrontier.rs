@@ -345,8 +345,8 @@ impl<'g, G: WeightedNeighborAccess> WeightedFrontierEngine<'g, G> {
     /// Discards every open-bucket claim strictly after `(claim, node)` in
     /// settle order, resetting those nodes to their bucket-open baseline.
     /// Locked source self-claims survive (assignment is permanent). Call
-    /// before injecting a mid-bucket batch, then [`refine_open_bucket`]
-    /// (Self::refine_open_bucket).
+    /// before injecting a mid-bucket batch, then
+    /// [`refine_open_bucket`](Self::refine_open_bucket).
     pub fn rollback_open_bucket_after(&mut self, claim: u128, node: NodeId) {
         let b = self.open.expect("no open bucket");
         for v in 0..self.claim.len() {

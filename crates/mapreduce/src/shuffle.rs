@@ -27,7 +27,7 @@
 //! per-bucket vectors — reintroduce exactly the overhead this refactor
 //! removes). The invariants are local and documented at each block; on a
 //! panic in user code the un-drained pairs are dropped by
-//! [`PartitionDrain`]'s `Drop` (never double-dropped).
+//! `PartitionDrain`'s `Drop` (never double-dropped).
 
 use rayon::prelude::*;
 use std::collections::HashMap;

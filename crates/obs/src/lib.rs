@@ -355,7 +355,7 @@ pub struct ActiveSpan {
     fields: Vec<Field>,
 }
 
-/// Records a span event when dropped. Obtained from [`span`]/[`span!`];
+/// Records a span event when dropped. Obtained from [`span()`]/[`span!`];
 /// holds `None` (and does nothing) when tracing is disabled.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is alive in"]

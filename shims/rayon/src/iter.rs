@@ -326,7 +326,7 @@ impl<A: Producer, B: Producer> Producer for ZipProducer<A, B> {
 ///
 /// Adapters (`map`, `filter`, …) compose lazily; consumers (`for_each`,
 /// `reduce`, `collect`, …) execute on the pool via the reduction model
-/// described in the [module docs](self).
+/// summarized under "Determinism guarantee" in the [crate docs](crate).
 pub trait ParallelIterator: Sized + Send {
     /// The item type produced.
     type Item: Send;

@@ -9,11 +9,11 @@
 //! `par_sort_unstable{,_by,_by_key}`, `map`/`filter`/`filter_map`/
 //! `flat_map`/`fold`/`reduce`/`zip`/`enumerate` and the usual consumers) —
 //! executing on `std::thread` workers with per-worker LIFO deques and FIFO
-//! stealing ([`pool`]).
+//! stealing (the `pool` module).
 //!
 //! # Determinism guarantee (stronger than real rayon)
 //!
-//! Reductions split by input length only ([`iter`] module docs): the merge
+//! Reductions split by input length only (the `iter` module docs): the merge
 //! tree never depends on the pool size, and partial results merge
 //! left-to-right. For a fixed input, every consumer — including
 //! floating-point `sum()` and order-sensitive `fold(..).reduce(..)`

@@ -321,10 +321,12 @@ fn frontier_strategies_byte_identical_across_pool_sizes() {
 }
 
 /// The compressed backend's determinism contract: the graph representation
-/// is a memory knob only. For every workload graph, `cluster()` and
-/// `approximate_diameter()` produce byte-identical output across the full
-/// `{plain, compressed} × {1 thread, 4 threads}` matrix — the gap-decoded
-/// neighbor stream feeds the exact same frontier waves as the plain arrays.
+/// is a memory knob only. For every workload graph, `cluster()`,
+/// `approximate_diameter()` and a 16-source `multi_source_bfs` produce
+/// byte-identical output across the full `{plain, compressed} × {1 thread,
+/// 4 threads}` matrix — the gap-decoded neighbor stream, read through the
+/// engine's per-traversal record index, feeds the exact same frontier waves
+/// as the plain arrays.
 #[test]
 fn backends_are_byte_identical_across_pool_sizes() {
     for (name, g) in workload_graphs() {
@@ -333,10 +335,19 @@ fn backends_are_byte_identical_across_pool_sizes() {
             ("compressed", GraphRepr::Compressed(CcsrGraph::from_csr(&g))),
         ];
         let mut rows: Vec<(String, String, String)> = Vec::new();
+        // 16 sources spread over the id range: a multi-source wave through
+        // the engine's indexed form of each backend.
+        let n = g.num_nodes();
+        let sources: Vec<NodeId> = (0..16).map(|i| (i * n / 16) as NodeId).collect();
         for (backend, repr) in &reprs {
             let (one, four) = on_both_pools(|| {
                 let r = cluster(repr, &ClusterParams::new(8, 42));
                 let d = approximate_diameter(repr, &DiameterParams::new(8, 42));
+                let (bfs, owner) = pardec::graph::frontier::multi_source_bfs(
+                    repr,
+                    &sources,
+                    FrontierStrategy::TopDown,
+                );
                 (
                     r.clustering,
                     r.trace,
@@ -345,6 +356,8 @@ fn backends_are_byte_identical_across_pool_sizes() {
                     d.radius,
                     d.quotient_nodes,
                     d.quotient_kernel,
+                    bfs.dist,
+                    owner,
                 )
             });
             assert_eq!(
