@@ -11,21 +11,23 @@
 //! an upper bound on `dist(u, v)` that the paper shows is
 //! `O(dist(u, v)·log³ n + R_ALG2)` — polylogarithmic for far-apart pairs.
 //! The quotient APSP is symmetric, so it is stored once, as the packed upper
-//! triangle of `q(q + 1)/2` words. With `τ = O(√n / log⁴ n)`, `q² = O(n)`,
-//! keeping the oracle linear-space.
+//! triangle of `q(q + 1)/2` entries of 4 bytes (`u32`, with `u32::MAX` for
+//! unreachable). With `τ = O(√n / log⁴ n)`, `q² = O(n)`, keeping the oracle
+//! linear-space.
+//!
+//! Four bytes suffice: every finite entry is below `2n`. Along a shortest
+//! quotient path each cluster `C` appears once, and the path's length
+//! through it is at most `2·radius(C) + 1 ≤ 2|C| − 1` (the radius of a
+//! connected cluster is below its size). So entries fit whenever
+//! `n < 2³¹`; [`pardec_graph::WeightedGraph::apsp_upper`] panics rather
+//! than wrap if one ever does not.
 
 use crate::cluster::ClusterParams;
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
-use pardec_graph::weighted::{max_finite, upper_row_start};
+use pardec_graph::weighted::{upper_row_start, INFINITE_ENTRY};
 use pardec_graph::{NeighborAccess, NodeId};
-use rayon::prelude::*;
-
-/// Words of the APSP triangle per parallel task of
-/// [`DistanceOracle::quotient_diameter`]'s scan: 512 KiB, so that a task's
-/// scan outweighs handing it to the pool.
-const SCAN_CHUNK: usize = 1 << 16;
 
 /// Approximate distance oracle built from a clustering (§4).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,14 +35,18 @@ pub struct DistanceOracle {
     assignment: Vec<NodeId>,
     dist_to_center: Vec<u32>,
     /// APSP over the weighted quotient (connecting-path metric), as the
-    /// packed upper triangle of [`pardec_graph::WeightedGraph::apsp_upper`].
-    apsp: Vec<u64>,
+    /// packed `u32` upper triangle of
+    /// [`pardec_graph::WeightedGraph::apsp_upper`].
+    apsp: Vec<u32>,
     /// Per-cluster growth radii.
     radii: Vec<u32>,
     /// `ecc[c]`: the largest `apsp[c][C] + radius(C)` over the clusters `C`
     /// reachable from `c`. Derived from `apsp` and `radii` at build and at
     /// load; snapshots do not store it. Drives [`Self::eccentricity_bound`].
     ecc: Vec<u64>,
+    /// `Δ′_C`, the largest finite entry of `apsp`, found by the same pass
+    /// as `ecc`.
+    quotient_diameter: u32,
     radius: u32,
 }
 
@@ -80,7 +86,7 @@ impl DistanceOracle {
         assignment: Vec<NodeId>,
         dist_to_center: Vec<u32>,
         radii: Vec<u32>,
-        apsp: Vec<u64>,
+        apsp: Vec<u32>,
     ) -> Result<Self, String> {
         let q = radii.len();
         if assignment.len() != dist_to_center.len() {
@@ -95,17 +101,20 @@ impl DistanceOracle {
         Ok(Self::assemble(assignment, dist_to_center, radii, apsp))
     }
 
-    /// The oracle over shape-checked parts, with `ecc` computed in one pass
-    /// over the triangle: entry `(i, j)` offers `d + radius(j)` to `ecc[i]`
-    /// and `d + radius(i)` to `ecc[j]`.
+    /// The oracle over shape-checked parts, with `ecc` and `Δ′_C` computed
+    /// in one pass over the triangle: entry `(i, j)` offers `d + radius(j)`
+    /// to `ecc[i]`, `d + radius(i)` to `ecc[j]`, and `d` to `Δ′_C`. Sums of
+    /// two `u32`s cannot overflow the `u64` they are taken in, whatever a
+    /// snapshot stores.
     fn assemble(
         assignment: Vec<NodeId>,
         dist_to_center: Vec<u32>,
         radii: Vec<u32>,
-        apsp: Vec<u64>,
+        apsp: Vec<u32>,
     ) -> Self {
         let q = radii.len();
         let mut ecc = vec![0u64; q];
+        let mut quotient_diameter = 0;
         let mut rows = apsp.as_slice();
         for i in 0..q {
             let (row, rest) = rows.split_at(q - i);
@@ -113,10 +122,11 @@ impl DistanceOracle {
             let r_i = radii[i] as u64;
             let mut best = 0;
             for ((&d, &r_j), e_j) in row.iter().zip(&radii[i..]).zip(&mut ecc[i..]) {
-                if d != u64::MAX {
-                    // Saturating: a hostile snapshot may store any distance.
-                    best = best.max(d.saturating_add(r_j as u64));
-                    *e_j = (*e_j).max(d.saturating_add(r_i));
+                if d != INFINITE_ENTRY {
+                    quotient_diameter = quotient_diameter.max(d);
+                    let d = d as u64;
+                    best = best.max(d + r_j as u64);
+                    *e_j = (*e_j).max(d + r_i);
                 }
             }
             ecc[i] = ecc[i].max(best);
@@ -128,6 +138,7 @@ impl DistanceOracle {
             apsp,
             radii,
             ecc,
+            quotient_diameter,
         }
     }
 
@@ -141,9 +152,10 @@ impl DistanceOracle {
         self.radius
     }
 
-    /// Words of storage held: the per-node arrays, the quotient triangle,
+    /// Entries of storage held: the per-node arrays, the quotient triangle,
     /// the per-cluster radii and eccentricities — `n + n + q(q + 1)/2 + 2q`,
-    /// linear in `n` when `q = O(√n)`.
+    /// linear in `n` when `q = O(√n)`. It counts entries, not bytes: the
+    /// eccentricities take 8 bytes each, every other entry 4.
     pub fn memory_words(&self) -> usize {
         self.assignment.len()
             + self.dist_to_center.len()
@@ -158,20 +170,16 @@ impl DistanceOracle {
     }
 
     /// The packed upper triangle of the quotient APSP (for persistence).
-    pub(crate) fn apsp_upper(&self) -> &[u64] {
+    pub(crate) fn apsp_upper(&self) -> &[u32] {
         &self.apsp
     }
 
     /// `Δ′_C`, the weighted-quotient diameter: the largest finite entry of
-    /// the stored APSP triangle, scanned on demand. Equals
-    /// `weighted_quotient(g).apsp_diameter()` of the source clustering,
-    /// without a second APSP.
+    /// the stored APSP triangle, recorded when the oracle was assembled.
+    /// Equals `weighted_quotient(g).apsp_diameter()` of the source
+    /// clustering, without a second APSP.
     pub fn quotient_diameter(&self) -> u64 {
-        self.apsp
-            .par_chunks(SCAN_CHUNK)
-            .map(max_finite)
-            .max()
-            .unwrap_or(0)
+        self.quotient_diameter as u64
     }
 
     /// Upper bound on `dist(u, v)`; `u64::MAX` when the endpoints are in
@@ -191,10 +199,10 @@ impl DistanceOracle {
         }
         let (i, j) = (cu.min(cv) as usize, cu.max(cv) as usize);
         let between = self.apsp[upper_row_start(self.num_clusters(), i) + (j - i)];
-        if between == u64::MAX {
+        if between == INFINITE_ENTRY {
             return u64::MAX;
         }
-        du + between + dv
+        du + between as u64 + dv
     }
 
     /// Upper bound on the eccentricity of `v` **within its connected
@@ -208,7 +216,7 @@ impl DistanceOracle {
     /// so this dominates `max_u dist(v, u)` over the component.
     pub fn eccentricity_bound(&self, v: NodeId) -> u64 {
         let cv = self.assignment[v as usize] as usize;
-        (self.dist_to_center[v as usize] as u64).saturating_add(self.ecc[cv])
+        self.dist_to_center[v as usize] as u64 + self.ecc[cv]
     }
 }
 
@@ -305,8 +313,10 @@ mod tests {
 
     #[test]
     fn raw_parts_round_trips_and_validates() {
-        let g = generators::mesh(10, 10);
+        // Two components, so the `u32` triangle holds unreachable entries.
+        let g = generators::disjoint_union(&generators::mesh(10, 10), &generators::cycle(9));
         let oracle = DistanceOracle::build(&g, 4, 1, Decomposition::Cluster2);
+        assert!(oracle.apsp.contains(&INFINITE_ENTRY));
         let rebuilt = DistanceOracle::from_raw_parts(
             oracle.assignment.clone(),
             oracle.dist_to_center.clone(),
@@ -315,6 +325,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, oracle);
+        assert_eq!(rebuilt.query(0, 100), u64::MAX);
 
         // Shape violations are rejected.
         assert!(DistanceOracle::from_raw_parts(

@@ -31,11 +31,15 @@
 //! | tag | version | payload |
 //! |-----|---------|---------|
 //! | `CLUS` | 1 | `n u64, k u64, growth_steps u64, assignment n×u32, centers k×u32, dist_to_center n×u32, radii k×u32` |
-//! | `ORCL` | 2 | `q u64, apsp q(q+1)/2×u64` (the packed upper triangle: `d(i, j)` for `i ≤ j`, row-major; per-node arrays are shared with `CLUS`) |
+//! | `ORCL` | 3 | `q u64, apsp q(q+1)/2×u32` (the packed upper triangle: `d(i, j)` for `i ≤ j`, row-major, `u32::MAX` = unreachable; per-node arrays are shared with `CLUS`) |
 //!
-//! `ORCL` version 1 (`q u64, apsp q²×u64`, the full row-major matrix) is
-//! still read: the loader keeps its upper triangle, so older snapshots load
-//! (and hot-reload) into the same oracle. Saves always write version 2.
+//! Saves always write `ORCL` version 3, streaming the oracle's triangle into
+//! the writer. Two older layouts are still read, so older snapshots load
+//! (and hot-reload) into the same oracle: version 2 (`q u64, apsp
+//! q(q+1)/2×u64`, the same triangle in 8-byte words) and version 1 (`q u64,
+//! apsp q²×u64`, the full row-major matrix, of which the loader keeps the
+//! upper triangle). Their words are narrowed in the same pass: `u64::MAX`
+//! becomes `u32::MAX`, and a finite word of `u32::MAX` or more is an error.
 //!
 //! All integers little-endian; all size arithmetic checked, so hostile
 //! section payloads error rather than panic or over-allocate.
@@ -53,7 +57,7 @@ use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot};
-use pardec_graph::weighted::upper_row_start;
+use pardec_graph::weighted::{upper_entry, upper_row_start};
 use pardec_graph::{Backend, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE};
 use std::io::{self, Write};
 
@@ -64,8 +68,9 @@ pub const SECTION_CLUSTERING_VERSION: u32 = 1;
 /// Section tag for the persisted [`DistanceOracle`] state (`b"ORCL"`).
 pub const SECTION_ORACLE: u32 = u32::from_le_bytes(*b"ORCL");
 /// Layout version of the oracle section [`Session::save`] writes (the
-/// packed triangle); version 1 (the full matrix) still loads.
-pub const SECTION_ORACLE_VERSION: u32 = 2;
+/// packed `u32` triangle); versions 1 (the full `u64` matrix) and 2 (the
+/// `u64` triangle) still load.
+pub const SECTION_ORACLE_VERSION: u32 = 3;
 
 /// Which decomposition a session runs at build time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -480,18 +485,20 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Writes the session as a `PDEC2` snapshot: graph section + `CLUS` +
-    /// (when an oracle is resident) `ORCL`.
+    /// (when an oracle is resident) `ORCL`, whose triangle goes from the
+    /// oracle straight into `w`.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut sections = vec![SectionData {
-            tag: SECTION_CLUSTERING,
-            version: SECTION_CLUSTERING_VERSION,
-            payload: encode_clustering(&self.clustering, self.growth_steps),
-        }];
+        let mut sections = vec![SectionData::bytes(
+            SECTION_CLUSTERING,
+            SECTION_CLUSTERING_VERSION,
+            encode_clustering(&self.clustering, self.growth_steps),
+        )];
         if let Some(oracle) = &self.oracle {
             sections.push(SectionData {
                 tag: SECTION_ORACLE,
                 version: SECTION_ORACLE_VERSION,
-                payload: encode_oracle(oracle),
+                head: (oracle.num_clusters() as u64).to_le_bytes().to_vec(),
+                words: oracle.apsp_upper(),
             });
         }
         save_snapshot_repr(&self.graph, &sections, w)
@@ -610,18 +617,10 @@ fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering,
     ))
 }
 
-fn encode_oracle(o: &DistanceOracle) -> Vec<u8> {
-    let apsp = o.apsp_upper();
-    let mut buf = Vec::with_capacity(8 + 8 * apsp.len());
-    buf.put_u64_le(o.num_clusters() as u64);
-    for &d in apsp {
-        buf.put_u64_le(d);
-    }
-    buf
-}
-
-/// Decodes an `ORCL` payload of layout `version` (1: full `q × q` matrix,
-/// 2: packed upper triangle) into the oracle, in one pass over the words.
+/// Decodes an `ORCL` payload of layout `version` (1: full `q × q` `u64`
+/// matrix, 2: packed `u64` upper triangle, 3: packed `u32` upper triangle)
+/// into the oracle, in one pass over the payload straight into the `u32`
+/// triangle.
 fn decode_oracle(version: u32, body: &[u8], clustering: &Clustering) -> io::Result<DistanceOracle> {
     let mut buf = body;
     if buf.remaining() < 8 {
@@ -631,35 +630,47 @@ fn decode_oracle(version: u32, body: &[u8], clustering: &Clustering) -> io::Resu
     if q != clustering.num_clusters() {
         return Err(data_err("oracle cluster count does not match clustering"));
     }
-    let words = match version {
-        1 => q.checked_mul(q),
-        2 => q
-            .checked_add(1)
-            .and_then(|t| t.checked_mul(q))
-            .map(|t| t / 2),
+    let triangle = q
+        .checked_add(1)
+        .and_then(|t| t.checked_mul(q))
+        .map(|t| t / 2);
+    let (entries, width) = match version {
+        1 => (q.checked_mul(q), 8),
+        2 => (triangle, 8),
+        3 => (triangle, 4),
         _ => {
             return Err(data_err(format!(
                 "unsupported oracle section version {version}"
             )))
         }
     };
-    let expected = words
-        .and_then(|t| t.checked_mul(8))
+    let expected = entries
+        .and_then(|t| t.checked_mul(width))
         .ok_or_else(|| data_err("oracle sizes overflow"))?;
     if buf.remaining() != expected {
         return Err(data_err("oracle length mismatch"));
     }
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"));
-    let apsp: Vec<u64> = if version == 1 {
-        // Row `i` of the full matrix contributes its entries `j ≥ i`. (With
-        // `q = 0` the payload is empty; `max(1)` keeps the chunk size legal.)
+    let apsp: Vec<u32> = if version == 3 {
+        buf.chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("chunks of 4 bytes")))
+            .collect()
+    } else {
         let mut upper = Vec::with_capacity(upper_row_start(q, q));
-        for (i, row) in buf.chunks_exact(8 * q.max(1)).enumerate() {
-            upper.extend(row[8 * i..].chunks_exact(8).map(word));
+        for i in 0..q {
+            // Version 1 stores row `i` in full; its first `i` words repeat
+            // the lower half.
+            let skip = if version == 1 { i } else { 0 };
+            let (row, rest) = buf.split_at(8 * (skip + q - i));
+            buf = rest;
+            for b in row[8 * skip..].chunks_exact(8) {
+                let d = u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"));
+                upper.push(
+                    upper_entry(d)
+                        .ok_or_else(|| data_err("oracle distance does not fit a u32 entry"))?,
+                );
+            }
         }
         upper
-    } else {
-        buf.chunks_exact(8).map(word).collect()
     };
     DistanceOracle::from_raw_parts(
         clustering.assignment.clone(),

@@ -394,15 +394,74 @@ pub fn load_binary(bytes: &[u8]) -> io::Result<CsrGraph> {
     Snapshot::parse(bytes)?.graph_checked()
 }
 
-/// One section to persist alongside the graph in a `PDEC2` snapshot.
+/// One section to persist alongside the graph in a `PDEC2` snapshot. Its
+/// payload is `head` followed by `words` as little-endian `u32`s.
+///
+/// The writer encodes `words` through a fixed 64 KiB buffer, so a large
+/// array borrowed from its owner reaches the output without a byte copy of
+/// the whole array in memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SectionData {
+pub struct SectionData<'a> {
     /// Four-byte tag (conventionally ASCII via `u32::from_le_bytes`).
     pub tag: u32,
     /// Payload layout version, interpreted by the owning crate.
     pub version: u32,
-    /// Raw payload bytes.
-    pub payload: Vec<u8>,
+    /// Leading payload bytes, built in memory.
+    pub head: Vec<u8>,
+    /// Payload words after `head`.
+    pub words: &'a [u32],
+}
+
+impl SectionData<'_> {
+    /// A section whose whole payload is `bytes`.
+    pub fn bytes(tag: u32, version: u32, bytes: Vec<u8>) -> Self {
+        SectionData {
+            tag,
+            version,
+            head: bytes,
+            words: &[],
+        }
+    }
+
+    /// Payload length in bytes, as the section table declares it.
+    fn payload_len(&self) -> usize {
+        self.head.len() + 4 * self.words.len()
+    }
+}
+
+/// Bytes of the buffer [`SectionData::words`] are encoded through.
+const WORD_BUFFER_BYTES: usize = 1 << 16;
+
+/// Writes `words` to `w` as little-endian bytes, at most
+/// [`WORD_BUFFER_BYTES`] at a time.
+fn write_words(words: &[u32], w: &mut impl Write) -> io::Result<()> {
+    let mut buf = vec![0u8; WORD_BUFFER_BYTES.min(4 * words.len())];
+    for chunk in words.chunks(WORD_BUFFER_BYTES / 4) {
+        let bytes = &mut buf[..4 * chunk.len()];
+        for (b, word) in bytes.chunks_exact_mut(4).zip(chunk) {
+            b.copy_from_slice(&word.to_le_bytes());
+        }
+        w.write_all(bytes)?;
+    }
+    Ok(())
+}
+
+/// A writer that counts the bytes passing through it.
+struct Counted<W> {
+    inner: W,
+    bytes: usize,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Serializes `g` plus `extra` sections into a `PDEC2` sectioned snapshot.
@@ -411,13 +470,8 @@ pub struct SectionData {
 /// must not pass that tag themselves. Payloads are laid out in argument
 /// order, each 8-byte aligned.
 pub fn save_snapshot(g: &CsrGraph, extra: &[SectionData], w: &mut impl Write) -> io::Result<()> {
-    save_snapshot_sections(
-        SECTION_GRAPH,
-        SECTION_GRAPH_VERSION,
-        encode_graph_body(g),
-        extra,
-        w,
-    )
+    let graph = SectionData::bytes(SECTION_GRAPH, SECTION_GRAPH_VERSION, encode_graph_body(g));
+    save_snapshot_sections(&graph, extra, w)
 }
 
 /// [`save_snapshot`] for either backend: a plain repr writes a
@@ -431,20 +485,22 @@ pub fn save_snapshot_repr(
 ) -> io::Result<()> {
     match g {
         GraphRepr::Plain(g) => save_snapshot(g, extra, w),
-        GraphRepr::Compressed(c) => save_snapshot_sections(
-            SECTION_GRAPH_COMPRESSED,
-            SECTION_GRAPH_COMPRESSED_VERSION,
-            encode_cgraph_body(c),
-            extra,
-            w,
-        ),
+        GraphRepr::Compressed(c) => {
+            let graph = SectionData::bytes(
+                SECTION_GRAPH_COMPRESSED,
+                SECTION_GRAPH_COMPRESSED_VERSION,
+                encode_cgraph_body(c),
+            );
+            save_snapshot_sections(&graph, extra, w)
+        }
     }
 }
 
+/// The one `PDEC2` writer: the table, then each payload at its 8-byte
+/// aligned offset. Each payload must put exactly its declared length on
+/// `w`, or the offsets of the sections after it would be wrong.
 fn save_snapshot_sections(
-    graph_tag: u32,
-    graph_version: u32,
-    graph_body: Vec<u8>,
+    graph: &SectionData,
     extra: &[SectionData],
     w: &mut impl Write,
 ) -> io::Result<()> {
@@ -464,28 +520,28 @@ fn save_snapshot_sections(
     header.put_u32_le(count as u32);
     let mut cursor = table_end;
     let mut offsets = Vec::with_capacity(count);
-    for (tag, version, len) in std::iter::once((graph_tag, graph_version, graph_body.len()))
-        .chain(extra.iter().map(|s| (s.tag, s.version, s.payload.len())))
-    {
+    for s in std::iter::once(graph).chain(extra) {
         cursor = cursor.next_multiple_of(8);
-        header.put_u32_le(tag);
-        header.put_u32_le(version);
+        header.put_u32_le(s.tag);
+        header.put_u32_le(s.version);
         header.put_u64_le(cursor as u64);
-        header.put_u64_le(len as u64);
+        header.put_u64_le(s.payload_len() as u64);
         offsets.push(cursor);
-        cursor += len;
+        cursor += s.payload_len();
     }
+    let mut w = Counted { inner: w, bytes: 0 };
     w.write_all(&header)?;
-    let mut written = table_end;
-    for (start, payload) in offsets
-        .iter()
-        .zip(std::iter::once(&graph_body).chain(extra.iter().map(|s| &s.payload)))
-    {
-        for _ in written..*start {
+    for (start, s) in offsets.into_iter().zip(std::iter::once(graph).chain(extra)) {
+        for _ in w.bytes..start {
             w.write_all(&[0])?; // alignment padding
         }
-        w.write_all(payload)?;
-        written = start + payload.len();
+        w.write_all(&s.head)?;
+        write_words(s.words, &mut w)?;
+        assert_eq!(
+            w.bytes,
+            start + s.payload_len(),
+            "section payload length differs from its table entry"
+        );
     }
     Ok(())
 }
@@ -801,16 +857,8 @@ mod tests {
     fn snapshot_round_trips_with_sections() {
         let g = generators::mesh(6, 9);
         let extra = [
-            SectionData {
-                tag: TAG_A,
-                version: 3,
-                payload: vec![1, 2, 3, 4, 5],
-            },
-            SectionData {
-                tag: TAG_B,
-                version: 1,
-                payload: Vec::new(), // empty payloads are legal
-            },
+            SectionData::bytes(TAG_A, 3, vec![1, 2, 3, 4, 5]),
+            SectionData::bytes(TAG_B, 1, Vec::new()), // empty payloads are legal
         ];
         let mut buf = Vec::new();
         save_snapshot(&g, &extra, &mut buf).unwrap();
@@ -824,6 +872,61 @@ mod tests {
         assert_eq!(snap.graph_checked().unwrap(), g);
         // `load_binary` accepts PDEC2 and ignores unknown sections.
         assert_eq!(load_binary(&buf).unwrap(), g);
+    }
+
+    /// A writer that takes at most 7 bytes per call.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `words` payload is its little-endian bytes after `head`, across
+    /// buffer refills, whatever the writer accepts per call.
+    #[test]
+    fn word_payloads_stream_as_little_endian_bytes() {
+        let words: Vec<u32> = (0..(WORD_BUFFER_BYTES / 4 + 3) as u32)
+            .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let mut payload = vec![1, 2, 3];
+        for w in &words {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
+        let tail = SectionData::bytes(TAG_B, 2, vec![5]);
+        let streamed = [
+            SectionData {
+                tag: TAG_A,
+                version: 1,
+                head: vec![1, 2, 3],
+                words: &words,
+            },
+            tail.clone(),
+        ];
+        let g = generators::path(4);
+        let mut inline = Vec::new();
+        save_snapshot(
+            &g,
+            &[SectionData::bytes(TAG_A, 1, payload.clone()), tail],
+            &mut inline,
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        save_snapshot(&g, &streamed, &mut buf).unwrap();
+        assert_eq!(buf, inline);
+        let mut trickle = Trickle(Vec::new());
+        save_snapshot(&g, &streamed, &mut trickle).unwrap();
+        assert_eq!(trickle.0, inline);
+        let snap = Snapshot::parse(&buf).unwrap();
+        assert_eq!(snap.section(TAG_A), Some((1, &payload[..])));
+        assert_eq!(snap.section(TAG_B), Some((2, &[5u8][..])));
     }
 
     #[test]
@@ -854,11 +957,7 @@ mod tests {
     #[test]
     fn snapshot_every_truncation_is_an_error() {
         let g = generators::mesh(5, 4);
-        let extra = [SectionData {
-            tag: TAG_A,
-            version: 1,
-            payload: vec![9; 11],
-        }];
+        let extra = [SectionData::bytes(TAG_A, 1, vec![9; 11])];
         let mut buf = Vec::new();
         save_snapshot(&g, &extra, &mut buf).unwrap();
         for cut in 0..buf.len() {
@@ -921,11 +1020,7 @@ mod tests {
     fn compressed_snapshot_round_trips_both_read_paths() {
         let g = generators::preferential_attachment(400, 4, 11);
         let repr = GraphRepr::from_csr(g.clone(), Backend::Compressed);
-        let extra = [SectionData {
-            tag: TAG_A,
-            version: 2,
-            payload: vec![8, 7, 6],
-        }];
+        let extra = [SectionData::bytes(TAG_A, 2, vec![8, 7, 6])];
         let mut buf = Vec::new();
         save_snapshot_repr(&repr, &extra, &mut buf).unwrap();
         let snap = Snapshot::parse(&buf).unwrap();
@@ -1056,10 +1151,9 @@ mod tests {
                 let extra: Vec<SectionData> = payloads
                     .iter()
                     .enumerate()
-                    .map(|(i, p)| SectionData {
-                        tag: u32::from_le_bytes([b'T', b'0' + i as u8, b'0', b'0']),
-                        version: i as u32,
-                        payload: p.clone(),
+                    .map(|(i, p)| {
+                        let tag = u32::from_le_bytes([b'T', b'0' + i as u8, b'0', b'0']);
+                        SectionData::bytes(tag, i as u32, p.clone())
                     })
                     .collect();
                 let mut buf = Vec::new();
@@ -1069,7 +1163,7 @@ mod tests {
                 for s in &extra {
                     let (v, p) = snap.section(s.tag).unwrap();
                     prop_assert_eq!(v, s.version);
-                    prop_assert_eq!(p, &s.payload[..]);
+                    prop_assert_eq!(p, &s.head[..]);
                 }
                 let fast = snap.graph().unwrap();
                 prop_assert_eq!(&fast, &g);
@@ -1079,7 +1173,7 @@ mod tests {
             /// Truncating a sectioned snapshot anywhere fails to parse.
             #[test]
             fn sectioned_truncation_errors(g in any_graph(), frac in 0.0f64..1.0) {
-                let extra = [SectionData { tag: TAG_A, version: 1, payload: vec![7; 9] }];
+                let extra = [SectionData::bytes(TAG_A, 1, vec![7; 9])];
                 let mut buf = Vec::new();
                 save_snapshot(&g, &extra, &mut buf).unwrap();
                 let cut = ((buf.len() as f64) * frac) as usize;

@@ -15,6 +15,10 @@ use std::collections::BinaryHeap;
 /// Sentinel for "unreachable" in weighted distance arrays.
 pub const INFINITE_WEIGHT: u64 = u64::MAX;
 
+/// Sentinel for "unreachable" in the `u32` APSP triangle of
+/// [`WeightedGraph::apsp_upper`].
+pub const INFINITE_ENTRY: u32 = u32::MAX;
+
 /// Most buckets the single-source kernel allocates: graphs whose largest
 /// weight is below this run on Dial's bucket queue, heavier ones on a
 /// binary heap. Weighted quotients of unweighted clusterings carry weights
@@ -313,16 +317,22 @@ impl WeightedGraph {
     }
 
     /// The APSP matrix stored once: its packed upper triangle, `d(i, j)` for
-    /// every `i ≤ j`, row-major in one vector of `n(n + 1)/2` words (entry
-    /// `(i, j)` sits at [`upper_row_start`]`(n, i) + j − i`). Distances are
-    /// symmetric, so the lower half adds nothing.
+    /// every `i ≤ j`, row-major in one vector of `n(n + 1)/2` `u32` entries
+    /// (entry `(i, j)` sits at [`upper_row_start`]`(n, i) + j − i`), with
+    /// [`INFINITE_ENTRY`] for unreachable pairs. Distances are symmetric, so
+    /// the lower half adds nothing.
     ///
     /// Sources run in the fixed chunks of [`Self::apsp_diameter`]; each chunk
-    /// reuses one queue and one distance row, and copies each row's tail
-    /// `dist[i..]` into its own disjoint run of the triangle. Quadratic
+    /// reuses one queue and one `u64` distance row, and narrows each row's
+    /// tail `dist[i..]` into its own disjoint run of the triangle. Quadratic
     /// space — intended for quotient graphs, which the paper keeps small
     /// enough for one machine.
-    pub fn apsp_upper(&self) -> Vec<u64> {
+    ///
+    /// # Panics
+    /// Panics if a finite distance is `u32::MAX` or more (see
+    /// [`upper_entry`]). Weighted quotients of clusterings never get there:
+    /// their finite distances stay below `2n` of the clustered graph.
+    pub fn apsp_upper(&self) -> Vec<u32> {
         let n = self.num_nodes();
         let empty = self.new_queue();
         let mut upper = vec![0; upper_row_start(n, n)];
@@ -343,7 +353,15 @@ impl WeightedGraph {
             for i in sources {
                 self.sssp_into(i as NodeId, &mut dist, &mut queue);
                 let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
-                row.copy_from_slice(&dist[i..]);
+                for (entry, &d) in row.iter_mut().zip(&dist[i..]) {
+                    *entry = upper_entry(d).unwrap_or_else(|| {
+                        panic!(
+                            "finite distance {d} does not fit a u32 APSP entry \
+                             (bound: below u32::MAX = {})",
+                            u32::MAX
+                        )
+                    });
+                }
                 run = tail;
             }
         });
@@ -392,6 +410,17 @@ pub fn upper_row_start(n: usize, i: usize) -> usize {
     i * (2 * n + 1 - i) / 2
 }
 
+/// `d` as an entry of the `u32` APSP triangle: [`INFINITE_WEIGHT`] becomes
+/// [`INFINITE_ENTRY`], and a finite `d` must be below `u32::MAX`. `None`
+/// when it is not, since it would then read as unreachable or wrap.
+#[inline]
+pub fn upper_entry(d: u64) -> Option<u32> {
+    match u32::try_from(d) {
+        Ok(e) if e != INFINITE_ENTRY => Some(e),
+        _ => (d == INFINITE_WEIGHT).then_some(INFINITE_ENTRY),
+    }
+}
+
 /// Largest finite entry of a distance array (0 when none is finite).
 pub fn max_finite(dist: &[u64]) -> u64 {
     dist.iter()
@@ -438,13 +467,38 @@ mod tests {
         // Rows 0..4 of the triangle hold 4, 3, 2 and 1 entries.
         assert_eq!(
             g.apsp_upper(),
-            vec![0, 2, 5, 9, 0, 3, 7, 0, 4, 0],
+            vec![0u32, 2, 5, 9, 0, 3, 7, 0, 4, 0],
             "d(i, j) for i <= j, row-major"
         );
         assert_eq!(upper_row_start(4, 1), 4);
         assert_eq!(upper_row_start(4, 3), 9);
         assert_eq!(upper_row_start(4, 4), 10);
         assert!(WeightedGraph::from_edges(0, &[]).apsp_upper().is_empty());
+        // An isolated node is unreachable from, and to, everything else.
+        let g = WeightedGraph::from_edges(3, &[(0, 1, 2)]);
+        let inf = INFINITE_ENTRY;
+        assert_eq!(g.apsp_upper(), vec![0, 2, inf, 0, inf, 0]);
+        assert_eq!(g.apsp_diameter(), 2);
+    }
+
+    #[test]
+    fn apsp_entries_up_to_u32_max_minus_one_round_trip() {
+        let top = u64::from(u32::MAX) - 1;
+        let g = WeightedGraph::from_edges(3, &[(0, 1, top - 5), (1, 2, 5)]);
+        assert_eq!(g.apsp_upper(), vec![0, u32::MAX - 6, u32::MAX - 1, 0, 5, 0]);
+        assert_eq!(g.apsp_diameter(), top);
+        assert_eq!(upper_entry(top), Some(u32::MAX - 1));
+        assert_eq!(upper_entry(INFINITE_WEIGHT), Some(INFINITE_ENTRY));
+        assert_eq!(upper_entry(u64::from(u32::MAX)), None);
+        assert_eq!(upper_entry(1 << 32), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a u32 APSP entry (bound: below u32::MAX")]
+    fn apsp_distance_reaching_u32_max_panics() {
+        // d(0, 2) = u32::MAX exactly: it would read as unreachable.
+        let g = WeightedGraph::from_edges(3, &[(0, 1, u64::from(u32::MAX) - 1), (1, 2, 1)]);
+        g.apsp_upper();
     }
 
     #[test]

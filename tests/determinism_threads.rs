@@ -221,9 +221,10 @@ fn weighted_diameter_is_delta_and_pool_invariant() {
 }
 
 /// The all-sources weighted kernels run sources in fixed chunks, so the
-/// packed APSP triangle and diameter are byte-identical across pool sizes — on the
-/// weighted quotient of a real decomposition (bucket queue) and on the same
-/// quotient with weights scaled past the bucket cap (heap fallback).
+/// packed `u32` APSP triangle and diameter are byte-identical across pool
+/// sizes — on the weighted quotient of a real decomposition (bucket queue)
+/// and on the same quotient with weights scaled past the bucket cap (heap
+/// fallback). The triangle's largest finite entry is the `u64` diameter.
 #[test]
 fn weighted_apsp_is_byte_identical_across_pool_sizes() {
     for (name, g) in workload_graphs() {
@@ -236,6 +237,13 @@ fn weighted_apsp_is_byte_identical_across_pool_sizes() {
         for (queue, q) in [("bucket", &wq), ("heap", &heavy)] {
             let (one, four) = on_both_pools(|| (q.apsp_upper(), q.apsp_diameter()));
             assert_eq!(one, four, "{queue} APSP diverged across pools on {name}");
+            let (upper, diameter) = (q.apsp_upper(), q.apsp_diameter());
+            let largest = upper.iter().filter(|&&d| d != u32::MAX).max();
+            assert_eq!(
+                largest.map_or(0, |&d| u64::from(d)),
+                diameter,
+                "{queue} on {name}"
+            );
         }
     }
 }

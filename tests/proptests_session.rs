@@ -1,19 +1,24 @@
 //! Property tests for the PDEC2 session snapshot and the serve wire codec:
 //! `Session::save` → `Session::load` is the identity on bytes, every strict
 //! prefix of a snapshot is an error (never a silently shorter session),
-//! snapshots with a version-1 `ORCL` section still load into the same
-//! session, and request encoding round-trips through the frame decoder.
+//! snapshots with a version-1 or version-2 `ORCL` section still load into
+//! the same session, arbitrary `ORCL` bytes never panic a load, and request
+//! encoding round-trips through the frame decoder.
 
-use pardec::core::session::{SECTION_ORACLE, SECTION_ORACLE_VERSION};
+use pardec::core::session::{SECTION_CLUSTERING, SECTION_ORACLE, SECTION_ORACLE_VERSION};
 use pardec::core::wire;
-use pardec::graph::io::Snapshot;
+use pardec::graph::io::{save_snapshot_repr, SectionData, Snapshot, SECTION_GRAPH};
 use pardec::prelude::*;
 use proptest::prelude::*;
 
-/// A snapshot whose `ORCL` section is layout version 1 (the full `q × q`
-/// matrix): road 12×12, CLUSTER at τ = 2, seed 7. `tests/fixtures/README.md`
-/// records the commands that wrote it.
-const ORCL_V1: &[u8] = include_bytes!("fixtures/orcl_v1_road12_tau2_seed7.pdec");
+/// One session — road 12×12, CLUSTER at τ = 2, seed 7 — saved in each older
+/// `ORCL` layout, with its version: 1 (the full `q × q` `u64` matrix) and 2
+/// (the packed `u64` upper triangle). `tests/fixtures/README.md` records
+/// the commands that wrote them.
+const ORCL_FIXTURES: [(u32, &[u8]); 2] = [
+    (1, include_bytes!("fixtures/orcl_v1_road12_tau2_seed7.pdec")),
+    (2, include_bytes!("fixtures/orcl_v2_road12_tau2_seed7.pdec")),
+];
 
 fn small_graph() -> impl Strategy<Value = CsrGraph> {
     prop_oneof![
@@ -331,7 +336,7 @@ fn live_reload_rejects_every_truncated_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The session the version-1 fixture was saved from, built afresh on the
+/// The session the `ORCL` fixtures were saved from, built afresh on the
 /// plain backend.
 fn fixture_session() -> Session {
     let g = generators::road_network(12, 12, 0.4, 7);
@@ -343,93 +348,263 @@ fn fixture_session() -> Session {
     )
 }
 
-/// `bytes` with the version field of its `ORCL` table entry replaced.
-fn with_oracle_version(bytes: &[u8], version: u32) -> Vec<u8> {
-    let index = Snapshot::parse(bytes)
+/// Index of `bytes`' `ORCL` entry in its section table.
+fn oracle_entry(bytes: &[u8]) -> usize {
+    Snapshot::parse(bytes)
         .unwrap()
         .sections()
         .iter()
         .position(|e| e.tag == SECTION_ORACLE)
-        .expect("snapshot has an ORCL section");
+        .expect("snapshot has an ORCL section")
+}
+
+/// `bytes` with the version field of its `ORCL` table entry replaced.
+fn with_oracle_version(bytes: &[u8], version: u32) -> Vec<u8> {
     // Header: magic (6), table version (4), section count (4); then 24-byte
     // entries `{tag, version, offset, len}`.
-    let at = 14 + 24 * index + 4;
+    let at = 14 + 24 * oracle_entry(bytes) + 4;
     let mut patched = bytes.to_vec();
     patched[at..at + 4].copy_from_slice(&version.to_le_bytes());
     patched
 }
 
-/// Both load paths read a version-1 `ORCL` snapshot into the oracle a fresh
-/// build computes, answer `DIST`, `ECC` and the diameter bounds identically,
-/// and re-save it as the fresh build's (version-2) snapshot.
+/// What the fast and the checked load path make of `bytes`.
+fn load_both(bytes: &[u8]) -> [std::io::Result<Session>; 2] {
+    [
+        Session::load(bytes, FrontierStrategy::TopDown),
+        Session::load_checked(bytes, FrontierStrategy::TopDown),
+    ]
+}
+
+/// The `ORCL` payload's distances as `u64`s: `width`-byte little-endian
+/// words after the `q u64` header.
+fn oracle_words(bytes: &[u8], width: usize) -> Vec<u64> {
+    let snap = Snapshot::parse(bytes).unwrap();
+    let body = snap.section(SECTION_ORACLE).unwrap().1;
+    body[8..]
+        .chunks_exact(width)
+        .map(|b| {
+            let mut word = [0u8; 8];
+            word[..width].copy_from_slice(b);
+            u64::from_le_bytes(word)
+        })
+        .collect()
+}
+
+/// Both load paths read each older `ORCL` fixture (version 1 and version 2)
+/// into the oracle a fresh build computes, answer `DIST`, `ECC` and the
+/// diameter bounds identically, and re-save it as the fresh build's
+/// (version-3) snapshot. The fixtures' `GRPH` and `CLUS` payloads equal the
+/// fresh build's, and every version-3 entry is the older layout's word, with
+/// `u64::MAX` narrowed to `u32::MAX`.
 #[test]
 fn orcl_v1_snapshot_loads_like_a_fresh_build() {
-    let v1 = Snapshot::parse(ORCL_V1).unwrap();
-    assert_eq!(v1.section(SECTION_ORACLE).unwrap().0, 1);
     let fresh = fixture_session();
     let mut fresh_bytes = Vec::new();
     fresh.save(&mut fresh_bytes).unwrap();
+    let fresh_snap = Snapshot::parse(&fresh_bytes).unwrap();
     assert_eq!(
-        Snapshot::parse(&fresh_bytes)
-            .unwrap()
-            .section(SECTION_ORACLE)
-            .unwrap()
-            .0,
+        fresh_snap.section(SECTION_ORACLE).unwrap().0,
         SECTION_ORACLE_VERSION
     );
+    let q = fresh.oracle().unwrap().num_clusters();
+    let fresh_entries = oracle_words(&fresh_bytes, 4);
+    assert_eq!(fresh_entries.len(), q * (q + 1) / 2);
 
     let n = fresh.graph().num_nodes() as NodeId;
     let pairs: Vec<(NodeId, NodeId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
     let nodes: Vec<NodeId> = (0..n).collect();
     let (fresh_dist, _) = fresh.distance(&pairs).unwrap();
     let (fresh_ecc, _) = fresh.eccentricity(&nodes).unwrap();
-    for loaded in [
-        Session::load(ORCL_V1, FrontierStrategy::TopDown).unwrap(),
-        Session::load_checked(ORCL_V1, FrontierStrategy::TopDown).unwrap(),
-    ] {
-        assert_eq!(loaded.graph(), fresh.graph());
-        assert_eq!(loaded.clustering(), fresh.clustering());
-        assert_eq!(loaded.growth_steps(), fresh.growth_steps());
-        assert_eq!(loaded.oracle(), fresh.oracle());
-        assert_eq!(loaded.distance(&pairs).unwrap().0, fresh_dist);
-        assert_eq!(loaded.eccentricity(&nodes).unwrap().0, fresh_ecc);
-        assert_eq!(loaded.diameter(true, None), fresh.diameter(true, None));
-        let mut resaved = Vec::new();
-        loaded.save(&mut resaved).unwrap();
-        assert!(resaved == fresh_bytes, "re-saved v1 snapshot differs");
+    for (version, fixture) in ORCL_FIXTURES {
+        let snap = Snapshot::parse(fixture).unwrap();
+        assert_eq!(snap.section(SECTION_ORACLE).unwrap().0, version);
+        for tag in [SECTION_GRAPH, SECTION_CLUSTERING] {
+            assert_eq!(snap.section(tag), fresh_snap.section(tag), "v{version}");
+        }
+        let words = oracle_words(fixture, 8);
+        let upper: Vec<u64> = if version == 1 {
+            (0..q)
+                .flat_map(|i| words[i * q + i..(i + 1) * q].to_vec())
+                .collect()
+        } else {
+            words
+        };
+        let narrowed: Vec<u64> = upper
+            .iter()
+            .map(|&d| if d == u64::MAX { u32::MAX as u64 } else { d })
+            .collect();
+        assert_eq!(narrowed, fresh_entries, "v{version} entries");
+
+        for loaded in load_both(fixture) {
+            let loaded = loaded.unwrap();
+            assert_eq!(loaded.graph(), fresh.graph());
+            assert_eq!(loaded.clustering(), fresh.clustering());
+            assert_eq!(loaded.growth_steps(), fresh.growth_steps());
+            assert_eq!(loaded.oracle(), fresh.oracle());
+            assert_eq!(loaded.distance(&pairs).unwrap().0, fresh_dist);
+            assert_eq!(loaded.eccentricity(&nodes).unwrap().0, fresh_ecc);
+            assert_eq!(loaded.diameter(true, None), fresh.diameter(true, None));
+            let mut resaved = Vec::new();
+            loaded.save(&mut resaved).unwrap();
+            assert!(
+                resaved == fresh_bytes,
+                "re-saved v{version} snapshot differs"
+            );
+        }
     }
 }
 
-/// Every strict prefix of the version-1 fixture fails on both load paths.
+/// Every strict prefix of each older `ORCL` fixture fails on both load
+/// paths.
 #[test]
 fn orcl_v1_snapshot_every_truncation_errors() {
-    for len in 0..ORCL_V1.len() {
-        let prefix = &ORCL_V1[..len];
-        assert!(
-            Session::load(prefix, FrontierStrategy::TopDown).is_err()
-                && Session::load_checked(prefix, FrontierStrategy::TopDown).is_err(),
-            "prefix of {len}/{} bytes loaded",
-            ORCL_V1.len()
-        );
+    for (version, fixture) in ORCL_FIXTURES {
+        for len in 0..fixture.len() {
+            assert!(
+                load_both(&fixture[..len]).iter().all(Result::is_err),
+                "prefix of {len}/{} bytes of the v{version} fixture loaded",
+                fixture.len()
+            );
+        }
     }
 }
 
 /// An `ORCL` entry whose version does not match its payload is an error:
-/// version 2 over the full matrix, version 1 over the packed triangle, and
-/// an unknown version over either.
+/// each of versions 1, 2 and 3 over the other two layouts, and the unknown
+/// version 4 over every layout.
 #[test]
 fn orcl_version_must_match_the_payload() {
-    let mut v2 = Vec::new();
-    fixture_session().save(&mut v2).unwrap();
-    for (bytes, version) in [(ORCL_V1, 2), (ORCL_V1, 3), (&v2[..], 1), (&v2[..], 3)] {
-        let patched = with_oracle_version(bytes, version);
-        assert!(
-            Session::load(&patched, FrontierStrategy::TopDown).is_err()
-                && Session::load_checked(&patched, FrontierStrategy::TopDown).is_err(),
-            "ORCL version {version} accepted over a payload of another layout"
-        );
+    let mut v3 = Vec::new();
+    fixture_session().save(&mut v3).unwrap();
+    let layouts = [ORCL_FIXTURES[0], ORCL_FIXTURES[1], (3, &v3[..])];
+    for (layout, bytes) in layouts {
+        for version in (1..=4).filter(|&v| v != layout) {
+            assert!(
+                load_both(&with_oracle_version(bytes, version))
+                    .iter()
+                    .all(Result::is_err),
+                "ORCL version {version} accepted over a payload of layout {layout}"
+            );
+        }
+        // The patch itself is sound: restoring the file's own version loads.
+        assert!(load_both(&with_oracle_version(bytes, layout))
+            .iter()
+            .all(Result::is_ok));
     }
-    // The patch itself is sound: restoring each file's own version loads.
-    assert!(Session::load(&with_oracle_version(ORCL_V1, 1), FrontierStrategy::TopDown).is_ok());
-    assert!(Session::load(&with_oracle_version(&v2, 2), FrontierStrategy::TopDown).is_ok());
+}
+
+/// A finite `u64` word of an older `ORCL` layout that does not fit a `u32`
+/// entry (`2³²`, or exactly `u32::MAX`, which would read as unreachable) is
+/// an error on both load paths; the word `u64::MAX` loads, as unreachable.
+#[test]
+fn orcl_finite_words_must_fit_u32() {
+    let fresh = fixture_session();
+    let c = fresh.clustering();
+    let (u, v) = (c.centers[0], c.centers[1]);
+    assert_ne!(fresh.distance(&[(u, v)]).unwrap().0[0], u64::MAX);
+    for (version, fixture) in ORCL_FIXTURES {
+        // Entry (0, 1) is word 1 of both layouts: the second word of row 0.
+        let snap = Snapshot::parse(fixture).unwrap();
+        let at = snap.sections()[oracle_entry(fixture)].offset + 8 + 8;
+        let patched = |word: u64| {
+            let mut bytes = fixture.to_vec();
+            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            bytes
+        };
+        for word in [1u64 << 32, u32::MAX as u64] {
+            assert!(
+                load_both(&patched(word)).iter().all(Result::is_err),
+                "v{version} word {word} loaded"
+            );
+        }
+        for loaded in load_both(&patched(u64::MAX)) {
+            let (dist, _) = loaded.unwrap().distance(&[(u, v)]).unwrap();
+            assert_eq!(
+                dist,
+                [u64::MAX],
+                "v{version}: u64::MAX must read as unreachable"
+            );
+        }
+    }
+}
+
+/// A small session, with its clustering payload, for the arbitrary-`ORCL`
+/// property. Its clusters have radii of at least 2, so an entry next to
+/// `u32::MAX` plus a radius overflows a `u32` sum.
+fn arbitrary_oracle_base() -> (Session, Vec<u8>) {
+    let mpx = SessionAlgo::Mpx { beta: 0.2 };
+    let s = Session::build(generators::path(60), &params(1, 3, true).with_algo(mpx));
+    assert!(s.clustering().max_radius() >= 2);
+    let mut bytes = Vec::new();
+    s.save(&mut bytes).unwrap();
+    let clus = Snapshot::parse(&bytes)
+        .unwrap()
+        .section(SECTION_CLUSTERING)
+        .unwrap()
+        .1
+        .to_vec();
+    (s, clus)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A valid snapshot whose `ORCL` body is replaced by arbitrary bytes —
+    /// of any length from 0 to twice the layout's, under versions 0–4, with
+    /// or without the right cluster count up front, with or without every
+    /// byte pushed to `0xFE`/`0xFF` (entries at and next to `u32::MAX`), and
+    /// with or without the high half of each 8-byte word cleared so that
+    /// older layouts decode — loads or fails on both paths and never
+    /// panics. A load that succeeds answers `DIST` and `ECC` without
+    /// panicking.
+    #[test]
+    fn arbitrary_orcl_bytes_never_panic_a_load(
+        version in 0u32..5,
+        noise in proptest::collection::vec(any::<u8>(), 0..1200),
+        exact_len in any::<bool>(),
+        len_pick in 0usize..1 << 20,
+        right_q in any::<bool>(),
+        high_bytes in any::<bool>(),
+        small_words in any::<bool>(),
+    ) {
+        let (s, clus) = arbitrary_oracle_base();
+        let q = s.clustering().num_clusters();
+        let entries = match version {
+            1 => q * q,
+            _ => q * (q + 1) / 2,
+        };
+        let width = if version == 1 || version == 2 { 8 } else { 4 };
+        let expected = 8 + width * entries;
+        let len = if exact_len { expected } else { len_pick % (2 * expected + 1) };
+        let mut body: Vec<u8> = noise
+            .iter()
+            .map(|&b| if high_bytes { b | 0xFE } else { b })
+            .chain(std::iter::repeat(0))
+            .take(len)
+            .collect();
+        if right_q && len >= 8 {
+            body[..8].copy_from_slice(&(q as u64).to_le_bytes());
+        }
+        if small_words && width == 8 && len > 8 {
+            for word in body[8..].chunks_mut(8) {
+                for b in word.iter_mut().skip(4) {
+                    *b = 0;
+                }
+            }
+        }
+        let sections = [
+            SectionData::bytes(SECTION_CLUSTERING, 1, clus),
+            SectionData::bytes(SECTION_ORACLE, version, body),
+        ];
+        let mut bytes = Vec::new();
+        save_snapshot_repr(s.graph(), &sections, &mut bytes).unwrap();
+        let nodes: Vec<NodeId> = (0..s.graph().num_nodes() as NodeId).collect();
+        let [fast, checked] = load_both(&bytes);
+        prop_assert_eq!(fast.is_ok(), checked.is_ok());
+        for loaded in [fast, checked].into_iter().flatten() {
+            loaded.distance(&[(0, nodes.len() as NodeId - 1)]).unwrap();
+            loaded.eccentricity(&nodes).unwrap();
+        }
+    }
 }
