@@ -11,7 +11,8 @@
 //! arrays, weights) before its timing is reported — the bench doubles as an
 //! end-to-end equivalence check. Legs: mesh / power-law / road clusterings
 //! at 1, 2, and 4 threads, for the unweighted quotient, the weighted
-//! quotient, and the builder's symmetrize-dedup build; plus the weighted
+//! quotient, and the builder's counting-sort build; the text edge-list
+//! reader at 1 and 4 threads, with its own allocation peak; plus the weighted
 //! quotient APSP diameter the seed bench tracked, and that APSP against the
 //! seed-era heap APSP with every weight scaled by 1, 8, 128 and 1000 (and
 //! on a weighted path) — the measurement behind the bucket queue's cap.
@@ -20,7 +21,7 @@ use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
 use pardec_core::{cluster, ClusterParams};
 use pardec_graph::quotient::{quotient_with_stats, weighted_quotient};
-use pardec_graph::{generators, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
+use pardec_graph::{generators, io, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
 
 const THREAD_CONFIGS: [usize; 3] = [1, 2, 4];
 
@@ -123,8 +124,8 @@ fn main() {
                 pardec_bench::alloc::peak_bytes(),
             );
 
-            // Builder: the kernel symmetrize + scatter build vs the seed-era
-            // sort-dedup build over the raw edge list.
+            // Builder: the counting-sort build vs the seed-era sort-dedup
+            // build over the raw edge list.
             let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
             let (naive_g, naive_secs) =
                 best_of_3(threads, || naive::build_csr(g.num_nodes(), &edges));
@@ -135,7 +136,7 @@ fn main() {
             });
             assert_eq!(
                 kernel_g, naive_g,
-                "kernel and naive builder diverged on {name} at {threads} threads"
+                "counting-sort and naive builder diverged on {name} at {threads} threads"
             );
             println!(
                 "{{\"bench\":\"quotient\",\"case\":\"builder\",\"graph\":\"{}\",\
@@ -151,6 +152,8 @@ fn main() {
                 pardec_bench::alloc::peak_bytes(),
             );
         }
+
+        reader_rows(name, &g);
 
         // The seed bench's quotient-diameter row, kept for trajectory
         // continuity (4-thread pool).
@@ -175,6 +178,47 @@ fn main() {
         "path",
         &WeightedGraph::from_edges(PATH_NODES as usize, &path),
     );
+}
+
+/// One `reader` row per pool size: `g` written as a text edge list, then
+/// `io::read_edge_list` on the in-memory text (best of 3), checked equal to
+/// `g`. `peak_alloc_bytes` is the high-water mark of one more read above
+/// what was live before it, the output graph included; `transient_per_edge`
+/// is what that peak holds beyond the output graph, per edge.
+fn reader_rows(name: &str, g: &CsrGraph) {
+    let mut text = Vec::new();
+    io::write_edge_list(g, &mut text).expect("writing to a Vec cannot fail");
+    let read = || io::read_edge_list(&mut &text[..]).expect("the written text reads back");
+    for threads in [1, 4] {
+        let (read_g, secs) = best_of_3(threads, read);
+        assert_eq!(
+            &read_g, g,
+            "read_edge_list diverged on {name} at {threads} threads"
+        );
+        drop(read_g);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool construction cannot fail");
+        let live = pardec_bench::alloc::current_bytes();
+        pardec_bench::alloc::reset_peak();
+        let read_g = pool.install(read);
+        let peak = pardec_bench::alloc::peak_bytes().saturating_sub(live);
+        let graph_bytes = std::mem::size_of_val(read_g.raw_offsets())
+            + std::mem::size_of_val(read_g.raw_targets());
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"reader\",\"graph\":\"{}\",\
+             \"edges\":{},\"text_bytes\":{},\"threads\":{},\"seconds\":{:.6},\
+             \"peak_alloc_bytes\":{},\"transient_per_edge\":{:.1}}}",
+            name,
+            g.num_edges(),
+            text.len(),
+            threads,
+            secs,
+            peak,
+            peak.saturating_sub(graph_bytes) as f64 / g.num_edges().max(1) as f64,
+        );
+    }
 }
 
 /// Weight multipliers of the `weighted-apsp-scaled` rows.

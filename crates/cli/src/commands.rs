@@ -163,9 +163,22 @@ pub fn dispatch(args: &Args) -> CmdResult {
 }
 
 fn load_graph(args: &Args) -> Result<CsrGraph, Box<dyn Error>> {
+    Ok(io::read_edge_list(&mut open_edge_list(args)?)?)
+}
+
+/// The largest read buffer for an edge-list file: the readers parse each
+/// fill in parallel pieces of 256 KiB, so a fill this size keeps every
+/// worker busy while memory stays bounded.
+const EDGE_LIST_BUFFER: u64 = 4 << 20;
+
+/// Opens `--graph` through a read buffer sized to the file, at most
+/// [`EDGE_LIST_BUFFER`].
+fn open_edge_list(args: &Args) -> Result<BufReader<File>, Box<dyn Error>> {
     let path = args.req("graph")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    Ok(io::read_edge_list(&mut BufReader::new(file))?)
+    let len = file.metadata().map_or(EDGE_LIST_BUFFER, |m| m.len());
+    let capacity = len.clamp(8 << 10, EDGE_LIST_BUFFER) as usize;
+    Ok(BufReader::with_capacity(capacity, file))
 }
 
 fn seed(args: &Args) -> Result<u64, crate::args::ArgError> {
@@ -324,9 +337,7 @@ fn cmd_clust(args: &Args, algo: &str) -> CmdResult {
 }
 
 fn load_weighted_graph(args: &Args) -> Result<pardec_graph::WeightedGraph, Box<dyn Error>> {
-    let path = args.req("graph")?;
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    Ok(io::read_weighted_edge_list(&mut BufReader::new(file))?)
+    Ok(io::read_weighted_edge_list(&mut open_edge_list(args)?)?)
 }
 
 /// Weighted `ClusterParams` shared by `clust weighted` and `dist weighted`:

@@ -1,13 +1,15 @@
 //! Parallel edge-combine kernel: the contraction counterpart of the MR
 //! crate's radix shuffle.
 //!
-//! Every contraction path in this workspace — quotient construction,
-//! [`crate::GraphBuilder::build`], [`crate::contract::contract`]'s edge
-//! multiplicities, the Baswana–Sen spanner's final CSR build — reduces to
-//! the same primitive: *collapse a large multiset of `(key, value)` pairs to
-//! one entry per key under a fold* (dedup, min, or sum). The seed-era code
-//! did this with a sequential `HashMap` pass per call site; on power-law
-//! graphs that pass dominated `approximate_diameter` wall-clock.
+//! Every contraction path in this workspace — the unweighted and weighted
+//! quotient builds, [`crate::contract::contract`]'s edge multiplicities,
+//! [`crate::WeightedGraph::from_edges`]'s min-fold — reduces to the same
+//! primitive: *collapse a large multiset of `(key, value)` pairs to one
+//! entry per key under a fold* (dedup, min, or sum). The seed-era code did
+//! this with a sequential `HashMap` pass per call site; on power-law graphs
+//! that pass dominated `approximate_diameter` wall-clock. (Plain edge lists
+//! take a cheaper route: [`crate::GraphBuilder::build`] is a counting sort
+//! straight into the CSR arrays.)
 //!
 //! This module replaces all of them with one deterministic parallel kernel,
 //! mirroring the `pardec_mr::shuffle` design but living *below* the MR crate
@@ -132,7 +134,7 @@ unsafe fn assume_init_vec<T>(v: Vec<MaybeUninit<T>>) -> Vec<T> {
 
 /// Splits `buf` into consecutive mutable cells of the given lengths,
 /// dropping whatever lies beyond their sum.
-fn split_cells<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
+pub(crate) fn split_cells<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
     let mut cells = Vec::with_capacity(lens.len());
     for &len in lens {
         let (cell, rest) = buf.split_at_mut(len);
@@ -144,8 +146,12 @@ fn split_cells<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> 
 
 /// Raw pointer wrapper that is `Send`/`Sync` when the pointee is `Send`;
 /// every call site must guarantee the disjointness of its writes.
-struct SyncPtr<T>(*mut T);
+pub(crate) struct SyncPtr<T>(pub(crate) *mut T);
+// SAFETY: the one field is a pointer into a buffer whose `T: Send` values
+// other workers write; sharing the pointer is sound because every call site
+// writes each slot from exactly one worker (see the SAFETY comment there).
 unsafe impl<T: Send> Send for SyncPtr<T> {}
+// SAFETY: as above — shared access only ever writes disjoint slots.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
 /// Write cursor over one cell of a [`par_emit`] buffer (or, on the
@@ -416,26 +422,6 @@ where
     (out, stats)
 }
 
-/// Builds a [`CsrGraph`] on `n` nodes from packed directed arcs
-/// ([`pack`]`(u, v)`), deduplicating in parallel.
-///
-/// The arc multiset must be symmetric (every `(u, v)` accompanied by
-/// `(v, u)`) and free of self-loops and out-of-range endpoints — the
-/// callers all guarantee this by construction, and debug builds re-verify
-/// via the CSR invariant check. Prefer [`csr_from_half_arcs`] when the
-/// caller can emit each undirected edge once: combining half the records
-/// costs half the sort.
-pub fn csr_from_arcs(n: usize, arcs: Vec<u64>) -> (CsrGraph, CombineStats) {
-    if n == 0 {
-        debug_assert!(arcs.is_empty());
-        return (CsrGraph::empty(0), CombineStats::default());
-    }
-    let key_space = (n as u64) << 32;
-    let (arcs, stats) = combine_by_key(arcs, key_space, |&a| a, |first, _dup| first);
-    let (offsets, targets) = csr_parts_from_sorted(n, &arcs, |&a| a);
-    (CsrGraph::from_parts(offsets, targets), stats)
-}
-
 /// Combines normalized half-records (key = [`pack`]`(a, b)` with `a ≤ b`
 /// node/cluster ids, one record per undirected edge occurrence) and then
 /// symmetrizes the combined entries into the full sorted arc set.
@@ -475,9 +461,9 @@ where
     (arcs, stats)
 }
 
-/// [`csr_from_arcs`] for half-arcs that are **already unique** (any order):
-/// skips the dedup combine and only mirrors + key-sorts. Used when the
-/// caller's own combine produced the normalized edge set.
+/// [`csr_from_half_arcs`] for half-arcs that are **already unique** (any
+/// order): skips the dedup combine and only mirrors + key-sorts. Used when
+/// the caller's own combine produced the normalized edge set.
 pub(crate) fn csr_from_unique_half_arcs(n: usize, half_arcs: Vec<u64>) -> CsrGraph {
     if n == 0 {
         debug_assert!(half_arcs.is_empty());
@@ -498,9 +484,10 @@ pub(crate) fn csr_from_unique_half_arcs(n: usize, half_arcs: Vec<u64>) -> CsrGra
     CsrGraph::from_parts(offsets, targets)
 }
 
-/// [`csr_from_arcs`] for half-arc input: one normalized [`pack`]`(min(u,v),
-/// max(u,v))` key per undirected edge occurrence (duplicates fine,
-/// self-loops must be pre-filtered).
+/// Builds a [`CsrGraph`] on `n` nodes from half-arc input: one normalized
+/// [`pack`]`(min(u,v), max(u,v))` key per undirected edge occurrence
+/// (duplicates fine, self-loops must be pre-filtered). Combining half the
+/// records costs half the sort of combining both arcs of every edge.
 pub fn csr_from_half_arcs(n: usize, half_arcs: Vec<u64>) -> (CsrGraph, CombineStats) {
     if n == 0 {
         debug_assert!(half_arcs.is_empty());
@@ -629,9 +616,9 @@ mod tests {
 
     #[test]
     fn dedup_fold_keeps_one_of_identical_records() {
-        // The dedup client (csr_from_arcs) folds records whose payload IS
-        // the key, so any survivor is the right one; both size regimes must
-        // agree with the oracle exactly.
+        // A dedup fold over records whose payload IS the key (as in
+        // `csr_from_half_arcs`): any survivor is the right one; both size
+        // regimes must agree with the oracle exactly.
         for n in [500usize, 2 * SMALL] {
             let input: Vec<(u64, u64)> = (0..n as u64).map(|i| (i % 97, i % 97)).collect();
             let (got, _) = combine_by_key(input, 97, |p| p.0, |first, _| first);
@@ -667,35 +654,6 @@ mod tests {
         // Must be above the sequential cutoff: the single-pass route has no
         // declared count to violate.
         let _ = par_emit(2 * SEQ_EMIT, |_| 2, |i, e| e.push(i as u64));
-    }
-
-    #[test]
-    fn csr_from_arcs_builds_valid_graph() {
-        // A mesh-ish arc soup with duplicates.
-        let mut arcs = Vec::new();
-        for u in 0u32..50 {
-            for v in 0u32..50 {
-                if u != v && (u + v) % 3 == 0 {
-                    arcs.push(pack(u, v));
-                    arcs.push(pack(v, u));
-                    arcs.push(pack(u, v)); // duplicate
-                }
-            }
-        }
-        let (g, stats) = csr_from_arcs(50, arcs);
-        assert!(g.check_invariants().is_ok());
-        assert_eq!(stats.output_pairs, g.num_arcs());
-        assert!(stats.input_pairs > stats.output_pairs);
-    }
-
-    #[test]
-    fn csr_from_arcs_empty() {
-        let (g, stats) = csr_from_arcs(0, Vec::new());
-        assert_eq!(g.num_nodes(), 0);
-        assert_eq!(stats.output_pairs, 0);
-        let (g, _) = csr_from_arcs(5, Vec::new());
-        assert_eq!(g.num_nodes(), 5);
-        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]

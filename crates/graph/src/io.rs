@@ -1,6 +1,49 @@
 //! Graph serialization: SNAP-style text edge lists and a compact binary
 //! snapshot format.
 //!
+//! # Text edge lists
+//!
+//! [`read_edge_list`] and [`read_weighted_edge_list`] share one byte-level
+//! tokenizer with this grammar:
+//!
+//! * Lines end at `\n`. The ASCII blanks — space, `\t`, `\r`, `\x0b` and
+//!   `\x0c` — separate tokens, so CRLF files read like LF ones. Lines of
+//!   blanks only are skipped.
+//! * A line whose first non-blank byte is `#` is a comment. Among the tokens
+//!   after the `#`, `nodes N` raises the node count to `N` when `N` is a
+//!   count in the grammar of `str::parse::<usize>`; everything else in a
+//!   comment is ignored.
+//! * Any other line is an edge line. Its first two tokens are node ids in
+//!   the grammar of `str::parse::<u32>`: an optional `+`, then digits,
+//!   without overflow. [`read_weighted_edge_list`] reads an optional third
+//!   token as a `u64` weight in the same grammar (default 1). Further tokens
+//!   are ignored, but must be UTF-8.
+//! * The node count is one past the largest id, or the largest `nodes N` if
+//!   that is larger. An id or a declared count that [`NodeId`] cannot index
+//!   (a node count above `NodeId::MAX - 1`) is an error, raised while
+//!   parsing, before anything is allocated for the graph.
+//! * Every error is [`io::ErrorKind::InvalidData`] and names the 1-based
+//!   line number and the line. It is the first bad line in input order, at
+//!   any pool size.
+//!
+//! Two deliberate differences from reading lines as `str` and splitting
+//! them with `str::split_whitespace`, as this module did before:
+//!
+//! * Bytes that are not UTF-8 inside a comment line are skipped. They used
+//!   to fail the whole read.
+//! * Unicode whitespace outside ASCII, such as U+00A0, is not a blank: it no
+//!   longer separates ids, so a line like `1\u{a0}2` is an error, and a
+//!   comment that uses it to separate `nodes` from `N` declares nothing.
+//!
+//! The reader parses straight from [`BufRead::fill_buf`], without copying:
+//! the whole lines of each fill are cut into pieces of about 256 KiB that
+//! end at a newline, and the pieces are parsed in parallel. A line that
+//! straddles two fills goes through a small carry buffer. A `&[u8]` fills
+//! with all of its text at once; a file parses in parallel with bounded
+//! memory through a `BufReader` of a few MiB. The unweighted reader hands
+//! its pieces' edges to [`GraphBuilder`]'s counting-sort build without
+//! concatenating them.
+//!
 //! # The `PDEC1` base format
 //!
 //! The original binary format stores the CSR arrays directly so that large
@@ -54,6 +97,7 @@
 //! any byte yields an error (asserted exhaustively by the tests here and
 //! property-tested in `tests/proptests_session.rs`).
 
+use crate::builder::{self, MAX_NODES};
 use crate::ccsr::BLOCK;
 use crate::{Backend, CcsrGraph, CsrGraph, GraphBuilder, GraphRepr, NodeId, WeightedGraph};
 use bytes::{Buf, BufMut};
@@ -107,59 +151,12 @@ pub fn write_edge_list(g: &CsrGraph, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a text edge list (comment lines start with `#`; separators are any
-/// whitespace). Node count is `max id + 1` unless a `# nodes n …` header
-/// declares a larger one.
+/// Reads a text edge list (see [Text edge lists](self#text-edge-lists))
+/// into the canonical CSR: symmetric, without self-loops or duplicates.
+/// Tokens after the two node ids are ignored.
 pub fn read_edge_list(r: &mut impl BufRead) -> io::Result<CsrGraph> {
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut declared_n: usize = 0;
-    let mut max_id: usize = 0;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix('#') {
-            // Parse an optional "nodes <n>" declaration.
-            let mut it = rest.split_whitespace();
-            while let Some(tok) = it.next() {
-                if tok == "nodes" {
-                    if let Some(Ok(n)) = it.next().map(str::parse::<usize>) {
-                        declared_n = declared_n.max(n);
-                    }
-                }
-            }
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let (u, v) = match (it.next(), it.next()) {
-            (Some(a), Some(b)) => (
-                a.parse::<NodeId>()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-                b.parse::<NodeId>()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            ),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed edge line: {t:?}"),
-                ))
-            }
-        };
-        max_id = max_id.max(u as usize).max(v as usize);
-        edges.push((u, v));
-    }
-    let n = declared_n.max(if edges.is_empty() { 0 } else { max_id + 1 });
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for (u, v) in edges {
-        b.add_edge(u, v);
-    }
-    Ok(b.build())
+    let (n, parts) = read_edge_lines(r, |u, v, _| Ok((u, v)))?;
+    Ok(builder::build_csr(n, &parts))
 }
 
 /// Writes `g` as a text edge list with a third weight column: a
@@ -177,59 +174,316 @@ pub fn write_weighted_edge_list(g: &WeightedGraph, w: &mut impl Write) -> io::Re
 
 /// Reads a text edge list with an *optional* third weight column (missing
 /// weights default to 1, so every unweighted edge list is also a valid
-/// weighted one). Comments, separators, and the `# nodes n` header follow
-/// [`read_edge_list`]; duplicate edges keep their smallest weight.
+/// weighted one; see [Text edge lists](self#text-edge-lists)). Tokens after
+/// the weight are ignored; duplicate edges keep their smallest weight.
 pub fn read_weighted_edge_list(r: &mut impl BufRead) -> io::Result<WeightedGraph> {
-    let mut edges: Vec<(NodeId, NodeId, u64)> = Vec::new();
-    let mut declared_n: usize = 0;
-    let mut max_id: usize = 0;
-    let mut line = String::new();
+    let (n, parts) = read_edge_lines(r, |u, v, rest| {
+        let w = match rest.next() {
+            None => 1,
+            Some(tok) => parse_uint(tok).ok_or_else(|| format!("invalid weight {}", show(tok)))?,
+        };
+        Ok((u, v, w))
+    })?;
+    Ok(WeightedGraph::from_edges(n, &parts.concat()))
+}
+
+/// Bytes per parse task: each run of complete lines is cut into pieces of
+/// about this size, each ending at a newline, and the pieces are parsed in
+/// parallel. A constant, so the cuts depend only on the bytes.
+const PARSE_PIECE: usize = 256 << 10;
+
+/// Parses the edge lines of `r`, straight from its buffer, into one record
+/// per edge line (`record` reads whatever follows the two node ids),
+/// returning the node count and the records in input order, split into
+/// parts. The first bad line in input order is the error.
+fn read_edge_lines<E, R>(r: &mut impl BufRead, record: R) -> io::Result<(usize, Vec<Vec<E>>)>
+where
+    E: Send,
+    R: Fn(NodeId, NodeId, &mut Tokens<'_>) -> Result<E, String> + Sync,
+{
+    let mut text = EdgeText {
+        parts: Vec::new(),
+        nodes: 0,
+        lines: 0,
+    };
+    // The start of a line that straddles two fills.
+    let mut carry = Vec::new();
     loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
             break;
         }
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix('#') {
-            let mut it = rest.split_whitespace();
-            while let Some(tok) = it.next() {
-                if tok == "nodes" {
-                    if let Some(Ok(n)) = it.next().map(str::parse::<usize>) {
-                        declared_n = declared_n.max(n);
-                    }
+        let len = buf.len();
+        match buf.iter().rposition(|&b| b == b'\n') {
+            None => carry.extend_from_slice(buf),
+            Some(last) => {
+                let (mut whole, tail) = buf.split_at(last + 1);
+                if !carry.is_empty() {
+                    let end = whole.iter().position(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    carry.extend_from_slice(&whole[..end]);
+                    text.parse(&carry, &record)?;
+                    carry.clear();
+                    whole = &whole[end..];
                 }
+                text.parse(whole, &record)?;
+                carry.extend_from_slice(tail);
             }
-            continue;
         }
-        let mut it = t.split_whitespace();
-        let (u, v) = match (it.next(), it.next()) {
-            (Some(a), Some(b)) => (
-                a.parse::<NodeId>()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-                b.parse::<NodeId>()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            ),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed edge line: {t:?}"),
-                ))
+        r.consume(len);
+    }
+    text.parse(&carry, &record)?;
+    Ok((text.nodes, text.parts))
+}
+
+/// What the lines parsed so far add up to.
+struct EdgeText<E> {
+    parts: Vec<Vec<E>>,
+    /// One past the largest node id, or the largest `nodes N`.
+    nodes: usize,
+    /// Lines parsed so far.
+    lines: usize,
+}
+
+impl<E: Send> EdgeText<E> {
+    /// Parses a run of whole lines (only the input's last line may lack its
+    /// newline) in parallel pieces, and appends them in order.
+    fn parse<R>(&mut self, run: &[u8], record: &R) -> io::Result<()>
+    where
+        R: Fn(NodeId, NodeId, &mut Tokens<'_>) -> Result<E, String> + Sync,
+    {
+        let mut pieces = Vec::new();
+        let mut rest = run;
+        while !rest.is_empty() {
+            let end = match rest.get(PARSE_PIECE - 1..) {
+                Some(after) => after
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |i| PARSE_PIECE + i),
+                None => rest.len(),
+            };
+            let (piece, tail) = rest.split_at(end);
+            pieces.push(piece);
+            rest = tail;
+        }
+        let parsed: Vec<Result<Piece<E>, BadLine>> = pieces
+            .into_par_iter()
+            .map(|piece| parse_piece(piece, record))
+            .collect();
+        for piece in parsed {
+            let piece = piece.map_err(|bad| {
+                data_err(format!("line {}: {}", self.lines + bad.index + 1, bad.why))
+            })?;
+            self.lines += piece.lines;
+            self.nodes = self.nodes.max(piece.nodes);
+            if !piece.edges.is_empty() {
+                self.parts.push(piece.edges);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One parsed piece of whole lines.
+struct Piece<E> {
+    edges: Vec<E>,
+    nodes: usize,
+    lines: usize,
+}
+
+impl<E> Piece<E> {
+    fn push(&mut self, u: NodeId, v: NodeId, edge: E) {
+        self.nodes = self.nodes.max(u.max(v) as usize + 1);
+        self.edges.push(edge);
+    }
+}
+
+/// A line the grammar rejects: its 0-based index in its piece, and why.
+struct BadLine {
+    index: usize,
+    why: String,
+}
+
+fn parse_piece<E>(
+    piece: &[u8],
+    record: &impl Fn(NodeId, NodeId, &mut Tokens<'_>) -> Result<E, String>,
+) -> Result<Piece<E>, BadLine> {
+    let newlines = piece.iter().filter(|&&b| b == b'\n').count();
+    let mut out = Piece {
+        edges: Vec::with_capacity(newlines + 1),
+        nodes: 0,
+        lines: newlines + usize::from(piece.last().is_some_and(|&b| b != b'\n')),
+    };
+    let mut rest = piece;
+    let mut index = 0;
+    while !rest.is_empty() {
+        // The line, how many bytes it takes with its newline, and its parse.
+        let (line, used, parsed) = match plain_edge(rest) {
+            Some((u, v, used)) => {
+                let edge = record(u, v, &mut Tokens(&[]));
+                (&rest[..used], used, edge.map(|edge| out.push(u, v, edge)))
+            }
+            None => {
+                let end = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+                let line = &rest[..end];
+                (line, end + 1, parse_line(line, record, &mut out))
             }
         };
-        let w = match it.next() {
-            Some(s) => s
-                .parse::<u64>()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            None => 1,
-        };
-        max_id = max_id.max(u as usize).max(v as usize);
-        edges.push((u, v, w));
+        parsed.map_err(|why| BadLine {
+            index,
+            why: format!("{why}: {}", show(line)),
+        })?;
+        rest = rest.get(used..).unwrap_or_default();
+        index += 1;
     }
-    let n = declared_n.max(if edges.is_empty() { 0 } else { max_id + 1 });
-    Ok(WeightedGraph::from_edges(n, &edges))
+    Ok(out)
+}
+
+/// The fast path for the common edge line — two ids of at most nine digits,
+/// blanks between and after them, then the newline or the end of `text` —
+/// giving the ids and the bytes the line takes, newline included. Any other
+/// line gives `None` and goes to [`parse_line`], which reads such a line
+/// the same way.
+#[inline]
+fn plain_edge(text: &[u8]) -> Option<(NodeId, NodeId, usize)> {
+    let blanks = |i: usize| i + text[i..].iter().take_while(|&&b| is_blank(b)).count();
+    let (u, i) = short_id(text, 0)?;
+    let j = blanks(i);
+    if j == i {
+        return None;
+    }
+    let (v, i) = short_id(text, j)?;
+    let i = blanks(i);
+    match text.get(i) {
+        None => Some((u, v, i)),
+        Some(b'\n') => Some((u, v, i + 1)),
+        Some(_) => None,
+    }
+}
+
+/// The id spelled by the (one to nine) digits at `text[i..]`, and the index
+/// after them.
+#[inline]
+fn short_id(text: &[u8], i: usize) -> Option<(NodeId, usize)> {
+    let (mut id, mut len) = (0, 0);
+    for &b in text[i..].iter().take(9) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        id = id * 10 + NodeId::from(b - b'0');
+        len += 1;
+    }
+    (len > 0).then_some((id, i + len))
+}
+
+/// Parses one line (without its newline) into `out`.
+fn parse_line<E>(
+    line: &[u8],
+    record: &impl Fn(NodeId, NodeId, &mut Tokens<'_>) -> Result<E, String>,
+    out: &mut Piece<E>,
+) -> Result<(), String> {
+    let Some(start) = line.iter().position(|&b| !is_blank(b)) else {
+        return Ok(());
+    };
+    let line = &line[start..];
+    if let Some(comment) = line.strip_prefix(b"#") {
+        let mut tokens = Tokens(comment);
+        while let Some(tok) = tokens.next() {
+            if tok != b"nodes" {
+                continue;
+            }
+            let declared = tokens.next().and_then(parse_uint);
+            if let Some(n) = declared.and_then(|n| usize::try_from(n).ok()) {
+                if n > MAX_NODES {
+                    return Err(format!(
+                        "declared node count {n} is above the limit of {MAX_NODES}"
+                    ));
+                }
+                out.nodes = out.nodes.max(n);
+            }
+        }
+        return Ok(());
+    }
+    let mut tokens = Tokens(line);
+    let (Some(a), Some(b)) = (tokens.next(), tokens.next()) else {
+        return Err("expected two node ids".into());
+    };
+    let (u, v) = (node_id(a)?, node_id(b)?);
+    let edge = record(u, v, &mut tokens)?;
+    if std::str::from_utf8(tokens.0).is_err() {
+        return Err("not UTF-8".into());
+    }
+    out.push(u, v, edge);
+    Ok(())
+}
+
+/// The ASCII blanks that separate tokens; `\n` ends the line instead.
+#[inline]
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
+/// The blank-separated tokens of what is left of one line.
+struct Tokens<'a>(&'a [u8]);
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.0.iter().position(|&b| !is_blank(b))?;
+        let tail = &self.0[start..];
+        let len = tail.iter().position(|&b| is_blank(b)).unwrap_or(tail.len());
+        let (tok, rest) = tail.split_at(len);
+        self.0 = rest;
+        Some(tok)
+    }
+}
+
+/// An unsigned decimal in the grammar `str::parse::<u64>` accepts: an
+/// optional `+`, then one or more digits, without overflow.
+fn parse_uint(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// A node id: a decimal that leaves the node count within
+/// [`MAX_NODES`].
+fn node_id(tok: &[u8]) -> Result<NodeId, String> {
+    match parse_uint(tok) {
+        Some(id) if id < MAX_NODES as u64 => Ok(id as NodeId),
+        Some(id) => Err(format!(
+            "node id {id} is out of range (ids stop below {MAX_NODES})"
+        )),
+        None => Err(format!("invalid node id {}", show(tok))),
+    }
+}
+
+/// A quoted, lossy rendering of (the start of) some input bytes for an
+/// error message.
+fn show(bytes: &[u8]) -> String {
+    const SHOWN: usize = 64;
+    let bytes = bytes.trim_ascii_end();
+    let shown = format!(
+        "{:?}",
+        String::from_utf8_lossy(&bytes[..bytes.len().min(SHOWN)])
+    );
+    if bytes.len() > SHOWN {
+        shown + "…"
+    } else {
+        shown
+    }
 }
 
 fn data_err(msg: impl Into<String>) -> io::Error {
@@ -775,6 +1029,166 @@ mod tests {
         assert!(read_edge_list(&mut BufReader::new(text.as_bytes())).is_err());
         let text = "42\n";
         assert!(read_edge_list(&mut BufReader::new(text.as_bytes())).is_err());
+    }
+
+    /// The `InvalidData` message both readers give for `text`.
+    fn both_reject(text: &[u8]) -> String {
+        let plain = read_edge_list(&mut &text[..]).expect_err("read_edge_list accepted");
+        let weighted = read_weighted_edge_list(&mut &text[..]).expect_err("weighted accepted");
+        assert_eq!(plain.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(weighted.kind(), io::ErrorKind::InvalidData);
+        plain.to_string()
+    }
+
+    #[test]
+    fn text_grammar_blanks_comments_and_signs() {
+        let text = b"# header \xff\xfe not UTF-8\r\n\
+                     \t\x0b\x0c \r\n\
+                     +0\t\t+1 extra columns \xc3\xa9\r\n\
+                     #nodes 7\n\
+                     \x0c1\x0b2\n\
+                     # nodes 3 nodes junk 5 nodes 99999999999999999999999\n\
+                     00002 00003";
+        let g = read_edge_list(&mut &text[..]).unwrap();
+        let expected = GraphBuilder::new(7)
+            .add_edges([(0, 1), (1, 2), (2, 3)])
+            .build();
+        assert_eq!(g, expected);
+        let w = read_weighted_edge_list(&mut &b"1 2 +5 x\r\n0 1\r\n"[..]).unwrap();
+        assert_eq!(w, WeightedGraph::from_edges(3, &[(1, 2, 5), (0, 1, 1)]));
+        // An empty input and one of comments only are graphs too.
+        assert_eq!(read_edge_list(&mut &b""[..]).unwrap(), CsrGraph::empty(0));
+        assert_eq!(
+            read_edge_list(&mut &b"# nodes 4\n"[..]).unwrap(),
+            CsrGraph::empty(4)
+        );
+    }
+
+    #[test]
+    fn text_errors_name_the_line() {
+        let msg = both_reject(b"# c\n0 1\n\n2 x\n3 y\n");
+        assert_eq!(msg, "line 4: invalid node id \"x\": \"2 x\"");
+        let msg = both_reject(b"0 1\r\n7\r\n");
+        assert_eq!(msg, "line 2: expected two node ids: \"7\"");
+        for bad in [
+            "-1 2",
+            "1 -2",
+            "+ 2",
+            "++1 2",
+            "1 2x",
+            "1,2",
+            "4294967296 0",
+        ] {
+            both_reject(bad.as_bytes());
+        }
+        let long = format!("1 {}\n", "9".repeat(100));
+        assert!(both_reject(long.as_bytes()).ends_with("…"));
+        assert!(read_weighted_edge_list(&mut &b"0 1 18446744073709551616\n"[..]).is_err());
+        assert!(read_weighted_edge_list(&mut &b"0 1 -3\n"[..]).is_err());
+    }
+
+    #[test]
+    fn non_utf8_is_skipped_only_inside_comments() {
+        let g = read_edge_list(&mut &b"# \xff\xc3\n0 1\n"[..]).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        let msg = both_reject(b"0 1\n0 1 \xff\n");
+        assert!(msg.starts_with("line 2: not UTF-8"), "{msg}");
+        both_reject(b"0\xff 1\n");
+    }
+
+    #[test]
+    fn unicode_whitespace_outside_ascii_separates_nothing() {
+        // U+00A0 NO-BREAK SPACE and U+2003 EM SPACE are not blanks.
+        let msg = both_reject("0\u{a0}1\n".as_bytes());
+        assert!(msg.starts_with("line 1: expected two node ids"), "{msg}");
+        both_reject("0\u{2003}1 2\n".as_bytes());
+        both_reject("\u{a0}0 1\n".as_bytes());
+        // A comment that uses one to separate `nodes` from N declares nothing.
+        let g = read_edge_list(&mut "# nodes\u{a0}9\n0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.num_nodes(), 2);
+    }
+
+    #[test]
+    fn edge_list_rejects_id_4294967294() {
+        let msg = read_edge_list(&mut &b"4294967294 0\n"[..])
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            msg,
+            "line 1: node id 4294967294 is out of range (ids stop below 4294967294): \"4294967294 0\""
+        );
+    }
+
+    #[test]
+    fn edge_list_rejects_id_4294967295() {
+        let err = read_edge_list(&mut &b"0 1\n4294967295 0\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err
+            .to_string()
+            .starts_with("line 2: node id 4294967295 is out of range"));
+    }
+
+    #[test]
+    fn edge_list_rejects_declared_4294967295_nodes() {
+        let err = read_edge_list(&mut &b"# nodes 4294967295\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err
+            .to_string()
+            .starts_with("line 1: declared node count 4294967295"));
+    }
+
+    #[test]
+    fn weighted_edge_list_rejects_id_4294967295() {
+        let err = read_weighted_edge_list(&mut &b"4294967295 0\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err
+            .to_string()
+            .starts_with("line 1: node id 4294967295 is out of range"));
+    }
+
+    #[test]
+    fn weighted_edge_list_rejects_id_4294967294() {
+        let err = read_weighted_edge_list(&mut &b"4294967294 0 3\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err
+            .to_string()
+            .starts_with("line 1: node id 4294967294 is out of range"));
+    }
+
+    #[test]
+    fn weighted_edge_list_rejects_declared_4294967295_nodes() {
+        let err = read_weighted_edge_list(&mut &b"# nodes 4294967295\n0 1 2\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err
+            .to_string()
+            .starts_with("line 1: declared node count 4294967295"));
+    }
+
+    #[test]
+    fn the_first_bad_line_wins_across_pieces_and_pools() {
+        // Three pieces' worth of lines with bad lines in the second and
+        // third piece: the earlier one is reported at any pool size.
+        let mut text = Vec::new();
+        for i in 0..100_000u32 {
+            match i {
+                40_000 => text.extend_from_slice(b"bad line\n"),
+                90_000 => text.extend_from_slice(b"7\n"),
+                _ => text.extend_from_slice(format!("{} {}\n", i % 977, i % 331).as_bytes()),
+            }
+        }
+        assert!(text.len() > 2 * PARSE_PIECE);
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool construction cannot fail");
+            let err = pool.install(|| read_edge_list(&mut &text[..])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "line 40001: invalid node id \"bad\": \"bad line\"",
+                "at {threads} threads"
+            );
+        }
     }
 
     #[test]

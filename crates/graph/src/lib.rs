@@ -22,10 +22,11 @@
 //!   and Dijkstra/APSP for computing quotient diameters;
 //! * a deterministic parallel [`combine`] kernel (count → prefix → scatter →
 //!   per-bucket sort/fold) underlying every contraction path — quotient and
-//!   contracted-graph builds, `GraphBuilder::build`, the spanner's CSR
-//!   assembly — with the seed-era sequential versions retained in [`naive`]
-//!   as test oracles;
-//! * edge-list and binary **I/O** and basic **statistics**.
+//!   contracted-graph builds — and a parallel counting-sort CSR build behind
+//!   [`GraphBuilder`], with the seed-era sequential versions retained in
+//!   [`naive`] as test oracles;
+//! * parallel byte-level edge-list and binary **I/O** and basic
+//!   **statistics**.
 //!
 //! All randomized routines take an explicit `u64` seed so that every
 //! experiment in the workspace is reproducible.

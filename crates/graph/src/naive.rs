@@ -2,8 +2,9 @@
 //! weighted APSP, retained verbatim as executable specs. All are sequential
 //! except the APSP, which spreads its sources over the pool.
 //!
-//! The [`crate::combine`] kernel and the bucket-queue Dijkstra of
-//! [`WeightedGraph`] replaced these on the hot paths; they live on here as
+//! The [`crate::combine`] kernel, the counting-sort [`crate::GraphBuilder`]
+//! and the bucket-queue Dijkstra of [`WeightedGraph`] replaced these on the
+//! hot paths; they live on here as
 //! the oracles that `tests/proptests_quotient.rs`,
 //! `tests/proptests_weighted.rs` and `bench_quotient` compare against
 //! byte-for-byte. Nothing in the library itself calls them.

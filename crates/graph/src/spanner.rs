@@ -11,7 +11,7 @@
 //! `O(k·n^{1+1/k})` edges in which every distance stretches by at most
 //! `2k - 1`.
 
-use crate::combine::{self, pack};
+use crate::builder;
 use crate::{CsrGraph, NodeId, INVALID_NODE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,22 +196,10 @@ pub fn baswana_sen(g: &CsrGraph, k: usize, seed: u64) -> Spanner {
         }
     }
 
-    // Final CSR build on the combine kernel: symmetrize the kept edges
-    // with a two-pass scatter (no self-loops by construction — every kept
-    // edge joins `v` to a neighbour), then dedup straight into the CSR
-    // arrays. Kept edges are duplicate-light, so the direct route beats
-    // the half-arc combine-then-mirror one.
-    let arcs = combine::par_emit(
-        spanner.len(),
-        |_| 2,
-        |i, emit| {
-            let (u, v) = spanner[i];
-            emit.push(pack(u, v));
-            emit.push(pack(v, u));
-        },
-    );
+    // Kept edges may repeat (both endpoints can keep the same edge); the
+    // builder's counting sort symmetrizes and deduplicates them.
     Spanner {
-        graph: combine::csr_from_arcs(n, arcs).0,
+        graph: builder::build_csr(n, std::slice::from_ref(&spanner)),
         stretch: (2 * k - 1) as u32,
     }
 }

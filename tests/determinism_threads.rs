@@ -103,8 +103,42 @@ fn quotient_is_byte_identical_across_pool_sizes() {
     }
 }
 
-/// Baswana–Sen spanner construction (sequential phase loops + kernel CSR
-/// build) is byte-identical across pool sizes.
+/// The edge-list reader parses its text in parallel pieces and builds the
+/// CSR in parallel stripes; the graph must not depend on the pool size. The
+/// text spans several 256 KiB parse pieces and two build stripes, with its
+/// edges written in a shuffled order, half of them reversed and one in
+/// eight twice.
+#[test]
+fn read_edge_list_is_byte_identical_across_pool_sizes() {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let g = generators::windowed_preferential_attachment(50_000, 12, 0.025, 7);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+    edges.shuffle(&mut rng);
+    let mut text = Vec::new();
+    for &(u, v) in &edges {
+        let (a, b) = if rng.gen::<bool>() { (u, v) } else { (v, u) };
+        let copies = if rng.gen_range(0..8u32) == 0 { 2 } else { 1 };
+        for _ in 0..copies {
+            text.extend_from_slice(format!("{a}\t{b}\n").as_bytes());
+        }
+    }
+    assert!(g.num_edges() > 2 * (1 << 18) && text.len() > 4 * (256 << 10));
+    let read = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool construction cannot fail")
+            .install(|| io::read_edge_list(&mut &text[..]).expect("the text is well formed"))
+    };
+    let (one, four) = (read(1), read(4));
+    assert_eq!(one, g, "read_edge_list diverged from the written graph");
+    assert_eq!(four, one, "read_edge_list diverged across pool sizes");
+}
+
+/// Baswana–Sen spanner construction (sequential phase loops + counting-sort
+/// CSR build) is byte-identical across pool sizes.
 #[test]
 fn spanner_is_byte_identical_across_pool_sizes() {
     for (name, g) in workload_graphs() {
