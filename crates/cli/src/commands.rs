@@ -748,7 +748,9 @@ mod tests {
 
     #[test]
     fn generate_stats_cluster_diameter_round_trip() {
-        let graph_path = tmp("mesh.txt");
+        // Not `mesh.txt`: `generate_all_families` writes and removes that
+        // file while this test may still be reading it.
+        let graph_path = tmp("round-trip-mesh.txt");
         dispatch(&args(&format!(
             "generate --family mesh --rows 20 --cols 20 --out {graph_path}"
         )))

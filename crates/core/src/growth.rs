@@ -1,17 +1,19 @@
 //! The parallel disjoint cluster-growing engine shared by CLUSTER, CLUSTER2,
 //! and the MPX baseline.
 //!
-//! Since PR 3 this is a thin facade over
-//! [`pardec_graph::frontier::FrontierEngine`], which owns the
-//! level-expansion machinery: each *growth step* expands every active
-//! cluster's frontier by one hop, with contention for an uncovered node
-//! resolved **deterministically** by the smallest packed `(owner, dist)`
-//! proposal — so the smallest owner id, then the smallest distance, wins
-//! regardless of thread interleaving (the paper allows arbitrary
-//! tie-breaking, we pick a reproducible one). The engine's top-down,
-//! bottom-up, and hybrid expansion strategies all realize that same rule,
-//! so the resulting [`Clustering`] is bit-identical across runs, thread
-//! counts, *and* strategies.
+//! A thin facade over [`pardec_graph::frontier::FrontierEngine`], which
+//! owns the level-expansion machinery: each *growth step* expands every
+//! active cluster's frontier by one hop. The engine keeps one claim word
+//! `(step, cluster)` per node, and contention for an uncovered node is
+//! resolved **deterministically** by the smallest word: of the clusters
+//! reaching it in the same step, the smallest id wins, regardless of thread
+//! interleaving (the paper allows arbitrary tie-breaking, we pick a
+//! reproducible one). A cluster's frontier is a ring, all at one distance
+//! from its center, so that is also the smallest `(cluster, dist)` pair,
+//! and a center activated between steps starts its own ring at distance 0.
+//! The engine's top-down, bottom-up, and hybrid expansion strategies all
+//! realize that same rule, so the resulting [`Clustering`] is bit-identical
+//! across runs, thread counts, *and* strategies.
 
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::{CsrGraph, NeighborAccess, NodeId};

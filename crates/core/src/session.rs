@@ -401,7 +401,8 @@ impl Session {
     /// Batched nearest-source queries, answered by **one** multi-source
     /// [`FrontierEngine`] wave: every source is activated up front, the wave
     /// runs to exhaustion, and each probe reads off its claiming source and
-    /// exact hop distance. Unreachable probes report
+    /// exact hop distance ([`FrontierEngine::label`]: the probes' labels
+    /// only, never all `n`). Unreachable probes report
     /// `(INVALID_NODE, INFINITE_DIST)`.
     ///
     /// The ledger records `waves = 1` (or 0 for an empty source set) and
@@ -431,17 +432,9 @@ impl Session {
         }
         engine.run();
         let rounds = engine.steps() as u32;
-        let parts = engine.into_parts();
         let out = probes
             .iter()
-            .map(|&p| {
-                let owner = parts.owner[p as usize];
-                if owner == INVALID_NODE {
-                    (INVALID_NODE, INFINITE_DIST)
-                } else {
-                    (parts.sources[owner as usize], parts.dist[p as usize])
-                }
-            })
+            .map(|&p| engine.label(p).unwrap_or((INVALID_NODE, INFINITE_DIST)))
             .collect();
         let ledger = QueryLedger {
             batch: probes.len() as u32,

@@ -51,7 +51,7 @@
 //! bytes per node would cost as much as a third of the representation on
 //! sparse graphs (a 20k-node power-law graph would fall from 3.06× smaller
 //! than plain CSR to 2.62×), for lookups that only traversals need. While a
-//! traversal runs it is a quarter of the 16 bytes per node the frontier
+//! traversal runs it is half of the 8-byte claim word per node the frontier
 //! engine already allocates.
 //!
 //! # Determinism

@@ -9,10 +9,10 @@
 //! * [`FrontierStrategy::TopDown`] — classic push expansion: every frontier
 //!   node proposes itself to its unclaimed neighbours. Work per level is
 //!   `Θ(Σ deg(frontier))`, optimal while the frontier is small.
-//! * [`FrontierStrategy::BottomUp`] — pull expansion driven by a dense
-//!   frontier bitmap: every *unclaimed* node scans its own adjacency list
-//!   for claimed parents in the current frontier. Work per level is
-//!   `Θ(n/64 + Σ deg(unclaimed))`, which is far cheaper on the saturation
+//! * [`FrontierStrategy::BottomUp`] — pull expansion: every *unclaimed*
+//!   node scans its own adjacency list for parents in the current frontier,
+//!   which it recognizes by their claim step. Work per level is
+//!   `Θ(n + Σ deg(unclaimed))`, which is far cheaper on the saturation
 //!   levels of low-diameter graphs where the frontier covers most arcs.
 //! * [`FrontierStrategy::Hybrid`] — the Beamer et al. direction-optimizing
 //!   heuristic (SC'12): switch to bottom-up when the frontier is still
@@ -23,18 +23,32 @@
 //! # Determinism contract
 //!
 //! All three strategies produce **byte-identical** `owner`/`dist` arrays, at
-//! any thread count. Contention for an unclaimed node is always resolved by
-//! taking the *minimum* of the packed proposal `(owner << 32) | dist` over
-//! the node's in-frontier neighbours — smallest owner id first, then
-//! smallest distance:
+//! any thread count. The engine keeps one claim word per node,
 //!
-//! * top-down realizes the minimum with an atomic `fetch_min` propose phase,
-//!   where the one proposal that takes a node's slot from empty lists the
-//!   node, followed by a claim phase that walks those lists (each node once,
-//!   after every proposal landed, so its value is the final minimum
-//!   regardless of thread interleaving);
+//! ```text
+//! claim = (step << 32) | owner        (u64; u64::MAX while unclaimed)
+//! ```
+//!
+//! where `step` is the step that claimed the node (for a source, the step
+//! count at its activation) and `owner` the claiming source's index in
+//! activation order. The distance is implicit: `step − activation(owner)`.
+//! Every frontier node of one owner lies at the same distance from it (a
+//! source's wave is a ring), so within a level the smallest claim word is
+//! the smallest `(owner, dist)` proposal — smallest owner id first, then
+//! smallest distance. A claim from an earlier step compares below every
+//! proposal of the current one, so one load-and-compare per arc both skips
+//! claimed nodes and orders proposals:
+//!
+//! * top-down offers `(step, owner(u))` from every frontier node `u` to its
+//!   neighbours and keeps the minimum in each word — a plain store on the
+//!   calling thread, `fetch_min` in the parallel pass. The one offer that
+//!   takes a word from unclaimed lists the node, so every claimed node
+//!   lands in exactly one list, and once the pass ends each word holds the
+//!   level's minimum regardless of thread interleaving;
 //! * bottom-up realizes the *same* minimum with a per-node sequential scan
-//!   of the adjacency list.
+//!   of the adjacency list over the neighbours whose word carries the
+//!   previous step. A word written concurrently carries the current step,
+//!   so it never reads as frontier.
 //!
 //! Because the claimed set and the claimed values per level are pure
 //! functions of the previous level, every downstream consumer — cluster
@@ -52,7 +66,7 @@ use crate::traversal::BfsResult;
 use crate::{CsrGraph, NodeId, INFINITE_DIST, INVALID_NODE};
 use rayon::prelude::*;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable consulted by [`FrontierStrategy::default_from_env`].
 pub const FRONTIER_ENV: &str = "PARDEC_FRONTIER";
@@ -149,19 +163,26 @@ impl Default for FrontierParams {
     }
 }
 
-/// Sentinel for "no proposal" in the packed proposal slots.
-const NO_PROPOSAL: u64 = u64::MAX;
+/// The claim word of an unclaimed node: above every claim.
+const UNCLAIMED: u64 = u64::MAX;
+
+/// One step in a claim word: a frontier node offers its own word plus this.
+const ONE_STEP: u64 = 1 << 32;
+
+/// Most steps one engine runs. A claim word keeps its step in the high
+/// half, which must stay below the unclaimed word's.
+const MAX_STEPS: usize = u32::MAX as usize - 1;
 
 /// A top-down level whose work — frontier out-degree sum times the backend's
 /// [`NeighborAccess::arc_cost`] — is at most this runs sequentially on the
 /// calling thread; a wider one runs as one chunked parallel pass.
 ///
 /// Set from `crates/bench/results/frontier_grain.jsonl` (both paths timed
-/// on every level of 1- to 4096-source waves, 2-worker pool, three runs).
-/// On a plain road graph the parallel pass costs 1.2–1.9× the sequential
-/// step at 2,048–8,192 arcs, 0.74–1.07× at 8,192–16,384 and 0.55–0.79×
-/// from 16,384 up; on a plain power-law graph it costs 1.4–1.9× at
-/// 4,096–16,384 arcs, 0.75–1.05× at 65,536–262,144 and 0.46–0.67× from
+/// on every level of 1- to 4096-source waves, 2-worker pool; runs 8–10 are
+/// this engine's). On a plain road graph the parallel pass costs 1.1–1.4×
+/// the sequential step at 2,048–8,192 arcs, 0.84–0.93× at 8,192–16,384 and
+/// 0.58–0.81× from 16,384 up; on a plain power-law graph it costs 1.2–1.6×
+/// at 4,096–16,384 arcs, 0.88–0.98× at 65,536–262,144 and 0.52–0.73× from
 /// 524,288 up. This value sits between the two crossovers. The rule reads
 /// only the frontier, so every pool size takes the same path, and either
 /// path claims the same nodes with the same values.
@@ -183,16 +204,6 @@ const MAX_CHUNKS: usize = 32;
 /// overhead of a parallel pass dwarfs the work itself.
 const SEQ_NODE_CUTOFF: usize = 2048;
 
-#[inline]
-fn pack(owner: NodeId, dist: u32) -> u64 {
-    ((owner as u64) << 32) | dist as u64
-}
-
-#[inline]
-fn unpack(p: u64) -> (NodeId, u32) {
-    ((p >> 32) as NodeId, (p & 0xFFFF_FFFF) as u32)
-}
-
 /// Final per-node labels of an engine run (see [`FrontierEngine::into_parts`]).
 #[derive(Clone, Debug)]
 pub struct FrontierParts {
@@ -211,8 +222,8 @@ pub struct FrontierParts {
 /// Sources may be activated up front (plain multi-source BFS) or
 /// incrementally between steps (staggered cluster growth à la CLUSTER /
 /// MPX); each claims the unclaimed nodes its wave reaches first, ties broken
-/// by the deterministic smallest-`(owner, dist)` rule described in the
-/// module docs.
+/// by the deterministic smallest-claim-word rule described in the module
+/// docs. The engine holds one 8-byte word per node.
 ///
 /// Generic over the adjacency backend: any [`NeighborAccess`] implementor
 /// (plain [`CsrGraph`], compressed [`crate::CcsrGraph`], or the runtime
@@ -226,13 +237,12 @@ pub struct FrontierEngine<'g, G: NeighborAccess + 'g = CsrGraph> {
     g: G::Indexed<'g>,
     strategy: FrontierStrategy,
     params: FrontierParams,
-    owner: Vec<AtomicU32>,
-    dist: Vec<AtomicU32>,
-    proposals: Vec<AtomicU64>,
-    /// Dense frontier-membership bitmap, (re)built per bottom-up step.
-    in_frontier: Vec<AtomicU64>,
+    /// One claim word per node (see the module docs).
+    claims: Vec<AtomicU64>,
     frontier: Vec<NodeId>,
     sources: Vec<NodeId>,
+    /// `activated[o]` = the step count when source `o` was activated.
+    activated: Vec<u32>,
     claimed: usize,
     steps: usize,
     bottom_up_steps: usize,
@@ -264,12 +274,10 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
             g: g.indexed(),
             strategy,
             params,
-            owner: (0..n).map(|_| AtomicU32::new(INVALID_NODE)).collect(),
-            dist: (0..n).map(|_| AtomicU32::new(INFINITE_DIST)).collect(),
-            proposals: (0..n).map(|_| AtomicU64::new(NO_PROPOSAL)).collect(),
-            in_frontier: Vec::new(),
+            claims: (0..n).map(|_| AtomicU64::new(UNCLAIMED)).collect(),
             frontier: Vec::new(),
             sources: Vec::new(),
+            activated: Vec::new(),
             claimed: 0,
             steps: 0,
             bottom_up_steps: 0,
@@ -332,7 +340,7 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
 
     /// Whether `v` has been claimed.
     pub fn is_claimed(&self, v: NodeId) -> bool {
-        self.owner[v as usize].load(Ordering::Relaxed) != INVALID_NODE
+        self.claims[v as usize].load(Ordering::Relaxed) != UNCLAIMED
     }
 
     /// Activates `v` as a new source with owner id `num_sources()`. Returns
@@ -342,9 +350,11 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
             return false;
         }
         let id = self.sources.len() as NodeId;
-        self.owner[v as usize].store(id, Ordering::Relaxed);
-        self.dist[v as usize].store(0, Ordering::Relaxed);
+        // `step` keeps the count at most `MAX_STEPS`, so it fits a `u32`.
+        let step = self.steps as u32;
+        self.claims[v as usize].store(((step as u64) << 32) | id as u64, Ordering::Relaxed);
         self.sources.push(v);
+        self.activated.push(step);
         self.frontier.push(v);
         self.claimed += 1;
         let deg = self.g.degree(v);
@@ -355,15 +365,23 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
 
     /// Iterator over currently unclaimed nodes, ascending (sequential scan).
     pub fn unclaimed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let owner = &self.owner;
+        let claims = &self.claims;
         (0..self.g.num_nodes() as NodeId)
-            .filter(move |&v| owner[v as usize].load(Ordering::Relaxed) == INVALID_NODE)
+            .filter(move |&v| claims[v as usize].load(Ordering::Relaxed) == UNCLAIMED)
     }
 
     /// Executes one level expansion; returns the number of newly claimed
     /// nodes. A step on an empty frontier is a counted no-op (the CLUSTER
     /// round ledger charges it).
+    ///
+    /// # Panics
+    /// Panics when the engine has already run `u32::MAX − 1` steps, the
+    /// most a claim word's step half can count.
     pub fn step(&mut self) -> usize {
+        assert!(
+            self.steps < MAX_STEPS,
+            "a frontier engine runs at most {MAX_STEPS} steps"
+        );
         self.steps += 1;
         if self.frontier.is_empty() {
             return 0;
@@ -420,13 +438,36 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         wave.field("max_frontier", max_frontier);
     }
 
+    /// The source that claimed `v` and `v`'s hop distance from it, or
+    /// `None` while `v` is unclaimed. Reads one word, so a caller that needs
+    /// a few labels need not convert all of them with [`Self::into_parts`].
+    pub fn label(&self, v: NodeId) -> Option<(NodeId, u32)> {
+        let (owner, dist) = self.owner_and_dist(self.claims[v as usize].load(Ordering::Relaxed));
+        (owner != INVALID_NODE).then(|| (self.sources[owner as usize], dist))
+    }
+
     /// Finalizes into the per-node label arrays.
     pub fn into_parts(self) -> FrontierParts {
+        let (owner, dist) = self
+            .claims
+            .iter()
+            .map(|c| self.owner_and_dist(c.load(Ordering::Relaxed)))
+            .unzip();
         FrontierParts {
-            owner: self.owner.into_iter().map(AtomicU32::into_inner).collect(),
-            dist: self.dist.into_iter().map(AtomicU32::into_inner).collect(),
+            owner,
+            dist,
             sources: self.sources,
         }
+    }
+
+    /// A claim word's `(owner, dist)`; `(INVALID_NODE, INFINITE_DIST)` for
+    /// [`UNCLAIMED`].
+    fn owner_and_dist(&self, claim: u64) -> (NodeId, u32) {
+        if claim == UNCLAIMED {
+            return (INVALID_NODE, INFINITE_DIST);
+        }
+        let owner = claim as NodeId;
+        (owner, (claim >> 32) as u32 - self.activated[owner as usize])
     }
 
     /// Direction decision for this level. Depends only on aggregate counts,
@@ -440,7 +481,7 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
                     // Beamer's switch needs the wave to still be growing:
                     // without it, the tail of a long path (tiny frontier,
                     // tiny unexplored remainder) would flip bottom-up and
-                    // pay the O(n/64) bitmap sweep per level for nothing.
+                    // pay the O(n) sweep per level for nothing.
                     let growing = self.frontier.len() > self.prev_frontier_len;
                     if growing && frontier_degree * self.params.alpha > self.unexplored_arcs {
                         self.bottom_up = true;
@@ -461,21 +502,18 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         self.frontier_degree * self.g.arc_cost()
     }
 
-    /// Push expansion on the calling thread. [`Self::propose`] lists every
-    /// node it proposes to once, so its list is exactly the claim set and
-    /// becomes the next frontier as [`Self::claim`] walks it.
+    /// Push expansion on the calling thread. [`Self::offer`] lists each node
+    /// it claims once, so its list is the next frontier.
     fn top_down_sequential(&self) -> (Vec<NodeId>, usize) {
         let mut next = Vec::new();
-        self.propose::<false>(&self.frontier, &mut next);
-        let claimed_degree = self.claim(&next);
+        let claimed_degree = self.offer::<false>(&self.frontier, &mut next);
         (next, claimed_degree)
     }
 
     /// Push expansion as one parallel pass over at most [`MAX_CHUNKS`]
-    /// frontier chunks of about [`CHUNK_WORK`] each. Each chunk proposes
-    /// with `fetch_min` and lists the nodes whose slot it took from empty,
-    /// so every claimed node sits in exactly one list; the claim pass walks
-    /// the lists in parallel and sums their degrees.
+    /// frontier chunks of about [`CHUNK_WORK`] each. Each chunk offers with
+    /// `fetch_min` and lists the nodes whose word it took from unclaimed, so
+    /// every claimed node sits in exactly one list.
     ///
     /// The *order* of the next frontier is internal state only: which chunk
     /// lists a node contested across chunks depends on which worker's
@@ -487,128 +525,84 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
             .top_down_work()
             .div_ceil(CHUNK_WORK)
             .clamp(1, MAX_CHUNKS);
-        let lists: Vec<Vec<NodeId>> = self
+        let (lists, degrees): (Vec<Vec<NodeId>>, Vec<usize>) = self
             .frontier
             .par_chunks(self.frontier.len().div_ceil(chunks))
             .map(|chunk| {
                 let mut list = Vec::new();
-                self.propose::<true>(chunk, &mut list);
-                list
+                let degree = self.offer::<true>(chunk, &mut list);
+                (list, degree)
             })
-            .collect();
-        let claimed_degree = lists.par_iter().map(|list| self.claim(list)).sum();
-        (lists.concat(), claimed_degree)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        (lists.concat(), degrees.iter().sum())
     }
 
-    /// Proposes `(owner, dist + 1)` of every node of `chunk` to its unclaimed
-    /// neighbours, keeping the minimum in each neighbour's slot, and pushes a
-    /// neighbour onto `listed` when this call took its slot from empty. A
-    /// slot already holding a smaller proposal is only read. `SHARED` says
-    /// whether other chunks propose concurrently (then the minimum needs
-    /// `fetch_min`, and only its return value tells who emptied the slot).
-    /// `Relaxed` suffices: the pool's join that ends the proposing pass
-    /// orders every proposal before the claim pass reads it.
-    fn propose<const SHARED: bool>(&self, chunk: &[NodeId], listed: &mut Vec<NodeId>) {
-        let (owner, dist, proposals) = (&self.owner, &self.dist, &self.proposals);
+    /// Offers `(step, owner(u))` — `u`'s own claim word one step on — from
+    /// every node `u` of `chunk` to its neighbours, keeping the minimum in
+    /// each neighbour's word. Pushes a neighbour onto `listed` when this call
+    /// took its word from unclaimed, and returns the listed nodes' degree
+    /// sum. A word at or below the offer (an earlier claim, or a smaller
+    /// owner's offer this step) is only read. `SHARED` says whether other
+    /// chunks offer concurrently (then the minimum needs `fetch_min`, and
+    /// only its return value tells who took the word). `Relaxed` suffices:
+    /// the pool's join that ends the pass orders every offer before the next
+    /// level reads it.
+    fn offer<const SHARED: bool>(&self, chunk: &[NodeId], listed: &mut Vec<NodeId>) -> usize {
+        let claims = &self.claims;
+        let mut degree = 0;
         for &u in chunk {
-            let prop = pack(
-                owner[u as usize].load(Ordering::Relaxed),
-                dist[u as usize].load(Ordering::Relaxed) + 1,
-            );
+            let offer = claims[u as usize].load(Ordering::Relaxed) + ONE_STEP;
             for v in self.g.neighbors_iter(u) {
-                if owner[v as usize].load(Ordering::Relaxed) != INVALID_NODE {
-                    continue;
-                }
-                let slot = &proposals[v as usize];
-                let cur = slot.load(Ordering::Relaxed);
-                if prop < cur {
+                let word = &claims[v as usize];
+                let cur = word.load(Ordering::Relaxed);
+                if offer < cur {
                     let prev = if SHARED {
-                        slot.fetch_min(prop, Ordering::Relaxed)
+                        word.fetch_min(offer, Ordering::Relaxed)
                     } else {
-                        slot.store(prop, Ordering::Relaxed);
+                        word.store(offer, Ordering::Relaxed);
                         cur
                     };
-                    if prev == NO_PROPOSAL {
+                    if prev == UNCLAIMED {
                         listed.push(v);
+                        degree += self.g.degree(v);
                     }
                 }
             }
         }
-    }
-
-    /// Claims every listed node with its winning proposal, empties its slot
-    /// for the next level, and returns the listed nodes' degree sum.
-    fn claim(&self, listed: &[NodeId]) -> usize {
-        let mut degree = 0;
-        for &v in listed {
-            let slot = &self.proposals[v as usize];
-            let (o, d) = unpack(slot.load(Ordering::Relaxed));
-            slot.store(NO_PROPOSAL, Ordering::Relaxed);
-            self.owner[v as usize].store(o, Ordering::Relaxed);
-            self.dist[v as usize].store(d, Ordering::Relaxed);
-            degree += self.g.degree(v);
-        }
         degree
     }
 
-    /// Pull expansion: rebuild the dense frontier bitmap, then let every
-    /// unclaimed node take the minimum packed proposal over its in-frontier
-    /// neighbours. No early exit — the full minimum is what keeps bottom-up
-    /// byte-identical to top-down's `fetch_min`. The next frontier comes out
-    /// in ascending node order (a different order than top-down produces,
-    /// which is unobservable: claims are min-merged, never order-sensitive),
-    /// together with its degree sum.
+    /// Pull expansion: every unclaimed node takes the smallest word among its
+    /// neighbours of the previous step, the frontier, one step on. No early
+    /// exit — the full minimum is what keeps bottom-up byte-identical to
+    /// top-down's `fetch_min`. The next frontier comes out in ascending node
+    /// order (a different order than top-down produces, which is
+    /// unobservable: claims are min-merged, never order-sensitive), together
+    /// with its degree sum.
     fn step_bottom_up(&mut self) -> (Vec<NodeId>, usize) {
         let n = self.g.num_nodes();
-        let words = n.div_ceil(64);
-        if self.in_frontier.len() != words {
-            self.in_frontier = (0..words).map(|_| AtomicU64::new(0)).collect();
-        }
-        let bitmap = &self.in_frontier;
-        let sequential = n <= SEQ_NODE_CUTOFF;
-        if sequential {
-            for w in bitmap {
-                w.store(0, Ordering::Relaxed);
-            }
-            for &u in &self.frontier {
-                bitmap[u as usize / 64].fetch_or(1u64 << (u % 64), Ordering::Relaxed);
-            }
-        } else {
-            bitmap
-                .par_iter()
-                .for_each(|w| w.store(0, Ordering::Relaxed));
-            self.frontier.par_iter().for_each(|&u| {
-                bitmap[u as usize / 64].fetch_or(1u64 << (u % 64), Ordering::Relaxed);
-            });
-        }
-
-        let g = &self.g;
-        let owner = &self.owner;
-        let dist = &self.dist;
+        let frontier_step = (self.steps - 1) as u64;
+        let (g, claims) = (&self.g, &self.claims);
         let scan = |(mut next, degree): (Vec<NodeId>, usize), v: NodeId| {
-            if owner[v as usize].load(Ordering::Relaxed) != INVALID_NODE {
+            let word = &claims[v as usize];
+            if word.load(Ordering::Relaxed) != UNCLAIMED {
                 return (next, degree);
             }
-            let mut best = NO_PROPOSAL;
-            for u in g.neighbors_iter(v) {
-                if bitmap[u as usize / 64].load(Ordering::Relaxed) >> (u % 64) & 1 == 1 {
-                    let p = pack(
-                        owner[u as usize].load(Ordering::Relaxed),
-                        dist[u as usize].load(Ordering::Relaxed) + 1,
-                    );
-                    best = best.min(p);
-                }
-            }
-            if best == NO_PROPOSAL {
+            let best = g
+                .neighbors_iter(v)
+                .map(|u| claims[u as usize].load(Ordering::Relaxed))
+                .filter(|&c| c >> 32 == frontier_step)
+                .min();
+            let Some(best) = best else {
                 return (next, degree);
-            }
-            let (o, d) = unpack(best);
-            owner[v as usize].store(o, Ordering::Relaxed);
-            dist[v as usize].store(d, Ordering::Relaxed);
+            };
+            word.store(best + ONE_STEP, Ordering::Relaxed);
             next.push(v);
             (next, degree + g.degree(v))
         };
-        if sequential {
+        if n <= SEQ_NODE_CUTOFF {
             (0..n as NodeId).fold((Vec::new(), 0), scan)
         } else {
             self.parallel_steps += 1;
@@ -964,6 +958,29 @@ mod tests {
         assert_eq!(eng.claimed(), 0);
     }
 
+    #[test]
+    fn the_last_step_a_claim_word_holds_still_labels_exactly() {
+        let g = generators::path(3);
+        for strat in FrontierStrategy::ALL {
+            let mut eng = FrontierEngine::new(&g, strat);
+            eng.steps = MAX_STEPS - 1;
+            eng.add_source(1);
+            assert_eq!(eng.step(), 2, "{strat}");
+            assert_eq!(eng.label(0), Some((1, 1)), "{strat}");
+            assert_eq!(eng.label(1), Some((1, 0)), "{strat}");
+            assert_eq!(eng.into_parts().dist, vec![1, 0, 1], "{strat}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a frontier engine runs at most")]
+    fn steps_past_the_claim_words_range_panic() {
+        let g = generators::path(2);
+        let mut eng = FrontierEngine::new(&g, FrontierStrategy::TopDown);
+        eng.steps = MAX_STEPS;
+        eng.step();
+    }
+
     /// Times the sequential and the parallel top-down step on every level of
     /// 1-, 16-, 256- and 4096-source waves over a road graph and a power-law
     /// graph, each on the plain and the compressed backend, on a 2-worker
@@ -1020,6 +1037,9 @@ mod tests {
                     }
                     let mut level = 0;
                     while !eng.frontier.is_empty() {
+                        // The stamp `step` would advance: sources and the
+                        // frontier's claim words are read against it.
+                        eng.steps += 1;
                         let start = std::time::Instant::now();
                         let (next, degree) = if parallel {
                             eng.top_down_parallel()
