@@ -25,7 +25,8 @@
 use pardec_bench::workloads::{granularity_target, tau_for_target, Regime, Scale};
 use pardec_bench::{alloc, scale_from_args, timed};
 use pardec_core::cluster::{cluster, ClusterParams};
-use pardec_core::growth::GrowthEngine;
+use pardec_core::clustering::Clustering;
+use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::generators;
 use pardec_graph::stream::{build_ccsr_from_spill, EdgeSpillWriter};
 use pardec_graph::{CcsrGraph, GraphRepr, NodeId};
@@ -82,20 +83,20 @@ fn emit(
 
 /// Covers the whole graph from a deterministic center lattice, returning
 /// the wave count. The clustering is handed back for identity checks.
-fn frontier_wave(g: &GraphRepr) -> (pardec_core::clustering::Clustering, usize) {
+fn frontier_wave(g: &GraphRepr) -> (Clustering, usize) {
     let n = g.num_nodes();
-    let mut eng = GrowthEngine::new(g);
+    let mut eng = FrontierEngine::new(g, FrontierStrategy::default_from_env());
     let stride = (n / 64).max(1);
     for c in (0..n).step_by(stride) {
-        eng.add_center(c as NodeId);
+        eng.add_source(c as NodeId);
     }
     let mut waves = 0usize;
-    while eng.covered() < n && eng.step() > 0 {
+    while eng.claimed() < n && eng.step() > 0 {
         waves += 1;
     }
     // Power-law PA graphs are connected; a leftover singleton is a bug.
-    assert_eq!(eng.covered(), n, "frontier wave left nodes uncovered");
-    (eng.finish(), waves)
+    assert_eq!(eng.claimed(), n, "frontier wave left nodes uncovered");
+    (Clustering::from_frontier(eng), waves)
 }
 
 fn main() {

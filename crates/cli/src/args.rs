@@ -1,5 +1,6 @@
 //! Tiny dependency-free argument parser: a positional command, an optional
-//! positional subcommand, then `--key value` / `--flag` pairs.
+//! positional subcommand, then `--key value` / `--flag` pairs. Every key must
+//! be one some command reads: a misspelled option is an error, not a flag.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,7 +56,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Keys that take a value (everything else given as `--x` is a bare flag).
+/// Keys that take a value.
 const VALUED_KEYS: &[&str] = &[
     "family",
     "rows",
@@ -73,7 +74,6 @@ const VALUED_KEYS: &[&str] = &[
     "beta",
     "k",
     "labels",
-    "scale",
     "queries",
     "trials",
     "edges",
@@ -96,8 +96,19 @@ const VALUED_KEYS: &[&str] = &[
     "max-inflight-mb",
 ];
 
+/// Keys given bare, as switches.
+const FLAGS: &[&str] = &[
+    "exact",
+    "cluster2",
+    "gonzalez",
+    "no-oracle",
+    "checked",
+    "allow-reload",
+];
+
 impl Args {
-    /// Parses raw tokens (without the binary name).
+    /// Parses raw tokens (without the binary name). A `--key` in neither
+    /// `VALUED_KEYS` nor `FLAGS` is an [`ArgError::UnknownOptions`].
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -110,8 +121,10 @@ impl Args {
                         }
                         None => return Err(ArgError::MissingValue(key.to_string())),
                     }
-                } else {
+                } else if FLAGS.contains(&key) {
                     out.flags.push(key.to_string());
+                } else {
+                    return Err(ArgError::UnknownOptions(vec![tok]));
                 }
             } else if out.command.is_empty() {
                 out.command = tok;
@@ -284,15 +297,45 @@ mod tests {
 
     #[test]
     fn options_and_flags() {
-        let a = parse("diameter --graph g --tau 8 --exact").unwrap();
+        let a = parse("dist approx --graph g --tau 8 --exact").unwrap();
         assert_eq!(a.req_parse::<usize>("tau", "int").unwrap(), 8);
         assert!(a.has_flag("exact"));
         assert!(!a.has_flag("weighted-off"));
     }
 
     #[test]
+    fn every_flag_a_command_reads_parses() {
+        for flag in [
+            "exact",
+            "cluster2",
+            "gonzalez",
+            "no-oracle",
+            "checked",
+            "allow-reload",
+        ] {
+            let a = parse(&format!("stats --graph g --{flag}")).unwrap();
+            assert!(a.has_flag(flag), "--{flag}");
+            assert_eq!(a.req("graph").unwrap(), "g", "--{flag}");
+        }
+    }
+
+    #[test]
+    fn unknown_options_are_errors() {
+        assert_eq!(
+            parse("dist approx --graph g --exactt").unwrap_err(),
+            ArgError::UnknownOptions(vec!["--exactt".into()])
+        );
+        assert_eq!(
+            parse("stats --graph g --scale 3").unwrap_err(),
+            ArgError::UnknownOptions(vec!["--scale".into()])
+        );
+        assert!(parse("serve --snapshot s.pdec --chekced").is_err());
+        assert!(parse("snapshot save --graph g --out s.pdec --no-orcale").is_err());
+    }
+
+    #[test]
     fn defaults() {
-        let a = parse("cluster --graph g").unwrap();
+        let a = parse("snapshot save --graph g").unwrap();
         assert_eq!(a.opt("algorithm", "cluster"), "cluster");
         assert_eq!(a.opt_parse::<u64>("seed", 42, "int").unwrap(), 42);
     }
@@ -304,7 +347,7 @@ mod tests {
             parse("generate --family").unwrap_err(),
             ArgError::MissingValue("family".into())
         );
-        let a = parse("cluster --tau x").unwrap();
+        let a = parse("clust cluster --tau x").unwrap();
         assert!(matches!(
             a.req_parse::<usize>("tau", "a positive integer"),
             Err(ArgError::BadValue { .. })
@@ -356,20 +399,20 @@ mod tests {
             None
         );
         assert_eq!(
-            parse("mr-cluster --graph g --partitions 3")
+            parse("mr cluster --graph g --partitions 3")
                 .unwrap()
                 .partitions(),
             Ok(Some(3))
         );
         for bad in ["0", "-1", "lots"] {
-            let a = parse(&format!("mr-cluster --graph g --partitions {bad}")).unwrap();
+            let a = parse(&format!("mr cluster --graph g --partitions {bad}")).unwrap();
             assert!(
                 matches!(a.partitions(), Err(ArgError::BadValue { .. })),
                 "--partitions {bad} should be rejected"
             );
         }
         assert_eq!(
-            parse("mr-cluster --partitions").unwrap_err(),
+            parse("mr cluster --partitions").unwrap_err(),
             ArgError::MissingValue("partitions".into())
         );
     }
@@ -443,17 +486,17 @@ mod tests {
             ("hybrid", FrontierStrategy::Hybrid),
         ] {
             assert_eq!(
-                parse(&format!("cluster --graph g --frontier {raw}"))
+                parse(&format!("clust cluster --graph g --frontier {raw}"))
                     .unwrap()
                     .frontier(),
                 Ok(Some(want)),
                 "--frontier {raw}"
             );
         }
-        let a = parse("cluster --graph g --frontier beamer").unwrap();
+        let a = parse("clust cluster --graph g --frontier beamer").unwrap();
         assert!(matches!(a.frontier(), Err(ArgError::BadValue { .. })));
         assert_eq!(
-            parse("cluster --frontier").unwrap_err(),
+            parse("clust cluster --frontier").unwrap_err(),
             ArgError::MissingValue("frontier".into())
         );
     }

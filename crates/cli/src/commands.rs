@@ -1,10 +1,8 @@
 //! Subcommand implementations for the `pardec` binary.
 //!
-//! Commands form a tree (`pardec <command> [<sub>] [options]`); the old
-//! flat spellings (`cluster`, `diameter`, `mr-cluster`, …) remain as
-//! deprecated aliases that print a pointer to the new form on stderr and
-//! then behave identically. The `clust`/`dist`/`oracle` handlers and the
-//! `serve` daemon all run on the same [`pardec_core::Session`] entry point.
+//! Commands form a tree (`pardec <command> [<sub>] [options]`). The
+//! `clust`/`dist`/`oracle` handlers and the `serve` daemon all run on the
+//! same [`pardec_core::Session`] entry point.
 
 use crate::args::Args;
 use pardec_core::hadi::mr_hadi_with;
@@ -71,11 +69,7 @@ command tree:
                   [--max-inflight-mb N] [--allow-reload]
                   [--reload-signal FILE]  (touch FILE to hot-reload the
                   snapshot; corrupt replacements roll back)
-  help
-
-deprecated aliases (still work, print a pointer to the new spelling):
-  cluster -> clust <algo>      diameter -> dist approx
-  mr-cluster -> mr cluster     mr-bfs -> mr bfs     mr-hadi -> mr hadi";
+  help";
 
 /// Builds the global thread pool from `--threads` before any command runs.
 ///
@@ -95,12 +89,6 @@ pub fn init_thread_pool(args: &Args) -> CmdResult {
 }
 
 pub(crate) type CmdResult = Result<(), Box<dyn Error>>;
-
-/// Prints the deprecation pointer for an old flat spelling (stderr, so
-/// stdout stays byte-identical to the new command).
-fn deprecated(old: &str, new: &str) {
-    eprintln!("note: `pardec {old}` is deprecated; use `pardec {new}`");
-}
 
 /// Routes a parsed command line to its implementation.
 pub fn dispatch(args: &Args) -> CmdResult {
@@ -133,27 +121,6 @@ pub fn dispatch(args: &Args) -> CmdResult {
             other => Err(format!("unknown snapshot action {other:?} (save | info)").into()),
         },
         "serve" => crate::serve::cmd_serve(args),
-        // Deprecated flat aliases — same behavior, pointer on stderr.
-        "cluster" => {
-            deprecated("cluster", "clust <algo>");
-            cmd_clust(args, args.opt("algorithm", "cluster"))
-        }
-        "diameter" => {
-            deprecated("diameter", "dist approx");
-            cmd_dist_approx(args)
-        }
-        "mr-cluster" => {
-            deprecated("mr-cluster", "mr cluster");
-            cmd_mr_cluster(args)
-        }
-        "mr-bfs" => {
-            deprecated("mr-bfs", "mr bfs");
-            cmd_mr_bfs(args)
-        }
-        "mr-hadi" => {
-            deprecated("mr-hadi", "mr hadi");
-            cmd_mr_hadi(args)
-        }
         "help" => {
             println!("{USAGE}");
             Ok(())
@@ -758,12 +725,12 @@ mod tests {
         dispatch(&args(&format!("stats --graph {graph_path}"))).unwrap();
         let labels_path = tmp("labels.tsv");
         dispatch(&args(&format!(
-            "cluster --graph {graph_path} --tau 2 --labels {labels_path}"
+            "clust cluster --graph {graph_path} --tau 2 --labels {labels_path}"
         )))
         .unwrap();
         let labels = std::fs::read_to_string(&labels_path).unwrap();
         assert_eq!(labels.lines().count(), 400 + 1); // header + one per node
-        dispatch(&args(&format!("diameter --graph {graph_path} --exact"))).unwrap();
+        dispatch(&args(&format!("dist approx --graph {graph_path} --exact"))).unwrap();
         dispatch(&args(&format!("kcenter --graph {graph_path} --k 5"))).unwrap();
         dispatch(&args(&format!(
             "oracle --graph {graph_path} --queries 0:399,0:0"
@@ -802,15 +769,10 @@ mod tests {
         .unwrap();
         for algo in ["cluster", "cluster2", "mpx"] {
             for strategy in ["topdown", "bottomup", "hybrid"] {
-                // New tree spelling and deprecated flat alias both dispatch.
                 dispatch(&args(&format!(
                     "clust {algo} --graph {path} --tau 1 --frontier {strategy}"
                 )))
                 .unwrap_or_else(|e| panic!("{algo}/{strategy}: {e}"));
-                dispatch(&args(&format!(
-                    "cluster --graph {path} --algorithm {algo} --tau 1 --frontier {strategy}"
-                )))
-                .unwrap_or_else(|e| panic!("alias {algo}/{strategy}: {e}"));
             }
         }
         dispatch(&args(&format!(
@@ -818,10 +780,18 @@ mod tests {
         )))
         .unwrap();
         dispatch(&args(&format!("dist exact --graph {path}"))).unwrap();
-        dispatch(&args(&format!("diameter --graph {path} --frontier hybrid"))).unwrap();
         assert!(dispatch(&args(&format!("clust nosuch --graph {path}"))).is_err());
         assert!(dispatch(&args(&format!("dist nosuch --graph {path}"))).is_err());
-        assert!(dispatch(&args(&format!("cluster --graph {path} --frontier nosuch"))).is_err());
+        assert!(dispatch(&args(&format!(
+            "clust cluster --graph {path} --frontier nosuch"
+        )))
+        .is_err());
+        // The flat spellings the tree replaced are unknown commands.
+        let err = dispatch(&args(&format!("cluster --graph {path}"))).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown command \"cluster\""),
+            "{err}"
+        );
         let _ = std::fs::remove_file(path);
     }
 
@@ -926,20 +896,20 @@ mod tests {
         .unwrap();
         for partitions in ["", "--partitions 1", "--partitions 3"] {
             dispatch(&args(&format!(
-                "mr-cluster --graph {path} --tau 2 {partitions}"
+                "mr cluster --graph {path} --tau 2 {partitions}"
             )))
-            .unwrap_or_else(|e| panic!("mr-cluster {partitions}: {e}"));
-            dispatch(&args(&format!("mr-bfs --graph {path} {partitions}")))
-                .unwrap_or_else(|e| panic!("mr-bfs {partitions}: {e}"));
+            .unwrap_or_else(|e| panic!("mr cluster {partitions}: {e}"));
+            dispatch(&args(&format!("mr bfs --graph {path} {partitions}")))
+                .unwrap_or_else(|e| panic!("mr bfs {partitions}: {e}"));
             dispatch(&args(&format!(
-                "mr-hadi --graph {path} --trials 8 {partitions}"
+                "mr hadi --graph {path} --trials 8 {partitions}"
             )))
-            .unwrap_or_else(|e| panic!("mr-hadi {partitions}: {e}"));
+            .unwrap_or_else(|e| panic!("mr hadi {partitions}: {e}"));
         }
-        dispatch(&args(&format!("mr-bfs --graph {path} --source 99"))).unwrap();
-        assert!(dispatch(&args(&format!("mr-bfs --graph {path} --source 100"))).is_err());
-        assert!(dispatch(&args(&format!("mr-cluster --graph {path} --partitions 0"))).is_err());
-        assert!(dispatch(&args(&format!("mr-hadi --graph {path} --trials 0"))).is_err());
+        dispatch(&args(&format!("mr bfs --graph {path} --source 99"))).unwrap();
+        assert!(dispatch(&args(&format!("mr bfs --graph {path} --source 100"))).is_err());
+        assert!(dispatch(&args(&format!("mr cluster --graph {path} --partitions 0"))).is_err());
+        assert!(dispatch(&args(&format!("mr hadi --graph {path} --trials 0"))).is_err());
         let _ = std::fs::remove_file(path);
     }
 
@@ -953,7 +923,11 @@ mod tests {
             "generate --family mesh --rows 3 --cols 3 --out {path}"
         )))
         .unwrap();
-        assert!(dispatch(&args(&format!("cluster --graph {path} --algorithm nosuch"))).is_err());
+        let snap_path = tmp("err.pdec");
+        assert!(dispatch(&args(&format!(
+            "snapshot save --graph {path} --out {snap_path} --algorithm nosuch"
+        )))
+        .is_err());
         assert!(dispatch(&args(&format!("oracle --graph {path} --queries 0-1"))).is_err());
         assert!(dispatch(&args(&format!("oracle --graph {path} --queries 0:999"))).is_err());
         // Disconnected k-center infeasibility surfaces as an error.

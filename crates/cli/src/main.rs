@@ -17,8 +17,7 @@
 //! pardec help
 //! ```
 //!
-//! The old flat spellings (`cluster`, `diameter`, `mr-cluster`, `mr-bfs`,
-//! `mr-hadi`) still work as deprecated aliases that point at the tree form.
+//! An option no command reads, such as a misspelled `--exactt`, is an error.
 //!
 //! The `mr` subcommands run on the MR(M_G, M_L) emulation and print its
 //! communication ledger (pre-/post-combine pairs and bytes, peak `M_L`);

@@ -18,8 +18,7 @@
 //! footnote 1).
 
 use crate::clustering::Clustering;
-use crate::growth::GrowthEngine;
-use pardec_graph::frontier::FrontierStrategy;
+use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::{NeighborAccess, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,7 +36,7 @@ pub struct ClusterParams {
     /// While-loop threshold factor (paper: 8): loop while
     /// `uncovered ≥ stop_factor · τ · log n`.
     pub stop_factor: f64,
-    /// Frontier expansion strategy of the growth engine. Every strategy
+    /// Frontier expansion strategy of the growth waves. Every strategy
     /// produces a byte-identical clustering; this trades wall-clock only.
     /// Unused by [`crate::weighted_cluster()`], whose bucketed Dijkstra
     /// growth has no level-synchronous frontier to flip.
@@ -65,7 +64,7 @@ impl ClusterParams {
         }
     }
 
-    /// Selects the growth engine's frontier expansion strategy.
+    /// Selects the growth waves' frontier expansion strategy.
     pub fn with_frontier(mut self, strategy: FrontierStrategy) -> Self {
         self.frontier = strategy;
         self
@@ -135,7 +134,7 @@ pub(crate) fn log2n(n: usize) -> f64 {
 pub fn cluster<G: NeighborAccess>(g: &G, params: &ClusterParams) -> ClusterResult {
     let n = g.num_nodes();
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut eng = GrowthEngine::with_strategy(g, params.frontier);
+    let mut eng = FrontierEngine::new(g, params.frontier);
     let mut trace = ClusterTrace::default();
     let logn = log2n(n);
     let threshold = (params.stop_factor * params.tau as f64 * logn).max(1.0);
@@ -145,24 +144,24 @@ pub fn cluster<G: NeighborAccess>(g: &G, params: &ClusterParams) -> ClusterResul
     // unlucky seeds on disconnected graphs (see DESIGN.md §5.2).
     let max_iterations = (2.0 * logn) as usize + 32;
 
-    while (eng.uncovered() as f64) >= threshold && trace.iterations.len() < max_iterations {
+    while (eng.unclaimed() as f64) >= threshold && trace.iterations.len() < max_iterations {
         let mut round_span = pardec_obs::span!(
             "cluster.round",
             round = trace.iterations.len(),
-            uncovered = eng.uncovered(),
+            uncovered = eng.unclaimed(),
         );
-        let uncovered_before = eng.uncovered();
+        let uncovered_before = eng.unclaimed();
         let p = (params.batch_factor * params.tau as f64 * logn / uncovered_before as f64)
             .clamp(0.0, 1.0);
 
         // Select each uncovered node independently with probability p.
         let batch: Vec<NodeId> = eng
-            .uncovered_nodes()
+            .unclaimed_nodes()
             .filter(|_| rng.gen::<f64>() < p)
             .collect();
         let mut new_centers = 0;
         for v in batch {
-            if eng.add_center(v) {
+            if eng.add_source(v) {
                 new_centers += 1;
             }
         }
@@ -171,9 +170,9 @@ pub fn cluster<G: NeighborAccess>(g: &G, params: &ClusterParams) -> ClusterResul
         // of probability < n^{-2} per the Theorem 1 analysis).
         if new_centers == 0 && eng.frontier_len() == 0 {
             let pick = rng.gen_range(0..uncovered_before);
-            let forced = eng.uncovered_nodes().nth(pick);
+            let forced = eng.unclaimed_nodes().nth(pick);
             if let Some(v) = forced {
-                eng.add_center(v);
+                eng.add_source(v);
                 new_centers = 1;
             }
         }
@@ -202,8 +201,8 @@ pub fn cluster<G: NeighborAccess>(g: &G, params: &ClusterParams) -> ClusterResul
         });
     }
 
-    trace.tail_singletons = eng.uncovered();
-    let clustering = eng.finish();
+    trace.tail_singletons = eng.unclaimed();
+    let clustering = Clustering::from_frontier(eng);
     ClusterResult { clustering, trace }
 }
 

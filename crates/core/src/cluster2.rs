@@ -20,7 +20,7 @@
 
 use crate::cluster::{cluster, ClusterParams, ClusterTrace, IterationTrace};
 use crate::clustering::Clustering;
-use crate::growth::GrowthEngine;
+use pardec_graph::frontier::FrontierEngine;
 use pardec_graph::{NeighborAccess, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,29 +52,29 @@ pub fn cluster2<G: NeighborAccess>(g: &G, params: &ClusterParams) -> Cluster2Res
     let budget = (2 * r_alg).max(1) as usize;
 
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(1));
-    let mut eng = GrowthEngine::with_strategy(g, params.frontier);
+    let mut eng = FrontierEngine::new(g, params.frontier);
     let mut trace = ClusterTrace::default();
     let iterations = crate::cluster::log2n(n).ceil() as u32;
 
     for i in 1..=iterations {
-        if eng.uncovered() == 0 {
+        if eng.unclaimed() == 0 {
             break;
         }
         let mut round_span = pardec_obs::span!(
             "cluster2.round",
             round = i,
-            uncovered = eng.uncovered(),
+            uncovered = eng.unclaimed(),
             budget = budget,
         );
-        let uncovered_before = eng.uncovered();
+        let uncovered_before = eng.unclaimed();
         let p = (2f64.powi(i as i32) / n.max(1) as f64).clamp(0.0, 1.0);
         let batch: Vec<NodeId> = eng
-            .uncovered_nodes()
+            .unclaimed_nodes()
             .filter(|_| rng.gen::<f64>() < p)
             .collect();
         let mut new_centers = 0;
         for v in batch {
-            if eng.add_center(v) {
+            if eng.add_source(v) {
                 new_centers += 1;
             }
         }
@@ -100,8 +100,8 @@ pub fn cluster2<G: NeighborAccess>(g: &G, params: &ClusterParams) -> Cluster2Res
         });
     }
 
-    trace.tail_singletons = eng.uncovered();
-    let clustering = eng.finish();
+    trace.tail_singletons = eng.unclaimed();
+    let clustering = Clustering::from_frontier(eng);
     Cluster2Result {
         clustering,
         r_alg,

@@ -1,6 +1,16 @@
 //! The [`Clustering`] type: the common output of CLUSTER, CLUSTER2, and MPX,
 //! with structural validation used throughout the test suite.
+//!
+//! All three grow their clusters on one
+//! [`pardec_graph::frontier::FrontierEngine`]: each growth step expands
+//! every active cluster's frontier by one hop, and a node reached by
+//! several clusters in the same step goes to the smallest cluster id (the
+//! paper allows any tie-break; this one is reproducible). The engine's
+//! strategies all realize that rule, so the [`Clustering`] that
+//! [`Clustering::from_frontier`] makes of a finished wave is bit-identical
+//! across runs, pool sizes, and strategies.
 
+use pardec_graph::frontier::FrontierEngine;
 use pardec_graph::{
     quotient, CombineStats, CsrGraph, NeighborAccess, NodeId, WeightedGraph, INVALID_NODE,
 };
@@ -34,6 +44,28 @@ pub struct Clustering {
 }
 
 impl Clustering {
+    /// Finalizes a cluster-growing wave: source `c` of `eng` becomes
+    /// cluster `c`, every node still unclaimed becomes a singleton cluster
+    /// after them (the tail step of Algorithm 1), and each cluster's radius
+    /// is its members' largest growth distance.
+    pub fn from_frontier<'g, G: NeighborAccess + 'g>(mut eng: FrontierEngine<'g, G>) -> Self {
+        let leftovers: Vec<NodeId> = eng.unclaimed_nodes().collect();
+        for v in leftovers {
+            eng.add_source(v);
+        }
+        let parts = eng.into_parts();
+        let mut radii = vec![0u32; parts.sources.len()];
+        for (v, &c) in parts.owner.iter().enumerate() {
+            radii[c as usize] = radii[c as usize].max(parts.dist[v]);
+        }
+        Clustering {
+            assignment: parts.owner,
+            centers: parts.sources,
+            dist_to_center: parts.dist,
+            radii,
+        }
+    }
+
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
         self.centers.len()
@@ -243,6 +275,38 @@ mod tests {
         let wq = c.weighted_quotient(&g);
         // Cut edge (1, 2): 1 + 1 + 0 = 2.
         assert_eq!(wq.neighbors(0).next().unwrap(), (1, 2));
+    }
+
+    #[test]
+    fn from_frontier_makes_leftovers_singletons_and_radii_eccentricities() {
+        use pardec_graph::frontier::FrontierStrategy;
+        for strategy in FrontierStrategy::ALL {
+            // One center grown over a mesh: the growth distances are its BFS
+            // distances and the one radius is its eccentricity.
+            let mesh = generators::mesh(6, 7);
+            let mut eng = FrontierEngine::new(&mesh, strategy);
+            assert!(eng.add_source(0));
+            eng.run();
+            let c = Clustering::from_frontier(eng);
+            assert!(c.validate(&mesh).is_ok(), "{strategy}");
+            let bfs = pardec_graph::traversal::bfs(&mesh, 0);
+            assert_eq!(c.dist_to_center, bfs.dist, "{strategy}");
+            assert_eq!(c.radii, vec![bfs.levels], "{strategy}");
+
+            // Path 0-1-2 grown from 0 beside an untouched path 3-4: nodes 3
+            // and 4 become singletons at distance 0, after cluster 0.
+            let g = generators::disjoint_union(&generators::path(3), &generators::path(2));
+            let mut eng = FrontierEngine::new(&g, strategy);
+            eng.add_source(0);
+            eng.step();
+            eng.step();
+            let c = Clustering::from_frontier(eng);
+            assert!(c.validate(&g).is_ok(), "{strategy}");
+            assert_eq!(c.centers, vec![0, 3, 4], "{strategy}");
+            assert_eq!(c.assignment, vec![0, 0, 0, 1, 2], "{strategy}");
+            assert_eq!(c.dist_to_center, vec![0, 1, 2, 0, 0], "{strategy}");
+            assert_eq!(c.radii, vec![2, 0, 0], "{strategy}");
+        }
     }
 
     #[test]

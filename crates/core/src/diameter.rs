@@ -19,6 +19,7 @@ use crate::clustering::Clustering;
 use pardec_graph::diameter as exact;
 use pardec_graph::frontier::FrontierStrategy;
 use pardec_graph::{CombineStats, NeighborAccess};
+use std::sync::Arc;
 
 /// Which decomposition feeds the quotient construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +76,7 @@ impl DiameterParams {
         self
     }
 
-    /// Selects the growth engine's frontier expansion strategy.
+    /// Selects the growth waves' frontier expansion strategy.
     pub fn with_frontier(mut self, strategy: FrontierStrategy) -> Self {
         self.frontier = strategy;
         self
@@ -106,8 +107,9 @@ pub struct DiameterApprox {
     pub quotient_kernel: CombineStats,
     /// Cluster-growing steps spent — the parallel-rounds proxy of §5.
     pub growth_steps: usize,
-    /// The clustering (for reuse: oracle construction, diagnostics).
-    pub clustering: Clustering,
+    /// The clustering (for reuse: oracle construction, diagnostics),
+    /// shared with the session it came from, if any.
+    pub clustering: Arc<Clustering>,
 }
 
 impl DiameterApprox {
@@ -152,7 +154,7 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
     growth_steps: usize,
     params: &DiameterParams,
 ) -> DiameterApprox {
-    bounds_of_clustering(g, clustering, growth_steps, params, None)
+    bounds_of_clustering(g, Arc::new(clustering), growth_steps, params, None)
 }
 
 /// [`approximate_diameter_of_clustering`] with `Δ′_C` optionally supplied
@@ -162,7 +164,7 @@ pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
 /// [`DistanceOracle::quotient_diameter`]: crate::oracle::DistanceOracle::quotient_diameter
 pub(crate) fn bounds_of_clustering<G: NeighborAccess>(
     g: &G,
-    clustering: Clustering,
+    clustering: Arc<Clustering>,
     growth_steps: usize,
     params: &DiameterParams,
     weighted_quotient_diameter: Option<u64>,
@@ -342,8 +344,12 @@ mod tests {
         let g = generators::mesh(20, 20);
         let p = DiameterParams::new(6, 11);
         let full = approximate_diameter(&g, &p);
-        let replay =
-            approximate_diameter_of_clustering(&g, full.clustering.clone(), full.growth_steps, &p);
+        let replay = approximate_diameter_of_clustering(
+            &g,
+            Clustering::clone(&full.clustering),
+            full.growth_steps,
+            &p,
+        );
         assert_eq!(replay.lower_bound, full.lower_bound);
         assert_eq!(replay.upper_bound, full.upper_bound);
         assert_eq!(replay.upper_bound_weighted, full.upper_bound_weighted);

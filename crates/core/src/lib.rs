@@ -34,7 +34,6 @@ pub mod cluster2;
 pub mod clustering;
 pub mod diameter;
 pub mod faultnet;
-pub mod growth;
 pub mod hadi;
 pub mod kcenter;
 pub mod mpx;

@@ -15,8 +15,7 @@
 //! become centers.
 
 use crate::clustering::Clustering;
-use crate::growth::GrowthEngine;
-use pardec_graph::frontier::FrontierStrategy;
+use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::{NeighborAccess, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,7 +53,7 @@ pub fn mpx_with_frontier<G: NeighborAccess>(
     let n = g.num_nodes();
     if n == 0 {
         return MpxResult {
-            clustering: GrowthEngine::with_strategy(g, strategy).finish(),
+            clustering: Clustering::from_frontier(FrontierEngine::new(g, strategy)),
             steps: 0,
         };
     }
@@ -73,18 +72,18 @@ pub fn mpx_with_frontier<G: NeighborAccess>(
         .collect();
     schedule.sort_unstable();
 
-    let mut eng = GrowthEngine::with_strategy(g, strategy);
+    let mut eng = FrontierEngine::new(g, strategy);
     let mut next = 0usize; // cursor into the schedule
     let mut t = 0u32;
     let mut steps = 0usize;
-    while eng.uncovered() > 0 {
+    while eng.unclaimed() > 0 {
         let mut round_span =
-            pardec_obs::span!("mpx.round", round = t, uncovered = eng.uncovered(),);
+            pardec_obs::span!("mpx.round", round = t, uncovered = eng.unclaimed(),);
         // Activate every node whose start time has arrived and that is
         // still uncovered.
         let mut activated = 0usize;
         while next < schedule.len() && schedule[next].0 <= t {
-            if eng.add_center(schedule[next].1) {
+            if eng.add_source(schedule[next].1) {
                 activated += 1;
             }
             next += 1;
@@ -98,7 +97,7 @@ pub fn mpx_with_frontier<G: NeighborAccess>(
         t += 1;
     }
     MpxResult {
-        clustering: eng.finish(),
+        clustering: Clustering::from_frontier(eng),
         steps,
     }
 }

@@ -28,18 +28,19 @@ use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
 use pardec_graph::weighted::{upper_row_start, INFINITE_ENTRY};
 use pardec_graph::{NeighborAccess, NodeId};
+use std::sync::Arc;
 
 /// Approximate distance oracle built from a clustering (§4).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DistanceOracle {
-    assignment: Vec<NodeId>,
-    dist_to_center: Vec<u32>,
+    /// The per-node clusters and distances, and the per-cluster growth
+    /// radii, read in place: a session shares its clustering with its
+    /// oracle.
+    clustering: Arc<Clustering>,
     /// APSP over the weighted quotient (connecting-path metric), as the
     /// packed `u32` upper triangle of
     /// [`pardec_graph::WeightedGraph::apsp_upper`].
     apsp: Vec<u32>,
-    /// Per-cluster growth radii.
-    radii: Vec<u32>,
     /// `ecc[c]`: the largest `apsp[c][C] + radius(C)` over the clusters `C`
     /// reachable from `c`. Derived from `apsp` and `radii` at build and at
     /// load; snapshots do not store it. Drives [`Self::eccentricity_bound`].
@@ -70,35 +71,33 @@ impl DistanceOracle {
     /// Builds from an existing clustering: one APSP over its weighted
     /// quotient.
     pub fn from_clustering<G: NeighborAccess>(g: &G, clustering: &Clustering) -> Self {
+        Self::from_shared(g, Arc::new(clustering.clone()))
+    }
+
+    /// As [`Self::from_clustering`], reading `clustering` in place.
+    pub(crate) fn from_shared<G: NeighborAccess>(g: &G, clustering: Arc<Clustering>) -> Self {
         let apsp = clustering.weighted_quotient(g).apsp_upper();
-        Self::assemble(
-            clustering.assignment.clone(),
-            clustering.dist_to_center.clone(),
-            clustering.radii.clone(),
-            apsp,
-        )
+        Self::assemble(clustering, apsp)
     }
 
     /// Reassembles an oracle from its stored parts (snapshot load path):
     /// `apsp` is the packed upper triangle over `radii.len()` clusters.
     /// Shape-validates everything; returns the first violation found.
     pub(crate) fn from_raw_parts(
-        assignment: Vec<NodeId>,
-        dist_to_center: Vec<u32>,
-        radii: Vec<u32>,
+        clustering: Arc<Clustering>,
         apsp: Vec<u32>,
     ) -> Result<Self, String> {
-        let q = radii.len();
-        if assignment.len() != dist_to_center.len() {
+        let q = clustering.radii.len();
+        if clustering.assignment.len() != clustering.dist_to_center.len() {
             return Err("assignment / dist_to_center length mismatch".into());
         }
         if apsp.len() != upper_row_start(q, q) {
             return Err("APSP triangle does not have q(q + 1)/2 entries".into());
         }
-        if assignment.iter().any(|&c| (c as usize) >= q) {
+        if clustering.assignment.iter().any(|&c| (c as usize) >= q) {
             return Err("assignment references a cluster beyond q".into());
         }
-        Ok(Self::assemble(assignment, dist_to_center, radii, apsp))
+        Ok(Self::assemble(clustering, apsp))
     }
 
     /// The oracle over shape-checked parts, with `ecc` and `Δ′_C` computed
@@ -106,12 +105,8 @@ impl DistanceOracle {
     /// to `ecc[i]`, `d + radius(i)` to `ecc[j]`, and `d` to `Δ′_C`. Sums of
     /// two `u32`s cannot overflow the `u64` they are taken in, whatever a
     /// snapshot stores.
-    fn assemble(
-        assignment: Vec<NodeId>,
-        dist_to_center: Vec<u32>,
-        radii: Vec<u32>,
-        apsp: Vec<u32>,
-    ) -> Self {
+    fn assemble(clustering: Arc<Clustering>, apsp: Vec<u32>) -> Self {
+        let radii = &clustering.radii;
         let q = radii.len();
         let mut ecc = vec![0u64; q];
         let mut quotient_diameter = 0;
@@ -133,10 +128,8 @@ impl DistanceOracle {
         }
         DistanceOracle {
             radius: radii.iter().copied().max().unwrap_or(0),
-            assignment,
-            dist_to_center,
+            clustering,
             apsp,
-            radii,
             ecc,
             quotient_diameter,
         }
@@ -144,7 +137,7 @@ impl DistanceOracle {
 
     /// Number of clusters (quotient nodes).
     pub fn num_clusters(&self) -> usize {
-        self.radii.len()
+        self.clustering.radii.len()
     }
 
     /// Max cluster radius of the underlying decomposition.
@@ -152,21 +145,24 @@ impl DistanceOracle {
         self.radius
     }
 
-    /// Entries of storage held: the per-node arrays, the quotient triangle,
-    /// the per-cluster radii and eccentricities — `n + n + q(q + 1)/2 + 2q`,
-    /// linear in `n` when `q = O(√n)`. It counts entries, not bytes: the
-    /// eccentricities take 8 bytes each, every other entry 4.
+    /// Entries of storage the oracle reads: the per-node arrays, the
+    /// quotient triangle, the per-cluster radii and eccentricities —
+    /// `n + n + q(q + 1)/2 + 2q`, linear in `n` when `q = O(√n)`. It counts
+    /// entries, not bytes: the eccentricities take 8 bytes each, every
+    /// other entry 4. The per-node arrays and the radii are the
+    /// clustering's, which a session does not hold twice.
     pub fn memory_words(&self) -> usize {
-        self.assignment.len()
-            + self.dist_to_center.len()
+        let c = &self.clustering;
+        c.assignment.len()
+            + c.dist_to_center.len()
             + self.apsp.len()
-            + self.radii.len()
+            + c.radii.len()
             + self.ecc.len()
     }
 
     /// Per-cluster growth radii of the underlying decomposition.
     pub fn cluster_radii(&self) -> &[u32] {
-        &self.radii
+        &self.clustering.radii
     }
 
     /// The packed upper triangle of the quotient APSP (for persistence).
@@ -188,10 +184,11 @@ impl DistanceOracle {
         if u == v {
             return 0;
         }
-        let (cu, cv) = (self.assignment[u as usize], self.assignment[v as usize]);
+        let c = &self.clustering;
+        let (cu, cv) = (c.assignment[u as usize], c.assignment[v as usize]);
         let (du, dv) = (
-            self.dist_to_center[u as usize] as u64,
-            self.dist_to_center[v as usize] as u64,
+            c.dist_to_center[u as usize] as u64,
+            c.dist_to_center[v as usize] as u64,
         );
         if cu == cv {
             // Through the shared center.
@@ -215,8 +212,8 @@ impl DistanceOracle {
     /// internally connected) and lies within `radius(C)` of `C`'s center,
     /// so this dominates `max_u dist(v, u)` over the component.
     pub fn eccentricity_bound(&self, v: NodeId) -> u64 {
-        let cv = self.assignment[v as usize] as usize;
-        self.dist_to_center[v as usize] as u64 + self.ecc[cv]
+        let c = &self.clustering;
+        c.dist_to_center[v as usize] as u64 + self.ecc[c.assignment[v as usize] as usize]
     }
 }
 
@@ -317,41 +314,26 @@ mod tests {
         let g = generators::disjoint_union(&generators::mesh(10, 10), &generators::cycle(9));
         let oracle = DistanceOracle::build(&g, 4, 1, Decomposition::Cluster2);
         assert!(oracle.apsp.contains(&INFINITE_ENTRY));
-        let rebuilt = DistanceOracle::from_raw_parts(
-            oracle.assignment.clone(),
-            oracle.dist_to_center.clone(),
-            oracle.radii.clone(),
-            oracle.apsp.clone(),
-        )
-        .unwrap();
+        let c = &oracle.clustering;
+        let rebuilt = DistanceOracle::from_raw_parts(c.clone(), oracle.apsp.clone()).unwrap();
         assert_eq!(rebuilt, oracle);
         assert_eq!(rebuilt.query(0, 100), u64::MAX);
 
         // Shape violations are rejected.
-        assert!(DistanceOracle::from_raw_parts(
-            oracle.assignment.clone(),
-            vec![0; oracle.dist_to_center.len() + 1],
-            oracle.radii.clone(),
-            oracle.apsp.clone(),
-        )
-        .is_err());
-        assert!(DistanceOracle::from_raw_parts(
-            oracle.assignment.clone(),
-            oracle.dist_to_center.clone(),
-            vec![0; 1], // q shrinks: assignment now out of range
-            vec![0],
-        )
-        .is_err());
+        let with = |change: fn(&mut Clustering)| {
+            let mut c = Clustering::clone(c);
+            change(&mut c);
+            Arc::new(c)
+        };
+        let longer_dist = with(|c| c.dist_to_center.push(0));
+        assert!(DistanceOracle::from_raw_parts(longer_dist, oracle.apsp.clone()).is_err());
+        // q shrinks: assignment now out of range.
+        let one_cluster = with(|c| c.radii.truncate(1));
+        assert!(DistanceOracle::from_raw_parts(one_cluster, vec![0]).is_err());
         for len in [oracle.apsp.len() - 1, oracle.apsp.len() + 1] {
             let mut apsp = oracle.apsp.clone();
             apsp.resize(len, 0);
-            assert!(DistanceOracle::from_raw_parts(
-                oracle.assignment.clone(),
-                oracle.dist_to_center.clone(),
-                oracle.radii.clone(),
-                apsp,
-            )
-            .is_err());
+            assert!(DistanceOracle::from_raw_parts(c.clone(), apsp).is_err());
         }
     }
 

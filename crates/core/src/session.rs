@@ -56,10 +56,11 @@ use crate::mpx::mpx_with_frontier;
 use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
-use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot};
+use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot, Words};
 use pardec_graph::weighted::{upper_entry, upper_row_start};
 use pardec_graph::{Backend, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE};
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Section tag for the persisted [`Clustering`] (`b"CLUS"`).
 pub const SECTION_CLUSTERING: u32 = u32::from_le_bytes(*b"CLUS");
@@ -222,7 +223,8 @@ impl std::error::Error for SessionError {}
 #[derive(Clone, Debug)]
 pub struct Session {
     graph: GraphRepr,
-    clustering: Clustering,
+    /// Shared with the oracle, which reads the same per-node arrays.
+    clustering: Arc<Clustering>,
     oracle: Option<DistanceOracle>,
     frontier: FrontierStrategy,
     growth_steps: usize,
@@ -263,9 +265,10 @@ impl Session {
                 (r.clustering, r.steps)
             }
         };
+        let clustering = Arc::new(clustering);
         let oracle = params
             .build_oracle
-            .then(|| DistanceOracle::from_clustering(&graph, &clustering));
+            .then(|| DistanceOracle::from_shared(&graph, clustering.clone()));
         build_span.field("clusters", clustering.num_clusters());
         build_span.field("growth_steps", growth_steps);
         Session {
@@ -277,8 +280,7 @@ impl Session {
         }
     }
 
-    /// Assembles a session from already-validated parts (the snapshot load
-    /// path and tests).
+    /// Assembles a session from already-validated parts.
     pub fn from_parts(
         graph: GraphRepr,
         clustering: Clustering,
@@ -296,7 +298,7 @@ impl Session {
         }
         Ok(Session {
             graph,
-            clustering,
+            clustering: Arc::new(clustering),
             oracle,
             frontier,
             growth_steps,
@@ -326,12 +328,6 @@ impl Session {
     /// Frontier strategy `nearest` batches run under.
     pub fn frontier(&self) -> FrontierStrategy {
         self.frontier
-    }
-
-    /// Overrides the frontier strategy for subsequent batches. Responses
-    /// stay byte-identical across strategies; only wall-clock changes.
-    pub fn set_frontier(&mut self, frontier: FrontierStrategy) {
-        self.frontier = frontier;
     }
 
     /// Growth steps the decomposition spent at build time (the §5
@@ -478,20 +474,27 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Writes the session as a `PDEC2` snapshot: graph section + `CLUS` +
-    /// (when an oracle is resident) `ORCL`, whose triangle goes from the
-    /// oracle straight into `w`.
+    /// (when an oracle is resident) `ORCL`. Every array goes from its owner
+    /// straight into `w`.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut sections = vec![SectionData::bytes(
-            SECTION_CLUSTERING,
-            SECTION_CLUSTERING_VERSION,
-            encode_clustering(&self.clustering, self.growth_steps),
-        )];
+        let c = &*self.clustering;
+        let mut head = Vec::with_capacity(24);
+        for v in [c.assignment.len(), c.centers.len(), self.growth_steps] {
+            head.put_u64_le(v as u64);
+        }
+        let runs = [&c.assignment, &c.centers, &c.dist_to_center, &c.radii];
+        let mut sections = vec![SectionData {
+            tag: SECTION_CLUSTERING,
+            version: SECTION_CLUSTERING_VERSION,
+            head,
+            words: runs.map(|r| Words::U32(r)).to_vec(),
+        }];
         if let Some(oracle) = &self.oracle {
             sections.push(SectionData {
                 tag: SECTION_ORACLE,
                 version: SECTION_ORACLE_VERSION,
                 head: (oracle.num_clusters() as u64).to_le_bytes().to_vec(),
-                words: oracle.apsp_upper(),
+                words: vec![Words::U32(oracle.apsp_upper())],
             });
         }
         save_snapshot_repr(&self.graph, &sections, w)
@@ -532,39 +535,27 @@ impl Session {
         if checked {
             clustering.validate(&graph).map_err(data_err)?;
         }
+        let clustering = Arc::new(clustering);
         let oracle = match snap.section(SECTION_ORACLE) {
             None => None,
             Some((version, body)) => Some(decode_oracle(version, body, &clustering)?),
         };
         load_span.field("nodes", graph.num_nodes());
         load_span.field("oracle", oracle.is_some());
-        Session::from_parts(graph, clustering, oracle, frontier, growth_steps).map_err(data_err)
+        // `decode_clustering` checked the node count, `decode_oracle` the
+        // cluster count: the checks of `from_parts`.
+        Ok(Session {
+            graph,
+            clustering,
+            oracle,
+            frontier,
+            growth_steps,
+        })
     }
 }
 
 fn data_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn encode_clustering(c: &Clustering, growth_steps: usize) -> Vec<u8> {
-    let (n, k) = (c.assignment.len(), c.centers.len());
-    let mut buf = Vec::with_capacity(24 + 4 * (2 * n + 2 * k));
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(k as u64);
-    buf.put_u64_le(growth_steps as u64);
-    for &a in &c.assignment {
-        buf.put_u32_le(a);
-    }
-    for &ctr in &c.centers {
-        buf.put_u32_le(ctr);
-    }
-    for &d in &c.dist_to_center {
-        buf.put_u32_le(d);
-    }
-    for &r in &c.radii {
-        buf.put_u32_le(r);
-    }
-    buf
 }
 
 fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering, usize)> {
@@ -612,9 +603,13 @@ fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering,
 
 /// Decodes an `ORCL` payload of layout `version` (1: full `q × q` `u64`
 /// matrix, 2: packed `u64` upper triangle, 3: packed `u32` upper triangle)
-/// into the oracle, in one pass over the payload straight into the `u32`
-/// triangle.
-fn decode_oracle(version: u32, body: &[u8], clustering: &Clustering) -> io::Result<DistanceOracle> {
+/// into the oracle over `clustering`, in one pass over the payload
+/// straight into the `u32` triangle.
+fn decode_oracle(
+    version: u32,
+    body: &[u8],
+    clustering: &Arc<Clustering>,
+) -> io::Result<DistanceOracle> {
     let mut buf = body;
     if buf.remaining() < 8 {
         return Err(data_err("truncated oracle header"));
@@ -665,13 +660,7 @@ fn decode_oracle(version: u32, body: &[u8], clustering: &Clustering) -> io::Resu
         }
         upper
     };
-    DistanceOracle::from_raw_parts(
-        clustering.assignment.clone(),
-        clustering.dist_to_center.clone(),
-        clustering.radii.clone(),
-        apsp,
-    )
-    .map_err(data_err)
+    DistanceOracle::from_raw_parts(clustering.clone(), apsp).map_err(data_err)
 }
 
 #[cfg(test)]
@@ -963,7 +952,7 @@ mod tests {
         let g = generators::mesh(15, 15);
         let s = Session::build(g.clone(), &SessionParams::new(4, 2));
         let d = s.diameter(true, None);
-        assert_eq!(d.clustering, *s.clustering());
+        assert_eq!(*d.clustering, *s.clustering());
         assert_eq!(d, recompute_diameter(&s));
         let truth = pardec_graph::diameter::exact_diameter(&g) as u64;
         assert!(d.lower_bound <= truth);

@@ -19,8 +19,8 @@
 //! a per-node record index for as long as the traversal runs (see the
 //! "Traversals" section of [`crate::ccsr`]).
 //!
-//! [`WeightedNeighborAccess`] is the `(target, weight)` analogue for the
-//! delta-stepping engine ([`crate::wfrontier`]).
+//! Weighted graphs have one backend, [`crate::WeightedGraph`], which the
+//! delta-stepping engine ([`crate::wfrontier`]) reads directly.
 
 use crate::NodeId;
 
@@ -213,44 +213,6 @@ impl NeighborAccess for crate::CsrGraph {
     #[inline]
     fn upper_neighbors_iter(&self, u: NodeId) -> UpperNeighbors<Self::Neighbors<'_>> {
         UpperNeighbors::presliced(self.upper_neighbors(u).iter().copied())
-    }
-}
-
-/// Read access to a weighted graph's sorted `(target, weight)` adjacency —
-/// the surface of the delta-stepping engine. Same ordering contract as
-/// [`NeighborAccess`]: targets strictly ascending, symmetric arcs.
-pub trait WeightedNeighborAccess: Sync {
-    /// Iterator over one node's sorted `(neighbor, weight)` pairs.
-    type WNeighbors<'a>: Iterator<Item = (NodeId, u64)> + 'a
-    where
-        Self: 'a;
-
-    /// Number of nodes `n`.
-    fn num_nodes(&self) -> usize;
-
-    /// Number of undirected edges `m`.
-    fn num_edges(&self) -> usize;
-
-    /// Sorted `(neighbor, weight)` pairs of `u`.
-    fn wneighbors_iter(&self, u: NodeId) -> Self::WNeighbors<'_>;
-}
-
-impl WeightedNeighborAccess for crate::WeightedGraph {
-    type WNeighbors<'a> = crate::weighted::WNeighborIter<'a>;
-
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        crate::WeightedGraph::num_nodes(self)
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        crate::WeightedGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn wneighbors_iter(&self, u: NodeId) -> Self::WNeighbors<'_> {
-        self.wneighbor_iter(u)
     }
 }
 

@@ -28,10 +28,6 @@
 //! O(1) amortized and neighbor iteration O(deg), at an index overhead of
 //! `8 / BLOCK` bytes per node.
 //!
-//! [`CweightedGraph`] is the `(target, weight)` analogue (each gap varint
-//! is followed by a weight varint), feeding the delta-stepping engine
-//! through [`crate::access::WeightedNeighborAccess`].
-//!
 //! # Traversals
 //!
 //! The in-block skip is cheap for one lookup and expensive for a
@@ -62,8 +58,8 @@
 //! produces byte-identical outputs on either backend (locked by the
 //! round-trip proptests here and the equivalence suite in `tests/`).
 
-use crate::access::{NeighborAccess, WeightedNeighborAccess};
-use crate::{CsrGraph, NodeId, WeightedGraph};
+use crate::access::NeighborAccess;
+use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
 /// Vertices per block-index entry. Small enough that skipping to a vertex
@@ -141,11 +137,12 @@ fn skip_varints(data: &[u8], pos: &mut usize, mut count: u64) {
     *pos = p;
 }
 
-/// Advances `*pos` past one whole record of `stride` varints per neighbor.
+/// Advances `*pos` past one whole record: its degree, then that many
+/// neighbor varints.
 #[inline]
-fn skip_record(data: &[u8], pos: &mut usize, stride: u64) {
+fn skip_record(data: &[u8], pos: &mut usize) {
     let deg = read_varint(data, pos);
-    skip_varints(data, pos, stride * deg);
+    skip_varints(data, pos, deg);
 }
 
 /// Checked reader for untrusted bytes: `None` on truncation or a varint
@@ -258,7 +255,7 @@ impl CcsrGraph {
         debug_assert!(ui < self.num_nodes);
         let mut pos = self.index[ui / BLOCK] as usize;
         for _ in 0..ui % BLOCK {
-            skip_record(&self.data, &mut pos, 1);
+            skip_record(&self.data, &mut pos);
         }
         pos
     }
@@ -294,7 +291,7 @@ impl CcsrGraph {
                 let mut pos = base;
                 // The block's first record sits at its base: offset 0.
                 for offset in &mut block[1..] {
-                    skip_record(data, &mut pos, 1);
+                    skip_record(data, &mut pos);
                     *offset = u32::try_from(pos - base)
                         .expect("a record starts 4 GiB or more past its block's base");
                 }
@@ -638,149 +635,6 @@ impl CcsrBuilder {
     }
 }
 
-/// Weighted analogue of [`CcsrGraph`]: each gap varint is followed by a
-/// varint weight. Feeds [`crate::WeightedFrontierEngine`] through
-/// [`WeightedNeighborAccess`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CweightedGraph {
-    num_nodes: usize,
-    num_arcs: usize,
-    data: Vec<u8>,
-    index: Vec<u64>,
-}
-
-impl CweightedGraph {
-    /// Compresses a plain weighted graph (lossless).
-    pub fn from_weighted(g: &WeightedGraph) -> Self {
-        let n = g.num_nodes();
-        let mut data = Vec::new();
-        let mut index = Vec::with_capacity(n.div_ceil(BLOCK));
-        let mut body = Vec::new();
-        let mut arcs = 0usize;
-        for u in 0..n as NodeId {
-            if (u as usize).is_multiple_of(BLOCK) {
-                index.push(data.len() as u64);
-            }
-            body.clear();
-            let mut deg = 0usize;
-            let mut prev = 0u64;
-            for (v, w) in g.neighbors(u) {
-                if deg == 0 {
-                    write_varint(&mut body, zigzag(v as i64 - u as i64));
-                } else {
-                    write_varint(&mut body, u64::from(v) - prev - 1);
-                }
-                write_varint(&mut body, w);
-                prev = u64::from(v);
-                deg += 1;
-            }
-            write_varint(&mut data, deg as u64);
-            data.extend_from_slice(&body);
-            arcs += deg;
-        }
-        CweightedGraph {
-            num_nodes: n,
-            num_arcs: arcs,
-            data,
-            index,
-        }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of undirected edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_arcs / 2
-    }
-
-    /// Resident bytes of the representation.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() + self.index.len() * std::mem::size_of::<u64>()
-    }
-
-    #[inline]
-    fn locate(&self, u: NodeId) -> usize {
-        let ui = u as usize;
-        debug_assert!(ui < self.num_nodes);
-        let mut pos = self.index[ui / BLOCK] as usize;
-        for _ in 0..ui % BLOCK {
-            skip_record(&self.data, &mut pos, 2);
-        }
-        pos
-    }
-
-    /// Sorted `(neighbor, weight)` pairs of `u`, decoded on the fly.
-    #[inline]
-    pub fn wneighbors(&self, u: NodeId) -> WNeighbors<'_> {
-        let mut pos = self.locate(u);
-        let deg = read_varint(&self.data, &mut pos) as usize;
-        WNeighbors {
-            data: &self.data,
-            pos,
-            remaining: deg,
-            prev: 0,
-            vertex: u,
-            first: true,
-        }
-    }
-}
-
-impl WeightedNeighborAccess for CweightedGraph {
-    type WNeighbors<'a> = WNeighbors<'a>;
-
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        CweightedGraph::num_nodes(self)
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        CweightedGraph::num_edges(self)
-    }
-
-    #[inline]
-    fn wneighbors_iter(&self, u: NodeId) -> Self::WNeighbors<'_> {
-        self.wneighbors(u)
-    }
-}
-
-/// Decoding iterator over one vertex's gap-coded `(target, weight)` list.
-pub struct WNeighbors<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    prev: u64,
-    vertex: NodeId,
-    first: bool,
-}
-
-impl Iterator for WNeighbors<'_> {
-    type Item = (NodeId, u64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, u64)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let raw = read_varint(self.data, &mut self.pos);
-        let v = if self.first {
-            self.first = false;
-            (self.vertex as i64 + unzigzag(raw)) as u64
-        } else {
-            self.prev + 1 + raw
-        };
-        let w = read_varint(self.data, &mut self.pos);
-        self.prev = v;
-        Some((v as NodeId, w))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,22 +870,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weighted_roundtrip() {
-        let g = WeightedGraph::from_edges(
-            6,
-            &[(0, 1, 3), (1, 2, 900), (2, 3, 1), (0, 5, 70), (4, 5, 2)],
-        );
-        let c = CweightedGraph::from_weighted(&g);
-        assert_eq!(c.num_nodes(), g.num_nodes());
-        assert_eq!(c.num_edges(), g.num_edges());
-        for u in 0..g.num_nodes() as NodeId {
-            let decoded: Vec<(NodeId, u64)> = c.wneighbors(u).collect();
-            let plain: Vec<(NodeId, u64)> = g.neighbors(u).collect();
-            assert_eq!(decoded, plain, "weighted list diverged at {u}");
-        }
-    }
-
     /// Arbitrary graph strategy (the same family mix as the I/O proptests:
     /// meshes, G(n, m) soups, power-law, empty).
     fn any_graph() -> impl Strategy<Value = CsrGraph> {
@@ -1053,25 +891,6 @@ mod tests {
         #[test]
         fn roundtrip_equals_plain(g in any_graph()) {
             assert_equiv(&g);
-        }
-
-        /// Weighted compressed lists reproduce the plain weighted lists.
-        #[test]
-        fn weighted_roundtrip_equals_plain(
-            n in 1usize..40,
-            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u64..1u64 << 40), 0..120),
-        ) {
-            let edges: Vec<(NodeId, NodeId, u64)> = edges
-                .into_iter()
-                .map(|(u, v, w)| (u % n as NodeId, v % n as NodeId, w))
-                .collect();
-            let g = WeightedGraph::from_edges(n, &edges);
-            let c = CweightedGraph::from_weighted(&g);
-            for u in 0..n as NodeId {
-                let decoded: Vec<(NodeId, u64)> = c.wneighbors(u).collect();
-                let plain: Vec<(NodeId, u64)> = g.neighbors(u).collect();
-                prop_assert_eq!(decoded, plain);
-            }
         }
     }
 }

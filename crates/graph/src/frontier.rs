@@ -16,9 +16,9 @@
 //!   levels of low-diameter graphs where the frontier covers most arcs.
 //! * [`FrontierStrategy::Hybrid`] — the Beamer et al. direction-optimizing
 //!   heuristic (SC'12): switch to bottom-up when the frontier is still
-//!   growing and its out-degree sum exceeds `1/alpha` of the arcs incident
-//!   to unclaimed nodes, and back to top-down once the frontier shrinks
-//!   below `n/beta` nodes (see [`FrontierParams`]).
+//!   growing and its out-degree sum exceeds `1/α` of the arcs incident to
+//!   unclaimed nodes, and back to top-down once the frontier shrinks below
+//!   `n/β` nodes, with Beamer's α = 14 and β = 24.
 //!
 //! # Determinism contract
 //!
@@ -141,27 +141,15 @@ impl std::fmt::Display for FrontierStrategy {
     }
 }
 
-/// Tuning knobs of the [`FrontierStrategy::Hybrid`] direction heuristic.
-///
-/// The defaults are the values Beamer et al. report as robust across graph
-/// families: go bottom-up when `Σ deg(frontier) > unexplored_arcs / alpha`,
-/// return to top-down when `|frontier| < n / beta`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierParams {
-    /// Edge-count switch factor (paper value: 14).
-    pub alpha: usize,
-    /// Frontier-size switch-back factor (paper value: 24).
-    pub beta: usize,
-}
+/// Edge-count switch factor α of the [`FrontierStrategy::Hybrid`]
+/// heuristic: go bottom-up when `Σ deg(frontier) > unexplored_arcs / α`.
+/// This and [`BETA`] are the values Beamer, Asanović and Patterson
+/// (SC'12) report as robust across graph families.
+const ALPHA: usize = 14;
 
-impl Default for FrontierParams {
-    fn default() -> Self {
-        FrontierParams {
-            alpha: 14,
-            beta: 24,
-        }
-    }
-}
+/// Frontier-size switch-back factor β of the hybrid heuristic: return to
+/// top-down when `|frontier| < n / β`.
+const BETA: usize = 24;
 
 /// The claim word of an unclaimed node: above every claim.
 const UNCLAIMED: u64 = u64::MAX;
@@ -236,7 +224,6 @@ pub struct FrontierParts {
 pub struct FrontierEngine<'g, G: NeighborAccess + 'g = CsrGraph> {
     g: G::Indexed<'g>,
     strategy: FrontierStrategy,
-    params: FrontierParams,
     /// One claim word per node (see the module docs).
     claims: Vec<AtomicU64>,
     frontier: Vec<NodeId>,
@@ -264,16 +251,10 @@ pub struct FrontierEngine<'g, G: NeighborAccess + 'g = CsrGraph> {
 impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
     /// A fresh engine over `g` with no active sources.
     pub fn new(g: &'g G, strategy: FrontierStrategy) -> Self {
-        Self::with_params(g, strategy, FrontierParams::default())
-    }
-
-    /// As [`FrontierEngine::new`] with explicit heuristic parameters.
-    pub fn with_params(g: &'g G, strategy: FrontierStrategy, params: FrontierParams) -> Self {
         let n = g.num_nodes();
         FrontierEngine {
             g: g.indexed(),
             strategy,
-            params,
             claims: (0..n).map(|_| AtomicU64::new(UNCLAIMED)).collect(),
             frontier: Vec::new(),
             sources: Vec::new(),
@@ -328,11 +309,6 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         self.switches
     }
 
-    /// Sources activated so far.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Current frontier size (active boundary nodes).
     pub fn frontier_len(&self) -> usize {
         self.frontier.len()
@@ -343,8 +319,9 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
         self.claims[v as usize].load(Ordering::Relaxed) != UNCLAIMED
     }
 
-    /// Activates `v` as a new source with owner id `num_sources()`. Returns
-    /// `false` (and does nothing) if `v` is already claimed.
+    /// Activates `v` as a new source whose owner id is the number of
+    /// sources activated before it. Returns `false` (and does nothing) if
+    /// `v` is already claimed.
     pub fn add_source(&mut self, v: NodeId) -> bool {
         if self.is_claimed(v) {
             return false;
@@ -483,11 +460,11 @@ impl<'g, G: NeighborAccess> FrontierEngine<'g, G> {
                     // tiny unexplored remainder) would flip bottom-up and
                     // pay the O(n) sweep per level for nothing.
                     let growing = self.frontier.len() > self.prev_frontier_len;
-                    if growing && frontier_degree * self.params.alpha > self.unexplored_arcs {
+                    if growing && frontier_degree * ALPHA > self.unexplored_arcs {
                         self.bottom_up = true;
                         self.switches += 1;
                     }
-                } else if self.frontier.len() * self.params.beta < self.g.num_nodes() {
+                } else if self.frontier.len() * BETA < self.g.num_nodes() {
                     self.bottom_up = false;
                     self.switches += 1;
                 }

@@ -490,21 +490,18 @@ fn data_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Encodes the `PDEC1` graph body (everything after the magic): `n`,
-/// `arcs`, offsets, targets. This is also the [`SECTION_GRAPH`] payload.
-fn encode_graph_body(g: &CsrGraph) -> Vec<u8> {
-    let offsets = g.raw_offsets();
-    let targets = g.raw_targets();
-    let mut buf = Vec::with_capacity(16 + offsets.len() * 8 + targets.len() * 4);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(targets.len() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o as u64);
+/// The [`SECTION_GRAPH`] section of `g`, whose payload is also the `PDEC1`
+/// graph body (everything after the magic): `n`, `arcs`, offsets, targets.
+fn graph_section(g: &CsrGraph) -> SectionData<'_> {
+    let mut head = Vec::with_capacity(16);
+    head.put_u64_le(g.num_nodes() as u64);
+    head.put_u64_le(g.raw_targets().len() as u64);
+    SectionData {
+        tag: SECTION_GRAPH,
+        version: SECTION_GRAPH_VERSION,
+        head,
+        words: vec![Words::U64(g.raw_offsets()), Words::U32(g.raw_targets())],
     }
-    for &t in targets {
-        buf.put_u32_le(t);
-    }
-    buf
 }
 
 /// Validates a graph body's header, returning `(n, arcs, rest)` with `rest`
@@ -638,8 +635,10 @@ fn decode_cgraph(body: &[u8]) -> io::Result<CcsrGraph> {
 /// Serializes `g` into the `PDEC1` binary snapshot format (graph only; use
 /// [`save_snapshot`] to persist additional sections).
 pub fn save_binary(g: &CsrGraph, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&encode_graph_body(g))
+    let mut w = Blocks::new(w);
+    w.put(MAGIC)?;
+    w.put_payload(&graph_section(g))?;
+    w.finish()
 }
 
 /// Deserializes the graph of a `PDEC1` **or** `PDEC2` snapshot through the
@@ -649,9 +648,9 @@ pub fn load_binary(bytes: &[u8]) -> io::Result<CsrGraph> {
 }
 
 /// One section to persist alongside the graph in a `PDEC2` snapshot. Its
-/// payload is `head` followed by `words` as little-endian `u32`s.
+/// payload is `head` followed by each run of `words`, little-endian.
 ///
-/// The writer encodes `words` through a fixed 64 KiB buffer, so a large
+/// The writer encodes the runs straight into its output block, so a large
 /// array borrowed from its owner reaches the output without a byte copy of
 /// the whole array in memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -662,8 +661,17 @@ pub struct SectionData<'a> {
     pub version: u32,
     /// Leading payload bytes, built in memory.
     pub head: Vec<u8>,
-    /// Payload words after `head`.
-    pub words: &'a [u32],
+    /// Payload words after `head`, run by run.
+    pub words: Vec<Words<'a>>,
+}
+
+/// A run of [`SectionData`] payload words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Words<'a> {
+    /// Written as 4-byte words.
+    U32(&'a [u32]),
+    /// Written as 8-byte words (CSR offsets).
+    U64(&'a [usize]),
 }
 
 impl SectionData<'_> {
@@ -673,48 +681,103 @@ impl SectionData<'_> {
             tag,
             version,
             head: bytes,
-            words: &[],
+            words: Vec::new(),
         }
     }
 
     /// Payload length in bytes, as the section table declares it.
     fn payload_len(&self) -> usize {
-        self.head.len() + 4 * self.words.len()
+        let run = |w: &Words| match w {
+            Words::U32(w) => 4 * w.len(),
+            Words::U64(w) => 8 * w.len(),
+        };
+        self.head.len() + self.words.iter().map(run).sum::<usize>()
     }
 }
 
-/// Bytes of the buffer [`SectionData::words`] are encoded through.
-const WORD_BUFFER_BYTES: usize = 1 << 16;
+/// Bytes per write of the snapshot writers.
+const BLOCK_BYTES: usize = 1 << 16;
 
-/// Writes `words` to `w` as little-endian bytes, at most
-/// [`WORD_BUFFER_BYTES`] at a time.
-fn write_words(words: &[u32], w: &mut impl Write) -> io::Result<()> {
-    let mut buf = vec![0u8; WORD_BUFFER_BYTES.min(4 * words.len())];
-    for chunk in words.chunks(WORD_BUFFER_BYTES / 4) {
-        let bytes = &mut buf[..4 * chunk.len()];
-        for (b, word) in bytes.chunks_exact_mut(4).zip(chunk) {
-            b.copy_from_slice(&word.to_le_bytes());
-        }
-        w.write_all(bytes)?;
-    }
-    Ok(())
-}
-
-/// A writer that counts the bytes passing through it.
-struct Counted<W> {
+/// The snapshot writer: it counts the bytes put to it and hands them on in
+/// whole [`BLOCK_BYTES`] blocks, all but the last full. A `Vec` output is
+/// therefore sized by blocks from its first write on, never from the
+/// 80-odd bytes of a section table.
+struct Blocks<W: Write> {
     inner: W,
+    block: Vec<u8>,
+    fill: usize,
     bytes: usize,
 }
 
-impl<W: Write> Write for Counted<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bytes += n;
-        Ok(n)
+impl<W: Write> Blocks<W> {
+    fn new(inner: W) -> Self {
+        Blocks {
+            inner,
+            block: vec![0; BLOCK_BYTES],
+            fill: 0,
+            bytes: 0,
+        }
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// Counts `n` more bytes of the block, writing it out when it is full.
+    fn advance(&mut self, n: usize) -> io::Result<()> {
+        self.fill += n;
+        self.bytes += n;
+        if self.fill == BLOCK_BYTES {
+            self.inner.write_all(&self.block)?;
+            self.fill = 0;
+        }
+        Ok(())
+    }
+
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            let n = bytes.len().min(BLOCK_BYTES - self.fill);
+            self.block[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            self.advance(n)?;
+        }
+        Ok(())
+    }
+
+    /// Puts `words` as `N`-byte little-endian words, encoded in the block.
+    fn put_words<T: Copy, const N: usize>(
+        &mut self,
+        mut words: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        while let Some((&first, rest)) = words.split_first() {
+            let room = (BLOCK_BYTES - self.fill) / N;
+            if room == 0 {
+                // The word straddles the end of the block.
+                self.put(&le(first))?;
+                words = rest;
+                continue;
+            }
+            let (now, later) = words.split_at(room.min(words.len()));
+            for (b, &w) in self.block[self.fill..].chunks_exact_mut(N).zip(now) {
+                b.copy_from_slice(&le(w));
+            }
+            self.advance(N * now.len())?;
+            words = later;
+        }
+        Ok(())
+    }
+
+    fn put_payload(&mut self, s: &SectionData) -> io::Result<()> {
+        self.put(&s.head)?;
+        for run in &s.words {
+            match *run {
+                Words::U32(w) => self.put_words(w, u32::to_le_bytes)?,
+                Words::U64(w) => self.put_words(w, |o| (o as u64).to_le_bytes())?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the last, partial block.
+    fn finish(mut self) -> io::Result<()> {
+        self.inner.write_all(&self.block[..self.fill])
     }
 }
 
@@ -724,8 +787,7 @@ impl<W: Write> Write for Counted<W> {
 /// must not pass that tag themselves. Payloads are laid out in argument
 /// order, each 8-byte aligned.
 pub fn save_snapshot(g: &CsrGraph, extra: &[SectionData], w: &mut impl Write) -> io::Result<()> {
-    let graph = SectionData::bytes(SECTION_GRAPH, SECTION_GRAPH_VERSION, encode_graph_body(g));
-    save_snapshot_sections(&graph, extra, w)
+    save_snapshot_sections(&graph_section(g), extra, w)
 }
 
 /// [`save_snapshot`] for either backend: a plain repr writes a
@@ -783,21 +845,20 @@ fn save_snapshot_sections(
         offsets.push(cursor);
         cursor += s.payload_len();
     }
-    let mut w = Counted { inner: w, bytes: 0 };
-    w.write_all(&header)?;
+    let mut w = Blocks::new(w);
+    w.put(&header)?;
     for (start, s) in offsets.into_iter().zip(std::iter::once(graph).chain(extra)) {
         for _ in w.bytes..start {
-            w.write_all(&[0])?; // alignment padding
+            w.put(&[0])?; // alignment padding
         }
-        w.write_all(&s.head)?;
-        write_words(s.words, &mut w)?;
+        w.put_payload(s)?;
         assert_eq!(
             w.bytes,
             start + s.payload_len(),
             "section payload length differs from its table entry"
         );
     }
-    Ok(())
+    w.finish()
 }
 
 /// One parsed entry of a snapshot's section table.
@@ -1304,15 +1365,22 @@ mod tests {
     }
 
     /// A `words` payload is its little-endian bytes after `head`, across
-    /// buffer refills, whatever the writer accepts per call.
+    /// block boundaries (words straddle them), whatever the writer accepts
+    /// per call.
     #[test]
     fn word_payloads_stream_as_little_endian_bytes() {
-        let words: Vec<u32> = (0..(WORD_BUFFER_BYTES / 4 + 3) as u32)
+        let words: Vec<u32> = (0..(BLOCK_BYTES / 4 + 3) as u32)
             .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let wide: Vec<usize> = (0..BLOCK_BYTES / 8 + 5)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
         let mut payload = vec![1, 2, 3];
         for w in &words {
             payload.extend_from_slice(&w.to_le_bytes());
+        }
+        for w in &wide {
+            payload.extend_from_slice(&(*w as u64).to_le_bytes());
         }
         let tail = SectionData::bytes(TAG_B, 2, vec![5]);
         let streamed = [
@@ -1320,7 +1388,7 @@ mod tests {
                 tag: TAG_A,
                 version: 1,
                 head: vec![1, 2, 3],
-                words: &words,
+                words: vec![Words::U32(&words), Words::U64(&wide)],
             },
             tail.clone(),
         ];
@@ -1341,6 +1409,23 @@ mod tests {
         let snap = Snapshot::parse(&buf).unwrap();
         assert_eq!(snap.section(TAG_A), Some((1, &payload[..])));
         assert_eq!(snap.section(TAG_B), Some((2, &[5u8][..])));
+
+        // Every write but the last is one whole block, the first included.
+        struct Calls(Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        save_snapshot(&g, &streamed, &mut calls).unwrap();
+        let (last, whole) = calls.0.split_last().unwrap();
+        assert!(whole.len() >= 2 && whole.iter().all(|&n| n == BLOCK_BYTES));
+        assert_eq!(whole.len() * BLOCK_BYTES + last, inline.len());
     }
 
     #[test]

@@ -73,9 +73,9 @@ pub const INVALID_NODE: NodeId = NodeId::MAX;
 /// Sentinel distance for unreachable nodes.
 pub const INFINITE_DIST: u32 = u32::MAX;
 
-pub use access::{NeighborAccess, WeightedNeighborAccess};
+pub use access::NeighborAccess;
 pub use builder::GraphBuilder;
-pub use ccsr::{CcsrBuilder, CcsrGraph, CweightedGraph};
+pub use ccsr::{CcsrBuilder, CcsrGraph};
 pub use combine::CombineStats;
 pub use csr::CsrGraph;
 pub use frontier::FrontierStrategy;
@@ -85,9 +85,9 @@ pub use wfrontier::WeightedFrontierEngine;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::access::{NeighborAccess, WeightedNeighborAccess};
+    pub use crate::access::NeighborAccess;
     pub use crate::builder::GraphBuilder;
-    pub use crate::ccsr::{CcsrBuilder, CcsrGraph, CweightedGraph};
+    pub use crate::ccsr::{CcsrBuilder, CcsrGraph};
     pub use crate::combine::CombineStats;
     pub use crate::csr::CsrGraph;
     pub use crate::frontier::FrontierStrategy;

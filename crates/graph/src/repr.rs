@@ -150,22 +150,6 @@ impl GraphRepr {
             GraphRepr::Compressed(g) => std::borrow::Cow::Owned(g.to_csr()),
         }
     }
-
-    /// The plain graph when stored plain.
-    pub fn as_plain(&self) -> Option<&CsrGraph> {
-        match self {
-            GraphRepr::Plain(g) => Some(g),
-            GraphRepr::Compressed(_) => None,
-        }
-    }
-
-    /// The compressed graph when stored compressed.
-    pub fn as_compressed(&self) -> Option<&CcsrGraph> {
-        match self {
-            GraphRepr::Plain(_) => None,
-            GraphRepr::Compressed(g) => Some(g),
-        }
-    }
 }
 
 impl NeighborAccess for GraphRepr {
@@ -346,6 +330,7 @@ mod tests {
         }
         assert!(comp.heap_bytes() < plain.heap_bytes());
         assert_eq!(comp.to_csr().as_ref(), &g);
-        assert!(plain.as_plain().is_some() && comp.as_compressed().is_some());
+        assert_eq!(plain.backend(), Backend::Plain);
+        assert_eq!(comp.backend(), Backend::Compressed);
     }
 }

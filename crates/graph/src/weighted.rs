@@ -76,13 +76,6 @@ fn next_occupied(occupied: &[u64], at: usize) -> usize {
         .expect("a non-empty queue has an occupied bucket")
 }
 
-/// Sorted `(neighbor, weight)` iterator of one node (see
-/// [`WeightedGraph::wneighbor_iter`]).
-pub type WNeighborIter<'a> = std::iter::Zip<
-    std::iter::Copied<std::slice::Iter<'a, NodeId>>,
-    std::iter::Copied<std::slice::Iter<'a, u64>>,
->;
-
 /// Undirected graph with `u64` edge weights in CSR form. Parallel edges are
 /// collapsed to their minimum weight at construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -177,16 +170,9 @@ impl WeightedGraph {
         self.targets.len() / 2
     }
 
-    /// Neighbours of `u` with weights.
+    /// Neighbours of `u` with weights, targets ascending.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.wneighbor_iter(u)
-    }
-
-    /// [`Self::neighbors`] with a nameable iterator type — the GAT of the
-    /// [`crate::access::WeightedNeighborAccess`] impl.
-    #[inline]
-    pub fn wneighbor_iter(&self, u: NodeId) -> WNeighborIter<'_> {
         let u = u as usize;
         let range = self.offsets[u]..self.offsets[u + 1];
         self.targets[range.clone()]
@@ -246,7 +232,7 @@ impl WeightedGraph {
                         if dist[u as usize] != d {
                             continue; // stale: settled at a smaller distance
                         }
-                        for (v, w) in self.wneighbor_iter(u) {
+                        for (v, w) in self.neighbors(u) {
                             let nd = d + w;
                             if nd < dist[v as usize] {
                                 dist[v as usize] = nd;
@@ -267,7 +253,7 @@ impl WeightedGraph {
                     if d > dist[u as usize] {
                         continue; // stale entry
                     }
-                    for (v, w) in self.wneighbor_iter(u) {
+                    for (v, w) in self.neighbors(u) {
                         let nd = d + w;
                         if nd < dist[v as usize] {
                             dist[v as usize] = nd;

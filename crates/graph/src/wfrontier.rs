@@ -47,7 +47,6 @@
 //! [`refine_open_bucket`]: WeightedFrontierEngine::refine_open_bucket
 //! [`rollback_open_bucket_after`]: WeightedFrontierEngine::rollback_open_bucket_after
 
-use crate::access::WeightedNeighborAccess;
 use crate::combine;
 use crate::weighted::WeightedGraph;
 use crate::NodeId;
@@ -100,14 +99,14 @@ pub fn delta_from_env() -> Option<u64> {
 /// Data-driven default bucket width: the mean edge weight (the classic
 /// delta-stepping heuristic `δ ≈ Δ/d` degenerates to this for the random
 /// weights used here), clamped to at least 1. A pure function of the graph.
-pub fn auto_delta<G: WeightedNeighborAccess>(g: &G) -> u64 {
+pub fn auto_delta(g: &WeightedGraph) -> u64 {
     let arcs = 2 * g.num_edges();
     if arcs == 0 {
         return 1;
     }
     let total: u128 = (0..g.num_nodes() as NodeId)
         .into_par_iter()
-        .map(|u| g.wneighbors_iter(u).map(|(_, w)| w as u128).sum::<u128>())
+        .map(|u| g.neighbors(u).map(|(_, w)| w as u128).sum::<u128>())
         .sum();
     ((total / arcs as u128) as u64).max(1)
 }
@@ -115,7 +114,7 @@ pub fn auto_delta<G: WeightedNeighborAccess>(g: &G) -> u64 {
 /// The ambient bucket width: `requested` when given, else `PARDEC_DELTA`,
 /// else [`auto_delta`]. Outputs never depend on the choice — only
 /// wall-clock does.
-pub fn resolve_delta<G: WeightedNeighborAccess>(g: &G, requested: Option<u64>) -> u64 {
+pub fn resolve_delta(g: &WeightedGraph, requested: Option<u64>) -> u64 {
     requested
         .or_else(delta_from_env)
         .unwrap_or_else(|| auto_delta(g))
@@ -152,14 +151,8 @@ pub struct WeightedFrontierParts {
 
 /// Multi-source weighted wave over bucketed frontiers. See the module docs
 /// for the claim semantics and determinism contract.
-///
-/// Generic over the weighted adjacency backend: any
-/// [`WeightedNeighborAccess`] implementor (plain [`WeightedGraph`] or the
-/// compressed [`crate::CweightedGraph`]) serves the identical sorted
-/// `(target, weight)` lists, so the wave — and every downstream consumer —
-/// is byte-identical across backends.
-pub struct WeightedFrontierEngine<'g, G: WeightedNeighborAccess = WeightedGraph> {
-    g: &'g G,
+pub struct WeightedFrontierEngine<'g> {
+    g: &'g WeightedGraph,
     delta: u64,
     /// Packed `(t, owner, hops)` claim per node; `NO_CLAIM` if none.
     claim: Vec<u128>,
@@ -184,12 +177,12 @@ pub struct WeightedFrontierEngine<'g, G: WeightedNeighborAccess = WeightedGraph>
     stats: WaveStats,
 }
 
-impl<'g, G: WeightedNeighborAccess> WeightedFrontierEngine<'g, G> {
+impl<'g> WeightedFrontierEngine<'g> {
     /// Creates an engine over `g` with bucket width `delta ≥ 1`.
     ///
     /// # Panics
     /// Panics if `delta == 0`.
-    pub fn new(g: &'g G, delta: u64) -> Self {
+    pub fn new(g: &'g WeightedGraph, delta: u64) -> Self {
         assert!(delta >= 1, "bucket width delta must be positive");
         let n = g.num_nodes();
         WeightedFrontierEngine {
@@ -445,7 +438,7 @@ impl<'g, G: WeightedNeighborAccess> WeightedFrontierEngine<'g, G> {
                     let c = claim[v as usize];
                     debug_assert_ne!(c, NO_CLAIM);
                     let (t, owner, hops) = unpack_claim(c);
-                    for (u, w) in g.wneighbors_iter(v) {
+                    for (u, w) in g.neighbors(v) {
                         if light_only && w > delta {
                             continue;
                         }
@@ -557,8 +550,8 @@ impl<'g, G: WeightedNeighborAccess> WeightedFrontierEngine<'g, G> {
 /// Multi-source weighted shortest paths with ownership: runs one wave from
 /// `sources` (all activated at time 0) and returns the final arrays. The
 /// weighted analogue of [`crate::frontier::multi_source_bfs`].
-pub fn multi_source_dijkstra<G: WeightedNeighborAccess>(
-    g: &G,
+pub fn multi_source_dijkstra(
+    g: &WeightedGraph,
     sources: &[NodeId],
     delta: u64,
 ) -> WeightedFrontierParts {
