@@ -11,7 +11,9 @@
 //! arrays, weights) before its timing is reported — the bench doubles as an
 //! end-to-end equivalence check. Legs: mesh / power-law / road clusterings
 //! at 1, 2, and 4 threads, for the unweighted quotient, the weighted
-//! quotient, and the builder's counting-sort build; the text edge-list
+//! quotient, both quotients from one sweep against two builds (also with
+//! every power-law node its own cluster, where no record collapses), and
+//! the builder's counting-sort build; the text edge-list
 //! reader at 1 and 4 threads, with its own allocation peak; plus the weighted
 //! quotient APSP diameter the seed bench tracked, and that APSP against the
 //! seed-era heap APSP with every weight scaled by 1, 8, 128 and 1000 (and
@@ -20,7 +22,9 @@
 use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
 use pardec_core::{cluster, ClusterParams};
-use pardec_graph::quotient::{quotient_with_stats, weighted_quotient};
+use pardec_graph::quotient::{
+    quotient_with_stats, weighted_quotient, weighted_quotient_with_stats,
+};
 use pardec_graph::{generators, io, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
 
 const THREAD_CONFIGS: [usize; 3] = [1, 2, 4];
@@ -63,67 +67,12 @@ fn legs(scale: Scale) -> Vec<(&'static str, CsrGraph)> {
 
 fn main() {
     let scale = scale_from_args();
-    for (name, g) in legs(scale) {
-        let r = cluster(&g, &ClusterParams::new(8, 7));
-        let cl = r.clustering;
+    let legs = legs(scale);
+    for (name, g) in &legs {
+        let cl = cluster(g, &ClusterParams::new(8, 7)).clustering;
         let k = cl.num_clusters();
+        quotient_rows(name, g, &cl.assignment, &cl.dist_to_center, k);
         for threads in THREAD_CONFIGS {
-            // Unweighted quotient: kernel dedup vs the seed-era sequential
-            // sort-dedup pass.
-            let (naive_q, naive_secs) =
-                best_of_3(threads, || naive::quotient(&g, &cl.assignment, k));
-            let ((kernel_q, stats), kernel_secs) =
-                best_of_3(threads, || quotient_with_stats(&g, &cl.assignment, k));
-            assert_eq!(
-                kernel_q, naive_q,
-                "kernel and naive quotient diverged on {name} at {threads} threads"
-            );
-            println!(
-                "{{\"bench\":\"quotient\",\"case\":\"unweighted\",\"graph\":\"{}\",\
-                 \"nodes\":{},\"edges\":{},\"clusters\":{},\"cut_arcs\":{},\
-                 \"quotient_arcs\":{},\"combine_ratio\":{:.3},\"threads\":{},\
-                 \"seconds_naive\":{:.6},\"seconds_kernel\":{:.6},\
-                 \"speedup_kernel_vs_naive\":{:.3},\
-                 \"peak_alloc_bytes\":{}}}",
-                name,
-                g.num_nodes(),
-                g.num_edges(),
-                k,
-                stats.input_pairs,
-                stats.output_pairs,
-                stats.combine_ratio(),
-                threads,
-                naive_secs,
-                kernel_secs,
-                naive_secs / kernel_secs,
-                pardec_bench::alloc::peak_bytes(),
-            );
-
-            // Weighted quotient: kernel min-combine vs the HashMap pass.
-            let (naive_wq, naive_secs) = best_of_3(threads, || {
-                naive::weighted_quotient(&g, &cl.assignment, &cl.dist_to_center, k)
-            });
-            let (kernel_wq, kernel_secs) = best_of_3(threads, || {
-                weighted_quotient(&g, &cl.assignment, &cl.dist_to_center, k)
-            });
-            assert_eq!(
-                kernel_wq, naive_wq,
-                "kernel and naive weighted quotient diverged on {name} at {threads} threads"
-            );
-            println!(
-                "{{\"bench\":\"quotient\",\"case\":\"weighted\",\"graph\":\"{}\",\
-                 \"clusters\":{},\"threads\":{},\"seconds_naive\":{:.6},\
-                 \"seconds_kernel\":{:.6},\"speedup_kernel_vs_naive\":{:.3},\
-                 \"peak_alloc_bytes\":{}}}",
-                name,
-                k,
-                threads,
-                naive_secs,
-                kernel_secs,
-                naive_secs / kernel_secs,
-                pardec_bench::alloc::peak_bytes(),
-            );
-
             // Builder: the counting-sort build vs the seed-era sort-dedup
             // build over the raw edge list.
             let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
@@ -153,11 +102,11 @@ fn main() {
             );
         }
 
-        reader_rows(name, &g);
+        reader_rows(name, g);
 
         // The seed bench's quotient-diameter row, kept for trajectory
         // continuity (4-thread pool).
-        let wq = weighted_quotient(&g, &cl.assignment, &cl.dist_to_center, k);
+        let wq = weighted_quotient(g, &cl.assignment, &cl.dist_to_center, k);
         let (diam, secs) = best_of_3(4, || wq.apsp_diameter());
         println!(
             "{{\"bench\":\"quotient\",\"case\":\"weighted-apsp-diameter\",\"graph\":\"{}\",\
@@ -171,6 +120,13 @@ fn main() {
         );
         scaled_apsp_rows(name, &wq);
     }
+    // No collapse: every node of the power-law graph is its own cluster, so
+    // every cut edge is a quotient edge of its own — the pre-combine's
+    // worst case, where every chunk fills its table and spills the rest.
+    let (_, powerlaw) = &legs[1];
+    let n = powerlaw.num_nodes();
+    let singletons: Vec<NodeId> = (0..n as NodeId).collect();
+    quotient_rows("powerlaw-singletons", powerlaw, &singletons, &vec![0; n], n);
     // The bucket queue's worst shape: on a path the heap never holds more
     // than two entries, while every bucket jump is as long as an edge.
     let path: Vec<(NodeId, NodeId, u64)> = (0..PATH_NODES - 1).map(|u| (u, u + 1, 1)).collect();
@@ -178,6 +134,98 @@ fn main() {
         "path",
         &WeightedGraph::from_edges(PATH_NODES as usize, &path),
     );
+}
+
+/// The quotient rows of one labeling of `g`, per pool size: the unweighted
+/// and the weighted quotient against their seed-era sequential builds, and
+/// the `one-sweep` row — both quotients from the one sweep sessions run
+/// (`weighted_quotient_with_stats` and its topology) against two builds
+/// (`quotient_with_stats` + `weighted_quotient`), outputs asserted equal.
+fn quotient_rows(name: &str, g: &CsrGraph, labels: &[NodeId], dist: &[u32], k: usize) {
+    for threads in THREAD_CONFIGS {
+        // Unweighted quotient: kernel dedup vs the seed-era sequential
+        // sort-dedup pass.
+        let (naive_q, naive_secs) = best_of_3(threads, || naive::quotient(g, labels, k));
+        let ((kernel_q, stats), kernel_secs) =
+            best_of_3(threads, || quotient_with_stats(g, labels, k));
+        assert_eq!(
+            kernel_q, naive_q,
+            "kernel and naive quotient diverged on {name} at {threads} threads"
+        );
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"unweighted\",\"graph\":\"{}\",\
+             \"nodes\":{},\"edges\":{},\"clusters\":{},\"cut_arcs\":{},\
+             \"quotient_arcs\":{},\"combine_ratio\":{:.3},\"threads\":{},\
+             \"seconds_naive\":{:.6},\"seconds_kernel\":{:.6},\
+             \"speedup_kernel_vs_naive\":{:.3},\
+             \"peak_alloc_bytes\":{}}}",
+            name,
+            g.num_nodes(),
+            g.num_edges(),
+            k,
+            stats.input_pairs,
+            stats.output_pairs,
+            stats.combine_ratio(),
+            threads,
+            naive_secs,
+            kernel_secs,
+            naive_secs / kernel_secs,
+            pardec_bench::alloc::peak_bytes(),
+        );
+
+        // Weighted quotient: kernel min-combine vs the HashMap pass.
+        let (naive_wq, naive_secs) =
+            best_of_3(threads, || naive::weighted_quotient(g, labels, dist, k));
+        let (kernel_wq, kernel_secs) = best_of_3(threads, || weighted_quotient(g, labels, dist, k));
+        assert_eq!(
+            kernel_wq, naive_wq,
+            "kernel and naive weighted quotient diverged on {name} at {threads} threads"
+        );
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"weighted\",\"graph\":\"{}\",\
+             \"clusters\":{},\"threads\":{},\"seconds_naive\":{:.6},\
+             \"seconds_kernel\":{:.6},\"speedup_kernel_vs_naive\":{:.3},\
+             \"peak_alloc_bytes\":{}}}",
+            name,
+            k,
+            threads,
+            naive_secs,
+            kernel_secs,
+            naive_secs / kernel_secs,
+            pardec_bench::alloc::peak_bytes(),
+        );
+
+        // Both quotients: two builds vs one sweep.
+        let (two, two_secs) = best_of_3(threads, || {
+            (
+                quotient_with_stats(g, labels, k),
+                weighted_quotient(g, labels, dist, k),
+            )
+        });
+        let (one, one_secs) = best_of_3(threads, || {
+            let (wq, stats) = weighted_quotient_with_stats(g, labels, dist, k);
+            ((wq.topology(), stats), wq)
+        });
+        assert_eq!(
+            one, two,
+            "one sweep and two builds diverged on {name} at {threads} threads"
+        );
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"one-sweep\",\"graph\":\"{}\",\
+             \"clusters\":{},\"cut_arcs\":{},\"combine_ratio\":{:.3},\"threads\":{},\
+             \"seconds_two_builds\":{:.6},\"seconds_one_sweep\":{:.6},\
+             \"speedup_one_sweep\":{:.3},\"peak_alloc_bytes\":{}}}",
+            name,
+            k,
+            stats.input_pairs,
+            stats.combine_ratio(),
+            threads,
+            two_secs,
+            one_secs,
+            two_secs / one_secs,
+            pardec_bench::alloc::peak_bytes(),
+        );
+    }
 }
 
 /// One `reader` row per pool size: `g` written as a text edge list, then

@@ -152,25 +152,13 @@ pub fn tau_for_target(n: usize, target: usize) -> usize {
     ((target as f64 / (4.0 * logn * batches)).round() as usize).max(1)
 }
 
-/// Ground-truth diameter of a dataset.
-///
-/// Long-diameter graphs (roads, meshes) use exact iFUB, whose fringes are
-/// tiny there. For large low-diameter social graphs iFUB degenerates toward
-/// APSP, so — exactly like the paper's footnote 2 ("the true diameter ...
-/// computed through approximate yet very accurate algorithms") — we return
-/// the best multi-start double-sweep lower bound, which is almost always
-/// exact on such graphs.
+/// Ground-truth diameter of a dataset: the exact diameter, as
+/// [`pardec_graph::diameter::exact_diameter`] computes it (all-pairs BFS on
+/// small graphs, iFUB above). On the low-diameter social sets iFUB needs
+/// few BFS (4 on `synth-social-small` and 14 on `synth-social-large` at the
+/// default scale), so no sampled lower bound has to stand in for it.
 pub fn exact_diameter(g: &CsrGraph) -> u32 {
-    let n = g.num_nodes();
-    let sweep_lb = (0..4)
-        .map(|i| pardec_graph::diameter::double_sweep(g, (i * 97 % n.max(1)) as u32).lower_bound)
-        .max()
-        .unwrap_or(0);
-    if sweep_lb >= 60 || n <= 25_000 {
-        pardec_graph::diameter::ifub(g, 0).0
-    } else {
-        sweep_lb
-    }
+    pardec_graph::diameter::exact_diameter(g)
 }
 
 #[cfg(test)]
@@ -193,6 +181,22 @@ mod tests {
         assert!(social_ecc < 20, "social ecc {social_ecc}");
         let mesh_ecc = pardec_graph::traversal::eccentricity(&ds[5].graph, 0);
         assert!(mesh_ecc >= 198, "mesh ecc {mesh_ecc}");
+    }
+
+    /// The ground truth is exact on both regimes: it equals all-pairs BFS
+    /// on small social and road graphs.
+    #[test]
+    fn exact_diameter_matches_all_pairs_bfs() {
+        for g in [
+            pardec_graph::generators::windowed_preferential_attachment(3000, 4, 0.05, 3),
+            pardec_graph::generators::preferential_attachment(2000, 2, 5),
+            pardec_graph::generators::road_network(30, 30, 0.4, 7),
+        ] {
+            assert_eq!(
+                exact_diameter(&g),
+                pardec_graph::diameter::apsp_diameter(&g)
+            );
+        }
     }
 
     #[test]

@@ -270,9 +270,8 @@ fn write_labels(path: &str, clustering: &Clustering) -> CmdResult {
 }
 
 fn cmd_clust(args: &Args, algo: &str) -> CmdResult {
-    let g = load_graph(args)?;
     let params = session_params(args, algo, 4, false)?;
-    let session = Session::build(g, &params);
+    let session = Session::build(load_graph(args)?, &params);
     let clustering = session.clustering();
     let sizes = clustering.cluster_sizes();
     println!("algorithm     {}", params.algo.name());
@@ -284,7 +283,7 @@ fn cmd_clust(args: &Args, algo: &str) -> CmdResult {
         sizes.iter().min().unwrap_or(&0),
         sizes.iter().max().unwrap_or(&0)
     );
-    let (q, kernel) = clustering.quotient_with_stats(session.graph());
+    let (q, kernel) = session.quotient();
     println!(
         "quotient      {} nodes / {} edges",
         q.num_nodes(),
@@ -410,14 +409,13 @@ fn cmd_dist_exact(args: &Args) -> CmdResult {
 }
 
 fn cmd_dist_approx(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let algo = if args.has_flag("cluster2") {
         "cluster2"
     } else {
         "cluster"
     };
     let params = session_params(args, algo, 4, false)?;
-    let session = Session::build(g, &params);
+    let session = Session::build(load_graph(args)?, &params);
     let a = session.diameter(true, None);
     println!("lower bound (Δ_C)    {}", a.lower_bound);
     println!("upper bound (Δ″)     {}", a.estimate());
@@ -450,11 +448,10 @@ fn cmd_dist_approx(args: &Args) -> CmdResult {
 }
 
 fn cmd_snapshot_save(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let build_oracle = !args.has_flag("no-oracle");
     let params = session_params(args, args.opt("algorithm", "cluster"), 4, build_oracle)?;
-    let session = Session::build(g, &params);
     let out = args.req("out")?;
+    let session = Session::build(load_graph(args)?, &params);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut w = BufWriter::new(file);
     session.save(&mut w)?;
@@ -578,19 +575,9 @@ fn cmd_kcenter(args: &Args) -> CmdResult {
 }
 
 fn cmd_oracle(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let params = session_params(args, "cluster", 2, true)?;
-    let session = Session::build(g, &params);
-    let oracle = session.oracle().expect("session built with an oracle");
-    println!(
-        "oracle: {} clusters, radius {}, {} words",
-        oracle.num_clusters(),
-        oracle.radius(),
-        oracle.memory_words()
-    );
-    let queries = args.req("queries")?;
     let mut pairs = Vec::new();
-    for pair in queries.split(',') {
+    for pair in args.req("queries")?.split(',') {
         let Some((u, v)) = pair.split_once(':') else {
             return Err(format!("bad query {pair:?} (expected u:v)").into());
         };
@@ -598,6 +585,14 @@ fn cmd_oracle(args: &Args) -> CmdResult {
         let v: NodeId = v.trim().parse().map_err(|_| format!("bad node id {v:?}"))?;
         pairs.push((u, v));
     }
+    let session = Session::build(load_graph(args)?, &params);
+    let oracle = session.oracle().expect("session built with an oracle");
+    println!(
+        "oracle: {} clusters, radius {}, {} words",
+        oracle.num_clusters(),
+        oracle.radius(),
+        oracle.memory_words()
+    );
     // One batched Session call — the same entry point the daemon serves.
     let (dists, _ledger) = session.distance(&pairs)?;
     for (&(u, v), d) in pairs.iter().zip(dists) {
@@ -933,6 +928,26 @@ mod tests {
         // Disconnected k-center infeasibility surfaces as an error.
         assert!(dispatch(&args(&format!("kcenter --graph {path} --k 0"))).is_err());
         let _ = std::fs::remove_file(path);
+    }
+
+    /// Options are checked before the graph is read: with `--graph` naming
+    /// a missing file, each command fails on its bad option.
+    #[test]
+    fn bad_options_fail_before_the_graph_is_read() {
+        let missing = tmp("does-not-exist.txt");
+        for (line, expected) in [
+            ("clust nosuch", "unknown algorithm \"nosuch\""),
+            ("snapshot save --out x.pdec --tau x", "--tau \"x\""),
+            ("dist approx --backend bogus", "--backend \"bogus\""),
+            ("oracle --queries 0-1", "bad query \"0-1\""),
+            ("snapshot save --tau 2", "--out missing"),
+        ] {
+            let err = dispatch(&args(&format!("{line} --graph {missing}"))).unwrap_err();
+            assert!(err.to_string().contains(expected), "{line}: {err}");
+        }
+        // The same commands with good options do reach the file.
+        let err = dispatch(&args(&format!("clust cluster --graph {missing}"))).unwrap_err();
+        assert!(err.to_string().starts_with("cannot open"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use pardec_graph::diameter as exact;
 use pardec_graph::frontier::FrontierStrategy;
-use pardec_graph::{CombineStats, NeighborAccess};
+use pardec_graph::{CombineStats, CsrGraph, NeighborAccess};
 use std::sync::Arc;
 
 /// Which decomposition feeds the quotient construction.
@@ -43,7 +43,9 @@ pub struct DiameterParams {
     /// Also compute the weighted-quotient bound `Δ″` (the paper's tightened
     /// estimate). It costs one APSP over the weighted quotient, except on a
     /// [`crate::session::Session`] holding an oracle: the oracle already
-    /// stores that APSP, and `Δ″` reads `Δ′_C` from it.
+    /// stores that APSP, and `Δ″` reads `Δ′_C` from it. It costs no extra
+    /// cut-edge sweep: the sweep that builds the weighted quotient also
+    /// yields the unweighted one `Δ_C` is read from.
     pub weighted: bool,
     /// Theorem 4's sparsification path: when the quotient has more edges
     /// than this (the `M_L` stand-in), replace it with a Baswana–Sen
@@ -147,56 +149,79 @@ pub fn approximate_diameter<G: NeighborAccess>(g: &G, params: &DiameterParams) -
 ///
 /// Only `params.weighted`, `params.sparsify_above`, and `params.seed` (for
 /// the spanner) are read; the decomposition fields describe work already
-/// done. `growth_steps` is echoed into the result's ledger.
+/// done. `growth_steps` is echoed into the result's ledger. One cut-edge
+/// sweep builds every quotient the bounds need.
 pub fn approximate_diameter_of_clustering<G: NeighborAccess>(
     g: &G,
     clustering: Clustering,
     growth_steps: usize,
     params: &DiameterParams,
 ) -> DiameterApprox {
-    bounds_of_clustering(g, Arc::new(clustering), growth_steps, params, None)
+    let ((quotient, kernel), weighted_diameter) = if params.weighted {
+        let (quotient, wdiam) = quotient_and_weighted_diameter(g, &clustering);
+        (quotient, Some(wdiam))
+    } else {
+        (clustering.quotient_with_stats(g), None)
+    };
+    bounds_of_clustering(
+        &quotient,
+        kernel,
+        Arc::new(clustering),
+        growth_steps,
+        params,
+        weighted_diameter,
+    )
 }
 
-/// [`approximate_diameter_of_clustering`] with `Δ′_C` optionally supplied
-/// by the caller (a resident oracle's [`DistanceOracle::quotient_diameter`])
-/// instead of recomputed by an APSP over the weighted quotient.
+/// The unweighted quotient of `clustering` with its kernel ledger, and
+/// `Δ′_C`, the APSP diameter of its weighted quotient — both from one
+/// sweep, since the unweighted quotient is the weighted one's topology.
+pub(crate) fn quotient_and_weighted_diameter<G: NeighborAccess>(
+    g: &G,
+    clustering: &Clustering,
+) -> ((CsrGraph, CombineStats), u64) {
+    let (weighted, kernel) = clustering.weighted_quotient_with_stats(g);
+    ((weighted.topology(), kernel), weighted.apsp_diameter())
+}
+
+/// The §4 bounds of `clustering` from its unweighted quotient and that
+/// quotient's kernel ledger, with `Δ″` from `weighted_diameter` (`Δ′_C`)
+/// when given: a resident oracle's
+/// [`DistanceOracle::quotient_diameter`], or the APSP of
+/// [`quotient_and_weighted_diameter`].
 ///
 /// [`DistanceOracle::quotient_diameter`]: crate::oracle::DistanceOracle::quotient_diameter
-pub(crate) fn bounds_of_clustering<G: NeighborAccess>(
-    g: &G,
+pub(crate) fn bounds_of_clustering(
+    quotient: &CsrGraph,
+    quotient_kernel: CombineStats,
     clustering: Arc<Clustering>,
     growth_steps: usize,
     params: &DiameterParams,
-    weighted_quotient_diameter: Option<u64>,
+    weighted_diameter: Option<u64>,
 ) -> DiameterApprox {
     let radius = clustering.max_radius();
-
-    let (mut q, quotient_kernel) = clustering.quotient_with_stats(g);
     // Theorem 4: if the quotient exceeds the local-memory stand-in,
     // sparsify it with a (2k-1)-spanner before the diameter computation.
+    let spanner;
+    let mut q = quotient;
     let mut stretch = 1u64;
     if let Some(limit) = params.sparsify_above {
         if q.num_edges() > limit {
-            let sp = pardec_graph::spanner::baswana_sen(&q, 2, params.seed.wrapping_add(0x51));
+            let sp = pardec_graph::spanner::baswana_sen(q, 2, params.seed.wrapping_add(0x51));
             stretch = sp.stretch as u64;
-            q = sp.graph;
+            spanner = sp.graph;
+            q = &spanner;
         }
     }
-    let q_diam = exact::exact_diameter(&q) as u64;
+    let q_diam = exact::exact_diameter(q) as u64;
     // With sparsification, q_diam over-estimates Δ_C by at most `stretch`.
     let delta_c = q_diam / stretch;
     let upper = 2 * radius as u64 * (q_diam + 1) + q_diam;
 
-    let upper_weighted = params.weighted.then(|| {
-        let wdiam = weighted_quotient_diameter
-            .unwrap_or_else(|| clustering.weighted_quotient(g).apsp_diameter());
-        2 * radius as u64 + wdiam
-    });
-
     DiameterApprox {
         lower_bound: delta_c,
         upper_bound: upper,
-        upper_bound_weighted: upper_weighted,
+        upper_bound_weighted: weighted_diameter.map(|wdiam| 2 * radius as u64 + wdiam),
         radius,
         quotient_nodes: q.num_nodes(),
         quotient_edges: q.num_edges(),

@@ -27,7 +27,7 @@ use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
 use pardec_graph::weighted::{upper_row_start, INFINITE_ENTRY};
-use pardec_graph::{NeighborAccess, NodeId};
+use pardec_graph::{NeighborAccess, NodeId, WeightedGraph};
 use std::sync::Arc;
 
 /// Approximate distance oracle built from a clustering (§4).
@@ -71,13 +71,18 @@ impl DistanceOracle {
     /// Builds from an existing clustering: one APSP over its weighted
     /// quotient.
     pub fn from_clustering<G: NeighborAccess>(g: &G, clustering: &Clustering) -> Self {
-        Self::from_shared(g, Arc::new(clustering.clone()))
+        Self::from_quotient(
+            Arc::new(clustering.clone()),
+            &clustering.weighted_quotient(g),
+        )
     }
 
-    /// As [`Self::from_clustering`], reading `clustering` in place.
-    pub(crate) fn from_shared<G: NeighborAccess>(g: &G, clustering: Arc<Clustering>) -> Self {
-        let apsp = clustering.weighted_quotient(g).apsp_upper();
-        Self::assemble(clustering, apsp)
+    /// As [`Self::from_clustering`], reading `clustering` in place and
+    /// taking the APSP of `quotient`, its weighted quotient, which the
+    /// caller built (a session keeps that sweep's topology for
+    /// [`crate::session::Session::diameter`]).
+    pub(crate) fn from_quotient(clustering: Arc<Clustering>, quotient: &WeightedGraph) -> Self {
+        Self::assemble(clustering, quotient.apsp_upper())
     }
 
     /// Reassembles an oracle from its stored parts (snapshot load path):

@@ -51,16 +51,20 @@
 use crate::cluster::{cluster, ClusterParams};
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
-use crate::diameter::{bounds_of_clustering, DiameterApprox, DiameterParams};
+use crate::diameter::{
+    bounds_of_clustering, quotient_and_weighted_diameter, DiameterApprox, DiameterParams,
+};
 use crate::mpx::mpx_with_frontier;
 use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot, Words};
 use pardec_graph::weighted::{upper_entry, upper_row_start};
-use pardec_graph::{Backend, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE};
+use pardec_graph::{
+    Backend, CombineStats, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE,
+};
 use std::io::{self, Write};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Section tag for the persisted [`Clustering`] (`b"CLUS"`).
 pub const SECTION_CLUSTERING: u32 = u32::from_le_bytes(*b"CLUS");
@@ -109,9 +113,14 @@ pub struct SessionParams {
     pub algo: SessionAlgo,
     /// Frontier strategy for growth phases *and* later `nearest` batches.
     pub frontier: FrontierStrategy,
-    /// Also build the §4 distance oracle (costs one weighted-quotient APSP;
-    /// enables `distance` / `eccentricity` queries). The session then pays
-    /// for that APSP once: [`Session::diameter`] reads `Δ″` from it.
+    /// Also build the §4 distance oracle (costs one cut-edge sweep for the
+    /// weighted quotient and one APSP over it; enables `distance` /
+    /// `eccentricity` queries). The session then pays for both once:
+    /// [`Session::diameter`] reads `Δ″` from the APSP and `Δ_C` from the
+    /// unweighted quotient the same sweep yields, which the session keeps
+    /// (`q + 1` offsets and `2·m_C` targets: about 60 KB on a 160k-node
+    /// road graph at τ = 5). Without an oracle the build sweeps nothing;
+    /// the first [`Session::quotient`] or [`Session::diameter`] call does.
     pub build_oracle: bool,
     /// Adjacency storage backend the resident graph is held under. Like
     /// `frontier`, a memory/wall-clock knob only: every backend produces
@@ -226,6 +235,9 @@ pub struct Session {
     /// Shared with the oracle, which reads the same per-node arrays.
     clustering: Arc<Clustering>,
     oracle: Option<DistanceOracle>,
+    /// The unweighted quotient and its kernel ledger: set by the sweep
+    /// that builds the oracle, else by the first use.
+    quotient: OnceLock<(CsrGraph, CombineStats)>,
     frontier: FrontierStrategy,
     growth_steps: usize,
 }
@@ -266,15 +278,21 @@ impl Session {
             }
         };
         let clustering = Arc::new(clustering);
-        let oracle = params
-            .build_oracle
-            .then(|| DistanceOracle::from_shared(&graph, clustering.clone()));
+        let quotient = OnceLock::new();
+        // One sweep gives the oracle its weighted quotient and `diameter`
+        // the unweighted one.
+        let oracle = params.build_oracle.then(|| {
+            let (weighted, kernel) = clustering.weighted_quotient_with_stats(&graph);
+            let _ = quotient.set((weighted.topology(), kernel));
+            DistanceOracle::from_quotient(clustering.clone(), &weighted)
+        });
         build_span.field("clusters", clustering.num_clusters());
         build_span.field("growth_steps", growth_steps);
         Session {
             graph,
             clustering,
             oracle,
+            quotient,
             frontier: params.frontier,
             growth_steps,
         }
@@ -300,6 +318,7 @@ impl Session {
             graph,
             clustering: Arc::new(clustering),
             oracle,
+            quotient: OnceLock::new(),
             frontier,
             growth_steps,
         })
@@ -323,6 +342,16 @@ impl Session {
     /// The resident oracle, if one was built or loaded.
     pub fn oracle(&self) -> Option<&DistanceOracle> {
         self.oracle.as_ref()
+    }
+
+    /// The unweighted quotient of the resident clustering and the combine
+    /// kernel's ledger of its build. A session built with an oracle has it
+    /// from the oracle's sweep; any other sweeps once, on first use.
+    pub fn quotient(&self) -> (&CsrGraph, CombineStats) {
+        let (q, kernel) = self
+            .quotient
+            .get_or_init(|| self.clustering.quotient_with_stats(&self.graph));
+        (q, *kernel)
     }
 
     /// Frontier strategy `nearest` batches run under.
@@ -445,27 +474,35 @@ impl Session {
     /// The §4 diameter bounds of the resident clustering — the same numbers
     /// `pardec dist approx` reports, computed without re-clustering.
     ///
-    /// With an oracle resident, `Δ″` takes `Δ′_C` from the oracle's stored
-    /// quotient APSP ([`DistanceOracle::quotient_diameter`]) instead of
-    /// running a second one. A loaded session thus takes `Δ″` from the
-    /// snapshot's stored `ORCL` triangle, which both load paths only
-    /// shape-check: the trust `distance` and `eccentricity` already place
-    /// in it.
+    /// `Δ_C` comes from the resident [`Session::quotient`]. With an oracle
+    /// resident, `Δ″` takes `Δ′_C` from the oracle's stored quotient APSP
+    /// ([`DistanceOracle::quotient_diameter`]) instead of running a second
+    /// one. A loaded session thus takes `Δ″` from the snapshot's stored
+    /// `ORCL` triangle, which both load paths only shape-check: the trust
+    /// `distance` and `eccentricity` already place in it. Without an
+    /// oracle, one sweep builds the weighted quotient for that APSP and
+    /// the unweighted quotient the session keeps.
     pub fn diameter(&self, weighted: bool, sparsify_above: Option<usize>) -> DiameterApprox {
         let mut params = DiameterParams::new(1, 0).with_frontier(self.frontier);
         params.weighted = weighted;
         params.sparsify_above = sparsify_above;
-        let stored = self
-            .oracle
-            .as_ref()
-            .filter(|_| weighted)
-            .map(DistanceOracle::quotient_diameter);
+        let weighted_diameter = weighted.then(|| match &self.oracle {
+            Some(oracle) => oracle.quotient_diameter(),
+            None => {
+                let (quotient, wdiam) =
+                    quotient_and_weighted_diameter(&self.graph, &self.clustering);
+                let _ = self.quotient.set(quotient);
+                wdiam
+            }
+        });
+        let (quotient, kernel) = self.quotient();
         bounds_of_clustering(
-            &self.graph,
+            quotient,
+            kernel,
             self.clustering.clone(),
             self.growth_steps,
             &params,
-            stored,
+            weighted_diameter,
         )
     }
 
@@ -548,6 +585,7 @@ impl Session {
             graph,
             clustering,
             oracle,
+            quotient: OnceLock::new(),
             frontier,
             growth_steps,
         })

@@ -35,6 +35,20 @@
 //! out for free, and sorted arcs are exactly what a CSR build needs: the
 //! offsets array is read straight off the combined buffer.
 //!
+//! A min-fold may also run a **map-side combiner** ahead of the kernel, as
+//! the MR shuffle's combiner does ahead of its shuffle. The quotient builds
+//! emit one record per cut edge through `emit_precombined`, and their
+//! records often collapse hundreds-fold. Each chunk of a fixed grid of
+//! sources folds its records into a small open-addressing table, and the
+//! kernel then sorts only the survivors. A chunk whose records hold more
+//! distinct keys than its cache-sized table emits the rest of them raw, so
+//! the data decides, chunk by chunk, how much is folded early. No option
+//! selects any of this, and nothing depends on the pool size. The kernel's
+//! output is the same as without the combiner, because a min-fold over
+//! survivors equals one over every record. Only the ledger the kernel
+//! records differs: it counts the survivors it sorted, and its `buckets`
+//! describe that sort's grid.
+//!
 //! The only `unsafe` here is the cell scatter (disjoint slots of one flat
 //! buffer written through raw pointers, the same invariant as the MR
 //! shuffle's scatter) and the final `MaybeUninit` → initialized conversion;
@@ -70,7 +84,9 @@ pub struct CombineStats {
     /// Distinct keys surviving the fold (for a quotient build: unique
     /// quotient edges).
     pub output_pairs: usize,
-    /// Buckets of the scatter grid (1 for the sequential small-input path).
+    /// Buckets of the scatter grid of the kernel's sort (1 for the
+    /// sequential small-input path). After a pre-combine that sort sees
+    /// only the survivors, so this figure describes its smaller grid.
     pub buckets: usize,
 }
 
@@ -255,6 +271,212 @@ where
     unsafe { assume_init_vec(flat) }
 }
 
+/// Concatenates `parts` into one buffer, copying them in parallel.
+fn par_concat<T: Copy + Send + Sync>(parts: &[&[T]]) -> Vec<T> {
+    let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
+    let mut out = uninit_vec::<T>(lens.iter().sum());
+    let copies: Vec<(&[T], &mut [MaybeUninit<T>])> = parts
+        .iter()
+        .copied()
+        .zip(split_cells(&mut out, &lens))
+        .collect();
+    copies.into_par_iter().for_each(|(src, dst)| {
+        for (slot, item) in dst.iter_mut().zip(src) {
+            slot.write(*item);
+        }
+    });
+    // SAFETY: each destination cell has exactly its source part's length.
+    unsafe { assume_init_vec(out) }
+}
+
+/// Sources per chunk of the fixed grid a quotient sweep walks (nodes, in
+/// [`crate::quotient`]); each chunk pre-combines its own records.
+pub const SWEEP_CHUNK: usize = 8192;
+
+/// Distinct keys a pre-combine table holds, in at most twice as many
+/// slots: 256 KiB of `u128` records, which stay in a core's L2 cache. A
+/// chunk with more keys emits the rest of its records raw.
+const TABLE_KEYS: usize = 1 << 13;
+
+/// A record whose key is a [`pack`]ed pair: the key itself (`u64`), or the
+/// key in the high 64 bits over a `u64` weight (`u128`). Ordering records
+/// orders them by key, and for equal keys by weight, so the min-fold is
+/// `Ord::min`.
+pub(crate) trait PairRecord: Copy + Ord + Send + Sync {
+    /// The empty slot of a pre-combine table. Its key, `u64::MAX`, is no
+    /// pair's: a normalized pair has `hi < lo ≤ NodeId::MAX`.
+    const EMPTY: Self;
+    /// The record of pair `key` at `weight` (a `u64` record drops it).
+    fn new(key: u64, weight: u64) -> Self;
+    /// The packed pair.
+    fn key(self) -> u64;
+    /// The same record for the mirrored pair `(lo, hi)`.
+    fn mirrored(self) -> Self;
+}
+
+impl PairRecord for u64 {
+    const EMPTY: u64 = u64::MAX;
+    #[inline]
+    fn new(key: u64, _weight: u64) -> u64 {
+        key
+    }
+    #[inline]
+    fn key(self) -> u64 {
+        self
+    }
+    #[inline]
+    fn mirrored(self) -> u64 {
+        self.rotate_left(32)
+    }
+}
+
+impl PairRecord for u128 {
+    const EMPTY: u128 = u128::MAX;
+    #[inline]
+    fn new(key: u64, weight: u64) -> u128 {
+        ((key as u128) << 64) | weight as u128
+    }
+    #[inline]
+    fn key(self) -> u64 {
+        (self >> 64) as u64
+    }
+    #[inline]
+    fn mirrored(self) -> u128 {
+        Self::new(self.key().rotate_left(32), self as u64)
+    }
+}
+
+/// Open-addressing table keeping the smallest record per key: one chunk's
+/// map-side combiner. Linear probing over a power-of-two slot array kept
+/// at most half full, for at most [`TABLE_KEYS`] keys.
+struct MinTable<R> {
+    slots: Vec<R>,
+    len: usize,
+    /// `64 - log2(slots)`: the multiplicative hash keeps the top bits.
+    shift: u32,
+}
+
+impl<R: PairRecord> MinTable<R> {
+    fn with_bits(bits: u32) -> Self {
+        MinTable {
+            slots: vec![R::EMPTY; 1 << bits],
+            len: 0,
+            shift: 64 - bits,
+        }
+    }
+
+    /// Folds `r` into its key's slot. Returns `false`, holding nothing new,
+    /// when `r`'s key is new and the table already holds [`TABLE_KEYS`].
+    #[inline]
+    fn insert(&mut self, r: R) -> bool {
+        let key = r.key();
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            let k = slot.key();
+            if k == key {
+                *slot = (*slot).min(r);
+                return true;
+            }
+            if k == u64::MAX {
+                if self.len == TABLE_KEYS {
+                    return false;
+                }
+                *slot = r;
+                self.len += 1;
+                if 2 * self.len > self.slots.len() {
+                    self.grow();
+                }
+                return true;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let bigger = Self::with_bits(65 - self.shift);
+        for r in std::mem::replace(self, bigger).slots {
+            if r != R::EMPTY {
+                self.insert(r);
+            }
+        }
+    }
+
+    fn into_records(self) -> Vec<R> {
+        self.slots.into_iter().filter(|&r| r != R::EMPTY).collect()
+    }
+}
+
+/// One chunk's map-side combiner: its records go into a [`MinTable`]
+/// until the table is full, then raw into a buffer.
+pub(crate) struct Sink<R> {
+    table: Option<MinTable<R>>,
+    raw: Vec<R>,
+    pushed: usize,
+}
+
+impl<R: PairRecord> Sink<R> {
+    /// Appends one record.
+    #[inline]
+    pub(crate) fn push(&mut self, r: R) {
+        self.pushed += 1;
+        match &mut self.table {
+            Some(table) => {
+                if !table.insert(r) {
+                    // Too many keys: the rest of the chunk goes raw.
+                    let table = self.table.take().expect("matched `Some`");
+                    self.raw = table.into_records();
+                    self.raw.push(r);
+                }
+            }
+            None => self.raw.push(r),
+        }
+    }
+
+    /// The chunk's records and the number pushed.
+    fn finish(self) -> (Vec<R>, usize) {
+        let records = match self.table {
+            Some(table) => table.into_records(),
+            None => self.raw,
+        };
+        (records, self.pushed)
+    }
+}
+
+/// Emission with a map-side combiner, for records headed to a min-fold:
+/// `fill(i, sink)` pushes source `i`'s records, and equal keys may leave
+/// as one record holding their minimum. Returns the records and how many
+/// were pushed.
+///
+/// The sources are cut into a fixed grid of [`SWEEP_CHUNK`]-source chunks
+/// (a function of `items` alone). Each chunk, in parallel, folds its
+/// records into a [`MinTable`] of its own; a chunk whose table fills up
+/// emits the rest of its records raw. A min-fold of the output equals one
+/// of every record pushed.
+pub(crate) fn emit_precombined<R: PairRecord>(
+    items: usize,
+    fill: impl Fn(usize, &mut Sink<R>) + Sync,
+) -> (Vec<R>, usize) {
+    let chunks: Vec<(Vec<R>, usize)> = (0..items.div_ceil(SWEEP_CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            let mut sink = Sink {
+                table: Some(MinTable::with_bits(8)),
+                raw: Vec::new(),
+                pushed: 0,
+            };
+            for i in c * SWEEP_CHUNK..((c + 1) * SWEEP_CHUNK).min(items) {
+                fill(i, &mut sink);
+            }
+            sink.finish()
+        })
+        .collect();
+    let pushed = chunks.iter().map(|(_, p)| p).sum();
+    let parts: Vec<&[R]> = chunks.iter().map(|(r, _)| r.as_slice()).collect();
+    (par_concat(&parts), pushed)
+}
+
 /// Collapses equal-key runs of a key-sorted slice in place, left-to-right,
 /// returning the compacted length.
 fn fold_runs<T, K, F>(items: &mut [T], key_of: &K, fold: &F) -> usize
@@ -397,19 +619,11 @@ where
         .collect();
 
     // Pass 4 — compact the folded bucket prefixes into the final buffer.
-    let total: usize = out_lens.iter().sum();
-    let mut out = uninit_vec::<T>(total);
-    let copies: Vec<(&[T], &mut [MaybeUninit<T>])> = (0..buckets)
+    let prefixes: Vec<&[T]> = (0..buckets)
         .map(|b| &flat[starts[b]..starts[b] + out_lens[b]])
-        .zip(split_cells(&mut out, &out_lens))
         .collect();
-    copies.into_par_iter().for_each(|(src, dst)| {
-        for (slot, item) in dst.iter_mut().zip(src) {
-            slot.write(*item);
-        }
-    });
-    // SAFETY: each destination cell has exactly its source prefix's length.
-    let out = unsafe { assume_init_vec(out) };
+    let out = par_concat(&prefixes);
+    let total = out.len();
     fold_span.field("output_pairs", total);
     drop(fold_span);
 
@@ -461,9 +675,10 @@ where
     (arcs, stats)
 }
 
-/// [`csr_from_half_arcs`] for half-arcs that are **already unique** (any
-/// order): skips the dedup combine and only mirrors + key-sorts. Used when
-/// the caller's own combine produced the normalized edge set.
+/// Builds a [`CsrGraph`] on `n` nodes from half-arcs that are **already
+/// unique** (one normalized [`pack`]`(min(u,v), max(u,v))` key per edge,
+/// any order, no self-loops): mirrors and key-sorts them. Used when the
+/// caller's own combine produced the normalized edge set.
 pub(crate) fn csr_from_unique_half_arcs(n: usize, half_arcs: Vec<u64>) -> CsrGraph {
     if n == 0 {
         debug_assert!(half_arcs.is_empty());
@@ -482,29 +697,6 @@ pub(crate) fn csr_from_unique_half_arcs(n: usize, half_arcs: Vec<u64>) -> CsrGra
     let (arcs, _) = combine_by_key(mirrored, (n as u64) << 32, |&a| a, |first, _dup| first);
     let (offsets, targets) = csr_parts_from_sorted(n, &arcs, |&a| a);
     CsrGraph::from_parts(offsets, targets)
-}
-
-/// Builds a [`CsrGraph`] on `n` nodes from half-arc input: one normalized
-/// [`pack`]`(min(u,v), max(u,v))` key per undirected edge occurrence
-/// (duplicates fine, self-loops must be pre-filtered). Combining half the
-/// records costs half the sort of combining both arcs of every edge.
-pub fn csr_from_half_arcs(n: usize, half_arcs: Vec<u64>) -> (CsrGraph, CombineStats) {
-    if n == 0 {
-        debug_assert!(half_arcs.is_empty());
-        return (CsrGraph::empty(0), CombineStats::default());
-    }
-    let (arcs, stats) = combine_symmetrize(
-        n,
-        half_arcs,
-        |&a| a,
-        |a| {
-            let (hi, lo) = unpack(a);
-            pack(lo, hi)
-        },
-        |first, _dup| first,
-    );
-    let (offsets, targets) = csr_parts_from_sorted(n, &arcs, |&a| a);
-    (CsrGraph::from_parts(offsets, targets), stats)
 }
 
 /// Reads CSR offsets and targets straight off a key-sorted combined buffer
@@ -616,8 +808,8 @@ mod tests {
 
     #[test]
     fn dedup_fold_keeps_one_of_identical_records() {
-        // A dedup fold over records whose payload IS the key (as in
-        // `csr_from_half_arcs`): any survivor is the right one; both size
+        // A dedup fold over records whose payload IS the key (as in the
+        // unweighted quotient's): any survivor is the right one; both size
         // regimes must agree with the oracle exactly.
         for n in [500usize, 2 * SMALL] {
             let input: Vec<(u64, u64)> = (0..n as u64).map(|i| (i % 97, i % 97)).collect();
@@ -654,6 +846,57 @@ mod tests {
         // Must be above the sequential cutoff: the single-pass route has no
         // declared count to violate.
         let _ = par_emit(2 * SEQ_EMIT, |_| 2, |i, e| e.push(i as u64));
+    }
+
+    #[test]
+    fn precombine_min_folds_like_the_raw_records() {
+        let sources = 3 * SWEEP_CHUNK + 5;
+        let check = |name: &str, keys: &(dyn Fn(usize, usize) -> u64 + Sync), raw: bool| {
+            let record = |i: usize, j: usize| u128::new(keys(i, j), ((i + j) % 7) as u64);
+            let (records, pushed) = emit_precombined(sources, |i, sink| {
+                for j in 0..3 {
+                    sink.push(record(i, j));
+                }
+            });
+            assert_eq!(pushed, 3 * sources, "{name}");
+            assert_eq!(records.len() == pushed, raw, "{name}: raw records");
+            let all: Vec<u128> = (0..sources)
+                .flat_map(|i| (0..3).map(move |j| record(i, j)))
+                .collect();
+            let fold = |items: Vec<u128>| oracle(items, |r| r.key(), u128::min);
+            assert_eq!(fold(records), fold(all), "{name}");
+        };
+        // A few keys: every chunk's table holds them all.
+        check("collapsing", &|i, j| ((i * 3 + j) % 50) as u64, false);
+        // Distinct keys: every chunk fills its table and spills the rest.
+        check("distinct", &|i, j| (i * 3 + j) as u64, true);
+        // The first chunk collapses; the later ones fill their tables and
+        // spill the rest raw.
+        check(
+            "mixed",
+            &|i, j| match i < SWEEP_CHUNK {
+                true => (i % 10) as u64,
+                false => (i * 3 + j) as u64,
+            },
+            false,
+        );
+    }
+
+    #[test]
+    fn min_table_keeps_the_smallest_record_per_key_up_to_its_cap() {
+        let mut table = MinTable::<u128>::with_bits(8);
+        for k in 0..TABLE_KEYS as u64 {
+            assert!(table.insert(u128::new(k, 9)));
+            assert!(table.insert(u128::new(k, k % 5)));
+        }
+        assert!(!table.insert(u128::new(TABLE_KEYS as u64, 0)), "full");
+        assert!(table.insert(u128::new(3, 0)), "a known key still folds");
+        let mut records = table.into_records();
+        records.sort_unstable();
+        let expected: Vec<u128> = (0..TABLE_KEYS as u64)
+            .map(|k| u128::new(k, if k == 3 { 0 } else { k % 5 }))
+            .collect();
+        assert_eq!(records, expected);
     }
 
     #[test]

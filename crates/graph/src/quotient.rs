@@ -8,30 +8,34 @@
 //! distance to its own center, this is
 //! `min over cut edges (x, y) of dist(x) + 1 + dist(y)`.
 //!
-//! Both constructions run on the [`crate::combine`] kernel: one normalized
-//! record per undirected cut edge is emitted in parallel (two-pass count +
-//! scatter over the upper adjacency tails), dedup'd (unweighted) or
-//! min-combined (weighted), and only the unique survivors are mirrored into
-//! the quotient's CSR arrays. The seed-era sequential `HashMap` passes
-//! survive as [`crate::naive`] oracles.
+//! Every quotient build — unweighted, weighted, and the contraction of a
+//! weighted graph — is one parallel sweep of the cut edges on the
+//! [`crate::combine`] kernel. Each undirected cut edge yields one
+//! normalized record (its cluster pair, plus the connecting-path weight
+//! when one is wanted). The sweep walks a fixed grid of node chunks, and
+//! each chunk min-combines its records in a small table before the kernel
+//! sees them, which pays when many cut edges join the same cluster pair
+//! (as in CLUSTER's quotients of power-law graphs); a chunk with more
+//! distinct pairs than its table holds emits the rest as they are. The
+//! kernel's min-fold then sorts the survivors, and only the unique pairs
+//! are mirrored into the quotient's CSR arrays. The unweighted quotient is
+//! the weighted one's topology ([`WeightedGraph::topology`]), so one sweep
+//! gives both. The seed-era sequential `HashMap` passes survive as
+//! [`crate::naive`] oracles.
+//!
+//! Two ledgers describe a build: the returned [`CombineStats`] counts the
+//! cut edges in (`input_pairs`), while the `combine` metric the kernel
+//! records in a trace counts the survivors it sorted; the `quotient.sweep`
+//! span's `cut_edges` and `records` fields hold both figures.
 
 use crate::access::NeighborAccess;
-use crate::combine::{self, pack, CombineStats};
+use crate::combine::{self, pack, CombineStats, PairRecord};
 use crate::{CsrGraph, NodeId, WeightedGraph};
 use rayon::prelude::*;
 
-fn assert_labels<G: NeighborAccess>(g: &G, labels: &[NodeId], num_clusters: usize) {
-    assert_eq!(labels.len(), g.num_nodes(), "label array size mismatch");
-    if !labels.par_iter().all(|&c| (c as usize) < num_clusters) {
-        let bad = labels.iter().find(|&&c| (c as usize) >= num_clusters);
-        panic!("cluster label out of range: {bad:?} >= {num_clusters}");
-    }
-}
-
 /// Number of cut edges owned by node `u` (its `v > u` adjacency tail, so
 /// each undirected cut edge is counted at exactly one endpoint) — the
-/// shared count pass of every contraction emit in this module and
-/// [`crate::contract`].
+/// count behind [`cut_size`] and [`crate::contract`]'s emit.
 pub(crate) fn cut_degree<G: NeighborAccess>(g: &G, labels: &[NodeId], u: usize) -> usize {
     let cu = labels[u];
     g.upper_neighbors_iter(u as NodeId)
@@ -39,22 +43,58 @@ pub(crate) fn cut_degree<G: NeighborAccess>(g: &G, labels: &[NodeId], u: usize) 
         .count()
 }
 
-/// Emits one normalized `(min(cluster), max(cluster))` key per undirected
-/// cut edge of `g` under `labels`, node-parallel with a two-pass count +
-/// scatter over `g`'s indexed form.
-fn cut_half_arcs<G: NeighborAccess>(g: &G, labels: &[NodeId]) -> Vec<u64> {
-    let g = &g.indexed();
-    combine::par_emit(
-        g.num_nodes(),
-        |u| cut_degree(g, labels, u),
-        |u, emit| {
-            let cu = labels[u];
-            for v in g.upper_neighbors_iter(u as NodeId) {
-                let cv = labels[v as usize];
-                if cv != cu {
-                    emit.push(pack(cu.min(cv), cu.max(cv)));
-                }
+/// The cut-edge sweep behind every quotient build, over `n` nodes: node
+/// `u`'s upper adjacency tail (`v > u`, with edge weights), as `upper`
+/// yields it, gives one record per edge `(u, v)` between clusters
+/// `cu ≠ cv`, of pair `(min, max)` at weight `dist(u) + w + dist(v)`. The
+/// kernel keeps the lightest record per cluster pair, after each chunk of
+/// nodes pre-combined its own (see [`combine::emit_precombined`]). Returns
+/// the quotient's arcs sorted by packed `(source, target)` key, with the
+/// ledger: cut edges in (summed over the chunks), unique quotient edges
+/// out, and the buckets of the final sort.
+///
+/// # Panics
+/// Panics if `labels.len() != n` or a label is out of range.
+fn sweep<R, I>(
+    n: usize,
+    labels: &[NodeId],
+    num_clusters: usize,
+    upper: impl Fn(NodeId) -> I + Sync,
+    dist: impl Fn(usize) -> u64 + Sync,
+) -> (Vec<R>, CombineStats)
+where
+    R: PairRecord,
+    I: Iterator<Item = (NodeId, u64)>,
+{
+    assert_eq!(labels.len(), n, "label array size mismatch");
+    if !labels.par_iter().all(|&c| (c as usize) < num_clusters) {
+        let bad = labels.iter().find(|&&c| (c as usize) >= num_clusters);
+        panic!("cluster label out of range: {bad:?} >= {num_clusters}");
+    }
+    let mut span = pardec_obs::span!("quotient.sweep", nodes = n);
+    let (records, cut_edges) = combine::emit_precombined(n, |u, out| {
+        let cu = labels[u];
+        let du = dist(u);
+        for (v, w) in upper(u as NodeId) {
+            let cv = labels[v as usize];
+            if cv != cu {
+                out.push(R::new(
+                    pack(cu.min(cv), cu.max(cv)),
+                    du + w + dist(v as usize),
+                ));
             }
+        }
+    });
+    span.field("cut_edges", cut_edges);
+    span.field("records", records.len());
+    drop(span);
+    let (arcs, stats) =
+        combine::combine_symmetrize(num_clusters, records, |&r: &R| r.key(), R::mirrored, R::min);
+    (
+        arcs,
+        CombineStats {
+            input_pairs: cut_edges,
+            ..stats
         },
     )
 }
@@ -76,8 +116,16 @@ pub fn quotient_with_stats<G: NeighborAccess>(
     labels: &[NodeId],
     num_clusters: usize,
 ) -> (CsrGraph, CombineStats) {
-    assert_labels(g, labels, num_clusters);
-    combine::csr_from_half_arcs(num_clusters, cut_half_arcs(g, labels))
+    let g = &g.indexed();
+    let (arcs, stats) = sweep::<u64, _>(
+        g.num_nodes(),
+        labels,
+        num_clusters,
+        |u| g.upper_neighbors_iter(u).map(|v| (v, 0)),
+        |_| 0,
+    );
+    let (offsets, targets) = combine::csr_parts_from_sorted(num_clusters, &arcs, |&a| a);
+    (CsrGraph::from_parts(offsets, targets), stats)
 }
 
 /// Builds the weighted quotient graph of `g` under `labels`, where
@@ -97,65 +145,35 @@ pub fn weighted_quotient<G: NeighborAccess>(
     weighted_quotient_with_stats(g, labels, dist_to_center, num_clusters).0
 }
 
-/// [`weighted_quotient`], also returning the combine kernel's ledger.
+/// [`weighted_quotient`], also returning the combine kernel's ledger. Its
+/// [`WeightedGraph::topology`] is the unweighted [`quotient`], so this one
+/// sweep yields both quotients and the ledger `quotient_with_stats`
+/// reports.
 pub fn weighted_quotient_with_stats<G: NeighborAccess>(
     g: &G,
     labels: &[NodeId],
     dist_to_center: &[u32],
     num_clusters: usize,
 ) -> (WeightedGraph, CombineStats) {
-    assert_labels(g, labels, num_clusters);
     assert_eq!(
         dist_to_center.len(),
         g.num_nodes(),
         "distance array size mismatch"
     );
-    // One weighted record per undirected cut edge, the packed cluster-pair
-    // key in the high 64 bits and the connecting-path weight in the low 64
-    // (weights fit: `dist` values are `u32`). Packing makes the min-fold a
-    // plain integer `min` — for equal keys, the smaller `u128` is exactly
-    // the record with the smaller weight — and the sort/scatter move one
-    // contiguous word.
     let g = &g.indexed();
-    let half: Vec<u128> = combine::par_emit(
+    let (arcs, stats) = sweep::<u128, _>(
         g.num_nodes(),
-        |u| cut_degree(g, labels, u),
-        |u, emit| {
-            let cu = labels[u];
-            let du = dist_to_center[u] as u64;
-            for v in g.upper_neighbors_iter(u as NodeId) {
-                let cv = labels[v as usize];
-                if cv != cu {
-                    let key = pack(cu.min(cv), cu.max(cv));
-                    let w = du + 1 + dist_to_center[v as usize] as u64;
-                    emit.push(((key as u128) << 64) | w as u128);
-                }
-            }
-        },
-    );
-    let (arcs, stats) = combine::combine_symmetrize(
+        labels,
         num_clusters,
-        half,
-        |a| (a >> 64) as u64,
-        |rec| {
-            let (hi, lo) = combine::unpack((rec >> 64) as u64);
-            ((pack(lo, hi) as u128) << 64) | (rec & u128::from(u64::MAX))
-        },
-        |a, b| a.min(b),
+        |u| g.upper_neighbors_iter(u).map(|v| (v, 1)),
+        |v| dist_to_center[v] as u64,
     );
-    let (offsets, targets) =
-        combine::csr_parts_from_sorted(num_clusters, &arcs, |&a| (a >> 64) as u64);
-    let weights: Vec<u64> = arcs.iter().map(|&rec| rec as u64).collect();
-    (
-        WeightedGraph::from_csr_parts(offsets, targets, weights),
-        stats,
-    )
+    (WeightedGraph::from_sorted_arcs(num_clusters, &arcs), stats)
 }
 
 /// [`weighted_quotient`] for a clustering of a **weighted** graph: the
 /// contraction step of the weighted decomposition pipeline
-/// (arXiv:1506.03265), run per decomposition round on the same u128
-/// min-combine kernel.
+/// (arXiv:1506.03265), run per decomposition round on the same sweep.
 ///
 /// `weighted_dist[v]` is the weighted distance from `v` to its cluster's
 /// center along the claim tree; the quotient edge weight between clusters
@@ -178,54 +196,19 @@ pub fn weighted_graph_quotient_with_stats(
     weighted_dist: &[u64],
     num_clusters: usize,
 ) -> (WeightedGraph, CombineStats) {
-    assert_eq!(labels.len(), g.num_nodes(), "label array size mismatch");
     assert_eq!(
         weighted_dist.len(),
         g.num_nodes(),
         "distance array size mismatch"
     );
-    if !labels.par_iter().all(|&c| (c as usize) < num_clusters) {
-        let bad = labels.iter().find(|&&c| (c as usize) >= num_clusters);
-        panic!("cluster label out of range: {bad:?} >= {num_clusters}");
-    }
-    let half: Vec<u128> = combine::par_emit(
+    let (arcs, stats) = sweep::<u128, _>(
         g.num_nodes(),
-        |u| {
-            let cu = labels[u];
-            g.upper_neighbors(u as NodeId)
-                .filter(|&(v, _)| labels[v as usize] != cu)
-                .count()
-        },
-        |u, emit| {
-            let cu = labels[u];
-            let du = weighted_dist[u];
-            for (v, w) in g.upper_neighbors(u as NodeId) {
-                let cv = labels[v as usize];
-                if cv != cu {
-                    let key = pack(cu.min(cv), cu.max(cv));
-                    let path = du + w + weighted_dist[v as usize];
-                    emit.push(((key as u128) << 64) | path as u128);
-                }
-            }
-        },
-    );
-    let (arcs, stats) = combine::combine_symmetrize(
+        labels,
         num_clusters,
-        half,
-        |a| (a >> 64) as u64,
-        |rec| {
-            let (hi, lo) = combine::unpack((rec >> 64) as u64);
-            ((pack(lo, hi) as u128) << 64) | (rec & u128::from(u64::MAX))
-        },
-        |a, b| a.min(b),
+        |u| g.upper_neighbors(u),
+        |v| weighted_dist[v],
     );
-    let (offsets, targets) =
-        combine::csr_parts_from_sorted(num_clusters, &arcs, |&a| (a >> 64) as u64);
-    let weights: Vec<u64> = arcs.iter().map(|&rec| rec as u64).collect();
-    (
-        WeightedGraph::from_csr_parts(offsets, targets, weights),
-        stats,
-    )
+    (WeightedGraph::from_sorted_arcs(num_clusters, &arcs), stats)
 }
 
 /// Number of edges of `g` crossing between distinct clusters (each counted

@@ -6,8 +6,8 @@
 //! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP (stored once, as a packed
 //! upper triangle) is the distance oracle.
 
-use crate::combine::{self, pack};
-use crate::NodeId;
+use crate::combine::{self, pack, PairRecord};
+use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -114,48 +114,33 @@ impl WeightedGraph {
                     "edge ({u}, {v}) out of range for n = {n}"
                 );
                 if u != v {
-                    let key = pack(u.min(v), u.max(v));
-                    emit.push(((key as u128) << 64) | w as u128);
+                    emit.push(u128::new(pack(u.min(v), u.max(v)), w));
                 }
             },
         );
-        let (arcs, _) = combine::combine_symmetrize(
-            n,
-            half,
-            |a| (a >> 64) as u64,
-            |rec| {
-                let (hi, lo) = combine::unpack((rec >> 64) as u64);
-                ((pack(lo, hi) as u128) << 64) | (rec & u128::from(u64::MAX))
-            },
-            |a, b| a.min(b),
-        );
-        let (offsets, targets) = combine::csr_parts_from_sorted(n, &arcs, |&a| (a >> 64) as u64);
-        let weights: Vec<u64> = arcs.iter().map(|&rec| rec as u64).collect();
-        WeightedGraph {
-            offsets,
-            targets,
-            weights,
-        }
+        let (arcs, _) =
+            combine::combine_symmetrize(n, half, |a| a.key(), u128::mirrored, u128::min);
+        Self::from_sorted_arcs(n, &arcs)
     }
 
-    /// Builds directly from CSR arrays (sorted, deduplicated, symmetric,
-    /// self-loop-free) — the zero-copy exit of the combine kernel's weighted
-    /// quotient path. Debug builds re-verify the invariants.
-    pub(crate) fn from_csr_parts(
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        weights: Vec<u64>,
-    ) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().unwrap(), targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
+    /// Builds from the combine kernel's output: every arc's record (packed
+    /// `(source, target)` key over its weight), sorted, unique, symmetric
+    /// and self-loop-free. Debug builds re-verify the invariants.
+    pub(crate) fn from_sorted_arcs(n: usize, arcs: &[u128]) -> Self {
+        let (offsets, targets) = combine::csr_parts_from_sorted(n, arcs, |&a| a.key());
         let g = WeightedGraph {
             offsets,
             targets,
-            weights,
+            weights: arcs.iter().map(|&rec| rec as u64).collect(),
         };
         debug_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
         g
+    }
+
+    /// The unweighted graph on the same edges: for a weighted quotient, the
+    /// unweighted quotient of the same clustering.
+    pub fn topology(&self) -> CsrGraph {
+        CsrGraph::from_parts(self.offsets.clone(), self.targets.clone())
     }
 
     /// Number of nodes.

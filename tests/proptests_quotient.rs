@@ -42,6 +42,50 @@ fn labelled_graph() -> impl Strategy<Value = (CsrGraph, Vec<NodeId>, Vec<u32>, u
         })
 }
 
+/// A graph of one to three sweep chunks, `n` within a few nodes of a chunk
+/// edge, with a labeling from full collapse to none: one cluster, a few
+/// random clusters, blocks of consecutive ids, or singletons — or one
+/// scheme below a random node and another above it, so that chunks whose
+/// tables hold every pair meet chunks whose tables fill and spill in one
+/// sweep. Edges mix near neighbors with random pairs.
+fn chunked_graph() -> impl Strategy<Value = (CsrGraph, Vec<NodeId>, Vec<u32>, usize)> {
+    (1usize..4, 0usize..5, (0usize..4, 0usize..4), any::<u64>()).prop_map(
+        |(chunks, nudge, (below, above), seed)| {
+            use rand::{Rng, SeedableRng};
+            let n = chunks * combine::SWEEP_CHUNK + nudge - 2;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let edges: Vec<(NodeId, NodeId)> = (0..2 * n)
+                .map(|_| {
+                    let u = rng.gen_range(0..n);
+                    let v = if rng.gen_bool(0.5) {
+                        (u + rng.gen_range(1usize..6)).min(n - 1)
+                    } else {
+                        rng.gen_range(0..n)
+                    };
+                    (u as NodeId, v as NodeId)
+                })
+                .collect();
+            let few = rng.gen_range(2usize..40);
+            let block = rng.gen_range(2usize..64);
+            let pivot = rng.gen_range(0..n);
+            // Labels below `n` per scheme: 0 one cluster, 1 a few random
+            // clusters, 2 blocks, 3 singletons.
+            let label = |scheme: usize, v: usize, rng: &mut rand::rngs::StdRng| match scheme {
+                0 => 0,
+                1 => rng.gen_range(0..few),
+                2 => v / block,
+                _ => v,
+            };
+            let labels: Vec<NodeId> = (0..n)
+                .map(|v| label(if v < pivot { below } else { above }, v, &mut rng) as NodeId)
+                .collect();
+            let dists: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..50)).collect();
+            let g = GraphBuilder::new(n).add_edges(edges).build();
+            (g, labels, dists, n)
+        },
+    )
+}
+
 fn on_pool<T: Send>(threads: usize, f: impl Fn() -> T + Sync + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -158,5 +202,37 @@ proptest! {
         prop_assert_eq!(&got, &folded);
         prop_assert_eq!(stats.input_pairs, pairs.len());
         prop_assert_eq!(stats.output_pairs, got.len());
+    }
+}
+
+proptest! {
+    // Each case builds graphs of up to 24,578 nodes and 49k edges.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On graphs of one to three sweep chunks, under labelings from full
+    /// collapse to none, one weighted sweep equals both naive quotients
+    /// (its topology is the unweighted one), the unweighted sweep agrees,
+    /// and the ledger counts every cut edge in and every quotient edge
+    /// out, at 1 and 4 threads.
+    #[test]
+    fn chunked_sweeps_equal_naive(input in chunked_graph()) {
+        let (g, labels, dists, k) = input;
+        let expected = naive::weighted_quotient(&g, &labels, &dists, k);
+        let expected_q = naive::quotient(&g, &labels, k);
+        let cut = naive::cut_size(&g, &labels);
+        for threads in [1, 4] {
+            let ((wq, wstats), (q, stats)) = on_pool(threads, || {
+                (
+                    quotient::weighted_quotient_with_stats(&g, &labels, &dists, k),
+                    quotient::quotient_with_stats(&g, &labels, k),
+                )
+            });
+            prop_assert_eq!(&wq, &expected);
+            prop_assert_eq!(&wq.topology(), &expected_q);
+            prop_assert_eq!(&q, &expected_q);
+            prop_assert_eq!(wstats, stats);
+            prop_assert_eq!(stats.input_pairs, cut);
+            prop_assert_eq!(stats.output_pairs, expected_q.num_edges());
+        }
     }
 }

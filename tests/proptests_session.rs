@@ -608,3 +608,46 @@ proptest! {
         }
     }
 }
+
+/// One sweep per session: `Session::diameter` on a built session (with and
+/// without an oracle), on the loaded copies of the one with an oracle, and
+/// `approximate_diameter` on the graph agree field for field — the
+/// quotient kernel's ledger included — weighted and not, on both backends.
+/// The graphs span two and three sweep chunks, and their cut edges
+/// collapse more than twofold, so the sweep's tables fold them.
+#[test]
+fn session_diameter_matches_approximate_diameter_on_both_backends() {
+    let graphs = [
+        generators::windowed_preferential_attachment(17_000, 4, 0.05, 11),
+        generators::road_network(100, 100, 0.4, 3),
+    ];
+    for g in &graphs {
+        for backend in [Backend::Plain, Backend::Compressed] {
+            let params = SessionParams::new(2, 5)
+                .with_frontier(FrontierStrategy::TopDown)
+                .with_backend(backend);
+            let built = Session::build(g.clone(), &params);
+            let bare = Session::build(g.clone(), &params.clone().without_oracle());
+            let mut bytes = Vec::new();
+            built.save(&mut bytes).unwrap();
+            let [fast, checked] = load_both(&bytes);
+            let sessions = [built, bare, fast.unwrap(), checked.unwrap()];
+            for weighted in [true, false] {
+                let mut dp = DiameterParams::new(2, 5).with_frontier(FrontierStrategy::TopDown);
+                dp.weighted = weighted;
+                let expected = approximate_diameter(g, &dp);
+                assert!(expected.quotient_kernel.combine_ratio() > 2.0);
+                for (i, s) in sessions.iter().enumerate() {
+                    assert_eq!(
+                        s.diameter(weighted, None),
+                        expected,
+                        "session {i}, {backend}, weighted {weighted}"
+                    );
+                    let (q, kernel) = s.quotient();
+                    assert_eq!(kernel, expected.quotient_kernel);
+                    assert_eq!(q.num_edges(), expected.quotient_edges);
+                }
+            }
+        }
+    }
+}
