@@ -7,10 +7,8 @@
 //!
 //! Phases:
 //!
-//! 1. **build** — streaming spill → chunked-sort → merge build of the
-//!    compressed graph (bounded memory) vs the in-memory plain-CSR build,
-//!    with the streamed bytes asserted identical to the in-memory
-//!    compression route.
+//! 1. **build** — the plain-CSR build from the generator's edge list vs
+//!    compressing that CSR with `CcsrGraph::from_csr`.
 //! 2. **wave** — full multi-source frontier growth to cover the graph on
 //!    each backend; the resulting clusterings must be equal.
 //! 3. **cluster** — the paper's CLUSTER(τ) decomposition on each backend;
@@ -28,7 +26,6 @@ use pardec_core::cluster::{cluster, ClusterParams};
 use pardec_core::clustering::Clustering;
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::generators;
-use pardec_graph::stream::{build_ccsr_from_spill, EdgeSpillWriter};
 use pardec_graph::{CcsrGraph, GraphRepr, NodeId};
 
 const SEED: u64 = 101;
@@ -110,43 +107,18 @@ fn main() {
     );
 
     // ---- phase 1: builds -------------------------------------------------
-    let spill_path = std::env::temp_dir().join(format!(
-        "pardec-bench-compressed-{}-{n}.spill",
-        std::process::id()
-    ));
-
-    alloc::reset_peak();
-    let (streamed, stream_secs) = timed(|| {
-        let mut sink = EdgeSpillWriter::create(&spill_path, n).expect("spill create");
-        generators::windowed_preferential_attachment_into(
-            &mut sink,
-            n,
-            M_ATTACH,
-            window_frac,
-            SEED,
-        );
-        sink.finish().expect("spill flush");
-        // Chunks of 1M edges keep the sort runs ~16 MB each.
-        build_ccsr_from_spill(n, &spill_path, 1 << 20).expect("streaming build")
-    });
-    let stream_peak = alloc::peak_bytes();
-    let _ = std::fs::remove_file(&spill_path);
-
     alloc::reset_peak();
     let (plain, plain_secs) =
         timed(|| generators::windowed_preferential_attachment(n, M_ATTACH, window_frac, SEED));
     let plain_peak = alloc::peak_bytes();
 
-    // Identity: the streamed external-memory build must equal the
-    // in-memory compression route byte for byte.
-    let from_mem = CcsrGraph::from_csr(&plain);
-    assert_eq!(from_mem.raw_index(), streamed.raw_index(), "index diverged");
-    assert_eq!(from_mem.raw_data(), streamed.raw_data(), "payload diverged");
-    drop(from_mem);
+    alloc::reset_peak();
+    let (compressed, compress_secs) = timed(|| CcsrGraph::from_csr(&plain));
+    let compress_peak = alloc::peak_bytes();
 
     let arcs = plain.num_arcs();
     let plain_repr = GraphRepr::Plain(plain);
-    let comp_repr = GraphRepr::Compressed(streamed);
+    let comp_repr = GraphRepr::Compressed(compressed);
     let (plain_bytes, comp_bytes) = (plain_repr.heap_bytes(), comp_repr.heap_bytes());
     emit(
         scale,
@@ -165,8 +137,8 @@ fn main() {
         n,
         arcs,
         comp_bytes,
-        stream_secs,
-        stream_peak,
+        compress_secs,
+        compress_peak,
     );
 
     let ratio = plain_bytes as f64 / comp_bytes.max(1) as f64;
@@ -253,7 +225,7 @@ fn main() {
          \"nodes\":{},\"arcs\":{},\"compression_ratio\":{:.3},\
          \"plain_bytes_per_edge\":{:.3},\"compressed_bytes_per_edge\":{:.3},\
          \"wave_slowdown\":{:.3},\"cluster_slowdown\":{:.3},\
-         \"stream_build_peak_bytes\":{},\"inmem_build_peak_bytes\":{}}}",
+         \"compress_peak_bytes\":{},\"plain_build_peak_bytes\":{}}}",
         scale,
         n,
         arcs,
@@ -262,7 +234,7 @@ fn main() {
         comp_bytes as f64 / (arcs / 2) as f64,
         wave_comp_secs / wave_plain_secs.max(1e-9),
         cl_comp_secs / cl_plain_secs.max(1e-9),
-        stream_peak,
+        compress_peak,
         plain_peak,
     );
 }

@@ -165,11 +165,6 @@ impl DistanceOracle {
             + self.ecc.len()
     }
 
-    /// Per-cluster growth radii of the underlying decomposition.
-    pub fn cluster_radii(&self) -> &[u32] {
-        &self.clustering.radii
-    }
-
     /// The packed upper triangle of the quotient APSP (for persistence).
     pub(crate) fn apsp_upper(&self) -> &[u32] {
         &self.apsp

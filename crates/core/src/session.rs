@@ -250,8 +250,8 @@ impl Session {
         Session::build_repr(GraphRepr::from_csr(graph, params.backend), params)
     }
 
-    /// As [`Session::build`] on a graph already held under a backend (the
-    /// streaming-build path, where no plain CSR ever existed in memory).
+    /// As [`Session::build`] on a graph already held under a backend, so a
+    /// compressed graph is traversed as it is, never decompressed first.
     pub fn build_repr(graph: GraphRepr, params: &SessionParams) -> Session {
         let mut build_span = pardec_obs::span!(
             "session.build",

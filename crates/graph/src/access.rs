@@ -2,9 +2,9 @@
 //! engines consume.
 //!
 //! Every traversal in this workspace ([`crate::frontier`],
-//! [`crate::traversal`], the quotient/contract emit paths, the MR vertex
-//! engine) reads a graph through exactly three questions: *how many nodes*,
-//! *what degree*, and *which sorted neighbors*. [`NeighborAccess`] captures
+//! [`crate::traversal`], the quotient sweep, the MR vertex engine) reads a
+//! graph through exactly three questions: *how many nodes*, *what degree*,
+//! and *which sorted neighbors*. [`NeighborAccess`] captures
 //! that surface so the same monomorphized engine code runs over the plain
 //! [`crate::CsrGraph`] (slices), the gap-coded [`crate::ccsr::CcsrGraph`]
 //! (varint decode on the fly), or the runtime-selected

@@ -102,11 +102,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Current number of raw (uncleaned) edge records.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Materializes the cleaned CSR graph, consuming the builder.
     pub fn build(self) -> CsrGraph {
         build_csr(self.num_nodes, std::slice::from_ref(&self.edges))

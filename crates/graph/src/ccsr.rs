@@ -40,8 +40,8 @@
 //! block's base. A lookup is then two loads and a degree varint. The view
 //! is built in one parallel pass over the blocks (each walks at most
 //! `BLOCK` records) when a traversal starts and is dropped when it ends:
-//! the frontier engine, the quotient and contraction emitters and
-//! clustering validation each build one.
+//! the frontier engine, the quotient sweep and clustering validation each
+//! build one.
 //!
 //! The record index is not resident on purpose. Kept with the graph, its 4
 //! bytes per node would cost as much as a third of the representation on
@@ -373,11 +373,13 @@ impl CcsrGraph {
                 let raw = try_read_varint(data, &mut pos)
                     .ok_or_else(|| format!("truncated list of {u}"))?;
                 let v = if i == 0 {
-                    u as i64 + unzigzag(raw)
+                    (u as i64).checked_add(unzigzag(raw))
                 } else {
-                    prev.checked_add(1 + raw as i64)
-                        .ok_or_else(|| format!("gap overflow in list of {u}"))?
-                };
+                    (raw as i64)
+                        .checked_add(1)
+                        .and_then(|gap| prev.checked_add(gap))
+                }
+                .ok_or_else(|| format!("gap overflow in list of {u}"))?;
                 if v < 0 || v >= num_nodes as i64 {
                     return Err(format!("target {v} of {u} out of range"));
                 }
@@ -560,9 +562,8 @@ impl Iterator for Neighbors<'_> {
 impl ExactSizeIterator for Neighbors<'_> {}
 
 /// Incremental encoder: push each vertex's sorted neighbor list in id
-/// order, then [`finish`](Self::finish). This is the streaming builder's
-/// sink — it never sees more than one list at a time, so building a
-/// compressed graph from a sorted arc stream is O(1) extra memory.
+/// order, then [`finish`](Self::finish). It never sees more than one list
+/// at a time, so encoding takes O(1) memory beyond the output.
 pub struct CcsrBuilder {
     num_nodes: usize,
     next: usize,
@@ -823,6 +824,20 @@ mod tests {
             let upper: Vec<NodeId> = c.upper_neighbors_iter(u).collect();
             assert_eq!(upper, g.upper_neighbors(u));
         }
+    }
+
+    #[test]
+    fn validate_rejects_gaps_that_overflow() {
+        // Node 1's only neighbor sits `zigzag(i64::MAX)` past it, and node
+        // 0's second neighbor `i64::MAX + 1` past its first: both sums
+        // overflow an `i64` and must be errors, not arithmetic panics.
+        let mut data = vec![0x01, 0x02, 0x01];
+        write_varint(&mut data, zigzag(i64::MAX));
+        assert!(CcsrGraph::validate_parts(2, 2, &data, &[0]).is_err());
+        let mut data = vec![0x02, 0x02];
+        write_varint(&mut data, i64::MAX as u64);
+        data.push(0x00);
+        assert!(CcsrGraph::validate_parts(2, 2, &data, &[0]).is_err());
     }
 
     #[test]

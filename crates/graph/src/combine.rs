@@ -2,14 +2,14 @@
 //! crate's radix shuffle.
 //!
 //! Every contraction path in this workspace — the unweighted and weighted
-//! quotient builds, [`crate::contract::contract`]'s edge multiplicities,
-//! [`crate::WeightedGraph::from_edges`]'s min-fold — reduces to the same
-//! primitive: *collapse a large multiset of `(key, value)` pairs to one
-//! entry per key under a fold* (dedup, min, or sum). The seed-era code did
-//! this with a sequential `HashMap` pass per call site; on power-law graphs
-//! that pass dominated `approximate_diameter` wall-clock. (Plain edge lists
-//! take a cheaper route: [`crate::GraphBuilder::build`] is a counting sort
-//! straight into the CSR arrays.)
+//! quotient builds and [`crate::WeightedGraph::from_edges`]'s min-fold —
+//! reduces to the same primitive: *collapse a large multiset of
+//! `(key, value)` pairs to one entry per key under a fold* (dedup or min).
+//! The seed-era code did this with a sequential `HashMap` pass per call
+//! site; on power-law graphs that pass dominated `approximate_diameter`
+//! wall-clock. (Plain edge lists take a cheaper route:
+//! [`crate::GraphBuilder::build`] is a counting sort straight into the CSR
+//! arrays.)
 //!
 //! This module replaces all of them with one deterministic parallel kernel,
 //! mirroring the `pardec_mr::shuffle` design but living *below* the MR crate
@@ -54,7 +54,6 @@
 //! shuffle's scatter) and the final `MaybeUninit` → initialized conversion;
 //! all values are `Copy`, so panics can never double-drop.
 
-use crate::csr::CsrGraph;
 use crate::NodeId;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
@@ -503,7 +502,7 @@ where
 ///
 /// `key_space` is an exclusive upper bound on every key (it sizes the
 /// bucket ranges). `fold(acc, next)` must be commutative and associative —
-/// dedup, min, and sum, the three folds every contraction path uses — so
+/// dedup and min, the folds every contraction path uses, both are — so
 /// that the result is a pure function of the input *multiset*: the bucket
 /// sort is unstable and equal-key items reach the fold in a deterministic
 /// but not input order. Outputs are byte-identical at any pool size either
@@ -673,30 +672,6 @@ where
     );
     let (arcs, _) = combine_by_key(mirrored, key_space, &key_of, |first, _dup| first);
     (arcs, stats)
-}
-
-/// Builds a [`CsrGraph`] on `n` nodes from half-arcs that are **already
-/// unique** (one normalized [`pack`]`(min(u,v), max(u,v))` key per edge,
-/// any order, no self-loops): mirrors and key-sorts them. Used when the
-/// caller's own combine produced the normalized edge set.
-pub(crate) fn csr_from_unique_half_arcs(n: usize, half_arcs: Vec<u64>) -> CsrGraph {
-    if n == 0 {
-        debug_assert!(half_arcs.is_empty());
-        return CsrGraph::empty(0);
-    }
-    let mirrored = par_emit(
-        half_arcs.len(),
-        |_| 2,
-        |i, emit| {
-            let (hi, lo) = unpack(half_arcs[i]);
-            emit.push(half_arcs[i]);
-            emit.push(pack(lo, hi));
-        },
-    );
-    // The combine never folds (all keys distinct) — it only key-sorts.
-    let (arcs, _) = combine_by_key(mirrored, (n as u64) << 32, |&a| a, |first, _dup| first);
-    let (offsets, targets) = csr_parts_from_sorted(n, &arcs, |&a| a);
-    CsrGraph::from_parts(offsets, targets)
 }
 
 /// Reads CSR offsets and targets straight off a key-sorted combined buffer

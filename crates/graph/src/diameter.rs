@@ -169,23 +169,6 @@ fn connected_diameter(g: &CsrGraph) -> u32 {
     }
 }
 
-/// Sampled eccentricity spectrum: eccentricities of `samples` evenly spaced
-/// nodes (diagnostics for EXPERIMENTS.md).
-pub fn eccentricity_sample(g: &CsrGraph, samples: usize) -> Vec<u32> {
-    let n = g.num_nodes();
-    if n == 0 || samples == 0 {
-        return Vec::new();
-    }
-    let step = (n / samples.min(n)).max(1);
-    (0..n)
-        .step_by(step)
-        .take(samples)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|u| bfs(g, u as NodeId).levels)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,16 +277,5 @@ mod tests {
             .add_edges([(0, 3), (3, 6), (1, 5), (2, 4)])
             .build();
         assert_eq!(exact_diameter(&mixed), 2);
-    }
-
-    #[test]
-    fn eccentricity_sample_bounds() {
-        let g = generators::mesh(10, 10);
-        let eccs = eccentricity_sample(&g, 8);
-        assert!(!eccs.is_empty());
-        let d = apsp_diameter(&g);
-        for e in eccs {
-            assert!(e <= d && e >= d / 2); // radius >= diameter/2
-        }
     }
 }

@@ -101,13 +101,22 @@ impl FrontierStrategy {
     }
 
     /// Strategy selected by the `PARDEC_FRONTIER` environment variable, or
-    /// `None` when the variable is unset.
+    /// `None` when the variable is unset or empty (a CI matrix leg without a
+    /// strategy exports the empty string, same as `PARDEC_BACKEND`).
     ///
     /// # Panics
     /// Panics on an unrecognized value — a misspelled CI matrix entry must
     /// fail loudly rather than silently fall back to the default.
     pub fn from_env() -> Option<FrontierStrategy> {
-        let raw = std::env::var(FRONTIER_ENV).ok()?;
+        Self::from_env_value(&std::env::var(FRONTIER_ENV).ok()?)
+    }
+
+    /// [`Self::from_env`] on the variable's raw value.
+    fn from_env_value(raw: &str) -> Option<FrontierStrategy> {
+        let raw = raw.trim();
+        if raw.is_empty() {
+            return None;
+        }
         match raw.parse() {
             Ok(s) => Some(s),
             Err(e) => panic!("{FRONTIER_ENV}: {e}"),
@@ -1069,5 +1078,26 @@ mod tests {
         assert_eq!("bottom-up".parse(), Ok(FrontierStrategy::BottomUp));
         assert!("beamer".parse::<FrontierStrategy>().is_err());
         assert_eq!(FrontierStrategy::default(), FrontierStrategy::TopDown);
+    }
+
+    // The environment is never set here: other tests read it concurrently.
+    #[test]
+    fn env_value_parses_like_its_siblings() {
+        assert_eq!(FrontierStrategy::from_env_value(""), None);
+        assert_eq!(FrontierStrategy::from_env_value(" \t\n"), None);
+        assert_eq!(
+            FrontierStrategy::from_env_value("hybrid"),
+            Some(FrontierStrategy::Hybrid)
+        );
+        assert_eq!(
+            FrontierStrategy::from_env_value(" bottomup\n"),
+            Some(FrontierStrategy::BottomUp)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PARDEC_FRONTIER: unknown frontier strategy \"beamer\"")]
+    fn env_value_rejects_unknown_strategy() {
+        FrontierStrategy::from_env_value("beamer");
     }
 }

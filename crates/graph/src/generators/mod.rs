@@ -21,9 +21,6 @@ mod roads;
 
 pub use basic::{complete, cycle, mesh, path, star, torus};
 pub use composite::{append_chain, connect, disjoint_union, lollipop};
-pub use powerlaw::{
-    preferential_attachment, preferential_attachment_into, rmat, rmat_into,
-    windowed_preferential_attachment, windowed_preferential_attachment_into, RmatProbs,
-};
+pub use powerlaw::{preferential_attachment, rmat, windowed_preferential_attachment, RmatProbs};
 pub use random::{gnm, random_regular};
 pub use roads::road_network;

@@ -2,34 +2,34 @@
 //! graphs (twitter, livejournal): Barabási–Albert preferential attachment and
 //! R-MAT.
 
-use crate::stream::EdgeSink;
 use crate::{CsrGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// [`preferential_attachment`] emitting into any [`EdgeSink`] — the
-/// streaming route: pointed at an [`crate::stream::EdgeSpillWriter`], the
-/// edge list never materializes in memory (only the generator's own
-/// endpoint multiset does).
+/// Barabási–Albert preferential attachment.
+///
+/// Starts from a clique on `m_attach + 1` nodes; every subsequent node
+/// attaches to `m_attach` *distinct* existing nodes chosen proportionally to
+/// their current degree (sampled from the repeated-endpoints list). The
+/// result is connected, has `≈ n · m_attach` edges, a power-law degree tail,
+/// and `O(log n / log log n)` diameter — the properties Table 2/4 exploit in
+/// the twitter/livejournal rows.
 ///
 /// # Panics
 /// Panics if `m_attach == 0` or `n < m_attach + 1`.
-pub fn preferential_attachment_into(
-    sink: &mut impl EdgeSink,
-    n: usize,
-    m_attach: usize,
-    seed: u64,
-) {
+pub fn preferential_attachment(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
     assert!(m_attach >= 1, "attachment degree must be positive");
     assert!(n > m_attach, "need n > m_attach");
     let mut rng = StdRng::seed_from_u64(seed);
     let seed_nodes = m_attach + 1;
+    let mut b =
+        GraphBuilder::with_capacity(n, seed_nodes * m_attach / 2 + (n - seed_nodes) * m_attach);
     // Endpoint multiset: node u appears deg(u) times; sampling uniformly from
     // it is exactly degree-proportional selection.
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * n * m_attach);
     for u in 0..seed_nodes as NodeId {
         for v in (u + 1)..seed_nodes as NodeId {
-            sink.add_edge(u, v);
+            b.add_edge(u, v);
             endpoints.push(u);
             endpoints.push(v);
         }
@@ -46,31 +46,11 @@ pub fn preferential_attachment_into(
             }
         }
         for &t in &picked {
-            sink.add_edge(u, t);
+            b.add_edge(u, t);
             endpoints.push(u);
             endpoints.push(t);
         }
     }
-}
-
-/// Barabási–Albert preferential attachment.
-///
-/// Starts from a clique on `m_attach + 1` nodes; every subsequent node
-/// attaches to `m_attach` *distinct* existing nodes chosen proportionally to
-/// their current degree (sampled from the repeated-endpoints list). The
-/// result is connected, has `≈ n · m_attach` edges, a power-law degree tail,
-/// and `O(log n / log log n)` diameter — the properties Table 2/4 exploit in
-/// the twitter/livejournal rows.
-///
-/// # Panics
-/// Panics if `m_attach == 0` or `n < m_attach + 1`.
-pub fn preferential_attachment(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
-    let seed_nodes = m_attach + 1;
-    let mut b = GraphBuilder::with_capacity(
-        n,
-        seed_nodes * m_attach / 2 + n.saturating_sub(seed_nodes) * m_attach,
-    );
-    preferential_attachment_into(&mut b, n, m_attach, seed);
     b.build()
 }
 
@@ -94,28 +74,6 @@ pub fn windowed_preferential_attachment(
     window_frac: f64,
     seed: u64,
 ) -> CsrGraph {
-    let seed_nodes = m_attach + 1;
-    let mut b = GraphBuilder::with_capacity(
-        n,
-        seed_nodes * m_attach / 2 + n.saturating_sub(seed_nodes) * m_attach,
-    );
-    windowed_preferential_attachment_into(&mut b, n, m_attach, window_frac, seed);
-    b.build()
-}
-
-/// [`windowed_preferential_attachment`] emitting into any [`EdgeSink`] —
-/// same RNG consumption, so the edge stream is bit-identical to the
-/// in-memory route.
-///
-/// # Panics
-/// Panics if `m_attach == 0`, `n ≤ m_attach`, or `window_frac ∉ (0, 1]`.
-pub fn windowed_preferential_attachment_into(
-    sink: &mut impl EdgeSink,
-    n: usize,
-    m_attach: usize,
-    window_frac: f64,
-    seed: u64,
-) {
     assert!(m_attach >= 1, "attachment degree must be positive");
     assert!(n > m_attach, "need n > m_attach");
     assert!(
@@ -124,11 +82,13 @@ pub fn windowed_preferential_attachment_into(
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let seed_nodes = m_attach + 1;
+    let mut b =
+        GraphBuilder::with_capacity(n, seed_nodes * m_attach / 2 + (n - seed_nodes) * m_attach);
     let window = (((2 * n * m_attach) as f64 * window_frac) as usize).max(4 * m_attach);
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * n * m_attach);
     for u in 0..seed_nodes as NodeId {
         for v in (u + 1)..seed_nodes as NodeId {
-            sink.add_edge(u, v);
+            b.add_edge(u, v);
             endpoints.push(u);
             endpoints.push(v);
         }
@@ -144,11 +104,12 @@ pub fn windowed_preferential_attachment_into(
             }
         }
         for &t in &picked {
-            sink.add_edge(u, t);
+            b.add_edge(u, t);
             endpoints.push(u);
             endpoints.push(t);
         }
     }
+    b.build()
 }
 
 /// Quadrant probabilities for the R-MAT recursive edge sampler.
@@ -184,21 +145,6 @@ impl Default for RmatProbs {
 /// extract the largest component via
 /// [`crate::components::largest_component`].
 pub fn rmat(scale: u32, edge_factor: usize, probs: RmatProbs, seed: u64) -> CsrGraph {
-    let n = 1usize << scale.min(30);
-    let mut b = GraphBuilder::with_capacity(n, n * edge_factor);
-    rmat_into(&mut b, scale, edge_factor, probs, seed);
-    b.build()
-}
-
-/// [`rmat`] emitting into any [`EdgeSink`] — same RNG consumption, so the
-/// edge stream is bit-identical to the in-memory route.
-pub fn rmat_into(
-    sink: &mut impl EdgeSink,
-    scale: u32,
-    edge_factor: usize,
-    probs: RmatProbs,
-    seed: u64,
-) {
     assert!(scale < 31, "scale {scale} too large for u32 node ids");
     let n = 1usize << scale;
     let m = n * edge_factor;
@@ -208,6 +154,7 @@ pub fn rmat_into(
         probs.a >= 0.0 && probs.b >= 0.0 && probs.c >= 0.0 && d >= 0.0,
         "R-MAT probabilities must be a sub-distribution"
     );
+    let mut b = GraphBuilder::with_capacity(n, m);
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for _bit in 0..scale {
@@ -225,9 +172,10 @@ pub fn rmat_into(
             v = (v << 1) | dv;
         }
         if u != v {
-            sink.add_edge(u as NodeId, v as NodeId);
+            b.add_edge(u as NodeId, v as NodeId);
         }
     }
+    b.build()
 }
 
 #[cfg(test)]

@@ -21,10 +21,10 @@
 //!   defined in §4 of the paper, together with a small weighted-graph type
 //!   and Dijkstra/APSP for computing quotient diameters;
 //! * a deterministic parallel [`combine`] kernel (count → prefix → scatter →
-//!   per-bucket sort/fold) underlying every contraction path — quotient and
-//!   contracted-graph builds — and a parallel counting-sort CSR build behind
-//!   [`GraphBuilder`], with the seed-era sequential versions retained in
-//!   [`naive`] as test oracles;
+//!   per-bucket sort/fold) underlying the unweighted and weighted quotient
+//!   builds and [`WeightedGraph::from_edges`], and a parallel counting-sort
+//!   CSR build behind [`GraphBuilder`], with the seed-era sequential
+//!   versions retained in [`naive`] as test oracles;
 //! * parallel byte-level edge-list and binary **I/O** and basic
 //!   **statistics**.
 //!
@@ -46,7 +46,6 @@ pub mod builder;
 pub mod ccsr;
 pub mod combine;
 pub mod components;
-pub mod contract;
 pub mod csr;
 pub mod diameter;
 pub mod frontier;
@@ -57,7 +56,6 @@ pub mod quotient;
 pub mod repr;
 pub mod spanner;
 pub mod stats;
-pub mod stream;
 pub mod traversal;
 pub mod union_find;
 pub mod weighted;
@@ -96,7 +94,7 @@ pub mod prelude {
     pub use crate::wfrontier::WeightedFrontierEngine;
     pub use crate::{
         ccsr, combine, components, diameter, frontier, generators, io, quotient, repr, stats,
-        stream, traversal, wfrontier,
+        traversal, wfrontier,
     };
     pub use crate::{NodeId, INFINITE_DIST, INVALID_NODE};
 }

@@ -1,15 +1,15 @@
-//! Seed-era reference implementations of every contraction path and of the
-//! weighted APSP, retained verbatim as executable specs. All are sequential
-//! except the APSP, which spreads its sources over the pool.
+//! Seed-era reference implementations of the CSR build, the quotient
+//! builds, the cut size and the weighted APSP, retained verbatim as
+//! executable specs. All are sequential except the APSP, which spreads its
+//! sources over the pool.
 //!
 //! The [`crate::combine`] kernel, the counting-sort [`crate::GraphBuilder`]
 //! and the bucket-queue Dijkstra of [`WeightedGraph`] replaced these on the
-//! hot paths; they live on here as
-//! the oracles that `tests/proptests_quotient.rs`,
-//! `tests/proptests_weighted.rs` and `bench_quotient` compare against
-//! byte-for-byte. Nothing in the library itself calls them.
+//! hot paths; they live on here as the oracles that
+//! `tests/proptests_quotient.rs`, `tests/proptests_weighted.rs` and
+//! `bench_quotient` compare against byte-for-byte. Nothing in the library
+//! itself calls them.
 
-use crate::contract::{Contraction, EdgeCounts};
 use crate::csr::CsrGraph;
 use crate::weighted::{max_finite, INFINITE_WEIGHT};
 use crate::{NodeId, WeightedGraph};
@@ -94,39 +94,6 @@ pub fn weighted_quotient(
     }
     let edges: Vec<(NodeId, NodeId, u64)> = best.into_iter().map(|((a, b), w)| (a, b, w)).collect();
     WeightedGraph::from_edges(num_clusters, &edges)
-}
-
-/// The seed-era contraction: sequential `HashMap` sum-combine of cut-edge
-/// multiplicities, then the sort-dedup builder for the contracted graph.
-pub fn contract(g: &CsrGraph, labels: &[NodeId], num_labels: usize) -> Contraction {
-    assert_eq!(labels.len(), g.num_nodes(), "label array size mismatch");
-    let mut node_weight = vec![0u64; num_labels];
-    for &l in labels {
-        assert!((l as usize) < num_labels, "label {l} out of range");
-        node_weight[l as usize] += 1;
-    }
-    let mut multiplicity: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-    let mut internal_edges = 0u64;
-    for (u, v) in g.edges() {
-        let (a, b) = (labels[u as usize], labels[v as usize]);
-        if a == b {
-            internal_edges += 1;
-        } else {
-            *multiplicity.entry((a.min(b), a.max(b))).or_insert(0) += 1;
-        }
-    }
-    let mut entries: Vec<(NodeId, NodeId, u64)> = multiplicity
-        .into_iter()
-        .map(|((a, b), m)| (a, b, m))
-        .collect();
-    entries.sort_unstable();
-    let cut: Vec<(NodeId, NodeId)> = entries.iter().map(|&(a, b, _)| (a, b)).collect();
-    Contraction {
-        graph: build_csr(num_labels, &cut),
-        node_weight,
-        edge_multiplicity: EdgeCounts::from_sorted_entries(entries),
-        internal_edges,
-    }
 }
 
 /// The seed-era cut size: a sequential filter-count over the edge iterator.

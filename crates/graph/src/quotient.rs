@@ -33,16 +33,6 @@ use crate::combine::{self, pack, CombineStats, PairRecord};
 use crate::{CsrGraph, NodeId, WeightedGraph};
 use rayon::prelude::*;
 
-/// Number of cut edges owned by node `u` (its `v > u` adjacency tail, so
-/// each undirected cut edge is counted at exactly one endpoint) — the
-/// count behind [`cut_size`] and [`crate::contract`]'s emit.
-pub(crate) fn cut_degree<G: NeighborAccess>(g: &G, labels: &[NodeId], u: usize) -> usize {
-    let cu = labels[u];
-    g.upper_neighbors_iter(u as NodeId)
-        .filter(|&v| labels[v as usize] != cu)
-        .count()
-}
-
 /// The cut-edge sweep behind every quotient build, over `n` nodes: node
 /// `u`'s upper adjacency tail (`v > u`, with edge weights), as `upper`
 /// yields it, gives one record per edge `(u, v)` between clusters
@@ -212,12 +202,18 @@ pub fn weighted_graph_quotient_with_stats(
 }
 
 /// Number of edges of `g` crossing between distinct clusters (each counted
-/// once). This is the paper's `m_C` *before* multi-edge collapsing; the
-/// quotient's own `num_edges` gives the collapsed count.
+/// once, at the endpoint whose `v > u` adjacency tail holds it). This is the
+/// paper's `m_C` *before* multi-edge collapsing; the quotient's own
+/// `num_edges` gives the collapsed count.
 pub fn cut_size<G: NeighborAccess>(g: &G, labels: &[NodeId]) -> usize {
     (0..g.num_nodes())
         .into_par_iter()
-        .map(|u| cut_degree(g, labels, u))
+        .map(|u| {
+            let cu = labels[u];
+            g.upper_neighbors_iter(u as NodeId)
+                .filter(|&v| labels[v as usize] != cu)
+                .count()
+        })
         .sum()
 }
 

@@ -339,17 +339,6 @@ impl WeightedGraph {
         upper
     }
 
-    /// Nearest node of `set` to `u`, by weighted distance. Returns
-    /// `(node, dist)` or `None` if `set` is empty / unreachable.
-    pub fn nearest_of(&self, u: NodeId, set: &[NodeId]) -> Option<(NodeId, u64)> {
-        let dist = self.dijkstra(u);
-        set.iter()
-            .copied()
-            .filter(|&s| dist[s as usize] != INFINITE_WEIGHT)
-            .map(|s| (s, dist[s as usize]))
-            .min_by_key(|&(s, d)| (d, s))
-    }
-
     /// Structural invariant check (mirrors [`crate::CsrGraph::check_invariants`]).
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_nodes();
@@ -480,13 +469,6 @@ mod tests {
         assert_eq!(g.dijkstra(0), vec![0, 999, 1699, 65]);
         assert_eq!(g.dijkstra(2), vec![1699, 700, 0, 1764]);
         assert_eq!(g.apsp_diameter(), 1764);
-    }
-
-    #[test]
-    fn nearest_of_set() {
-        let g = WeightedGraph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        assert_eq!(g.nearest_of(0, &[3, 4]), Some((3, 3)));
-        assert_eq!(g.nearest_of(0, &[]), None);
     }
 
     #[test]

@@ -35,24 +35,25 @@ pub const PARTITIONS_ENV: &str = "PARDEC_PARTITIONS";
 impl MrConfig {
     /// The default partition count shared by [`crate::engine::MrEngine`] and
     /// [`crate::vertex::VertexEngine`]: the `PARDEC_PARTITIONS` environment
-    /// variable when set to a positive integer, else `4 × pool threads` —
-    /// the Spark-style over-partitioning factor that smooths skew across
-    /// reducers.
+    /// variable when set, else `4 × pool threads` — the Spark-style
+    /// over-partitioning factor that smooths skew across reducers. An empty
+    /// value counts as unset (a CI matrix leg without a partition count
+    /// exports the empty string, same as `PARDEC_DELTA`).
     ///
     /// Note that the partition count shapes *scheduling* (and the stats
     /// ledger's notion of a reducer / map chunk), never *results*: both
     /// engines produce partition-count-independent outputs for the
     /// commutative combiners this workspace uses (CI runs the whole suite
     /// under `PARDEC_PARTITIONS=3` to lock that in).
+    ///
+    /// # Panics
+    /// Panics on an unparsable or zero value — a misspelled CI matrix entry
+    /// must fail loudly rather than silently fall back to the default.
     pub fn default_partitions() -> usize {
-        if let Ok(raw) = std::env::var(PARTITIONS_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        4 * rayon::current_num_threads().max(1)
+        std::env::var(PARTITIONS_ENV)
+            .ok()
+            .and_then(|raw| partitions_from_env_value(&raw))
+            .unwrap_or_else(|| 4 * rayon::current_num_threads().max(1))
     }
     /// Accounting-only configuration with an explicit partition count.
     pub fn with_partitions(partitions: usize) -> Self {
@@ -74,6 +75,20 @@ impl MrConfig {
         self.local_memory = Some(ml);
         self.enforce_local_memory = false;
         self
+    }
+}
+
+/// [`MrConfig::default_partitions`] on the variable's raw value: `None` when
+/// it is empty.
+fn partitions_from_env_value(raw: &str) -> Option<usize> {
+    let raw = raw.trim();
+    if raw.is_empty() {
+        return None;
+    }
+    match raw.parse::<usize>() {
+        Ok(0) => panic!("{PARTITIONS_ENV}: partition count must be positive"),
+        Ok(n) => Some(n),
+        Err(e) => panic!("{PARTITIONS_ENV}: invalid partition count {raw:?}: {e}"),
     }
 }
 
@@ -101,14 +116,32 @@ mod tests {
         );
         // The ambient default honours PARDEC_PARTITIONS (the CI odd-partition
         // leg sets it to 3); without it, the 4×threads Spark factor applies.
-        let expect = match std::env::var(PARTITIONS_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => 4 * rayon::current_num_threads().max(1),
-            },
-            Err(_) => 4 * rayon::current_num_threads().max(1),
+        let expect = match std::env::var(PARTITIONS_ENV).ok().as_deref().map(str::trim) {
+            Some(raw) if !raw.is_empty() => raw.parse().unwrap(),
+            _ => 4 * rayon::current_num_threads().max(1),
         };
         assert_eq!(MrConfig::default_partitions(), expect);
+    }
+
+    // The environment is never set here: other tests read it concurrently.
+    #[test]
+    fn partitions_env_value_parses() {
+        assert_eq!(partitions_from_env_value(""), None);
+        assert_eq!(partitions_from_env_value(" \t\n"), None);
+        assert_eq!(partitions_from_env_value("3"), Some(3));
+        assert_eq!(partitions_from_env_value(" 17\n"), Some(17));
+    }
+
+    #[test]
+    #[should_panic(expected = "PARDEC_PARTITIONS: invalid partition count \"abc\"")]
+    fn partitions_env_value_rejects_garbage() {
+        partitions_from_env_value("abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "PARDEC_PARTITIONS: partition count must be positive")]
+    fn partitions_env_value_rejects_zero() {
+        partitions_from_env_value(" 0 ");
     }
 
     #[test]

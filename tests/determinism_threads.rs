@@ -76,9 +76,9 @@ fn diameter_is_byte_identical_across_pool_sizes() {
     }
 }
 
-/// The contraction kernel end-to-end: quotient, weighted quotient, and
-/// contraction of a real decomposition are byte-identical across pool
-/// sizes — CSR arrays, weights, multiplicities, and the kernel ledger.
+/// The contraction kernel end-to-end: the quotient, the weighted quotient
+/// and the cut size of a real decomposition are byte-identical across pool
+/// sizes — CSR arrays, weights, and the kernel ledger.
 #[test]
 fn quotient_is_byte_identical_across_pool_sizes() {
     for (name, g) in workload_graphs() {
@@ -95,9 +95,8 @@ fn quotient_is_byte_identical_across_pool_sizes() {
             let (q, qs) = pardec::graph::quotient::quotient_with_stats(&g, labels, *k);
             let (wq, ws) =
                 pardec::graph::quotient::weighted_quotient_with_stats(&g, labels, dist, *k);
-            let c = pardec::graph::contract::contract(&g, labels, *k);
             let cut = pardec::graph::quotient::cut_size(&g, labels);
-            (q, qs, wq, ws, c, cut)
+            (q, qs, wq, ws, cut)
         });
         assert_eq!(one, four, "quotient machinery diverged on {name}");
     }

@@ -1,9 +1,8 @@
 //! Property tests for the extension modules: Baswana–Sen spanners,
-//! min-plus matrix algebra, the weighted decomposition, graph contraction,
-//! and the direction-optimizing BFS.
+//! min-plus matrix algebra, the weighted decomposition, and the
+//! direction-optimizing BFS.
 
 use pardec::core::weighted_cluster::weighted_cluster;
-use pardec::graph::contract::{contract, induced_subgraph};
 use pardec::graph::spanner::baswana_sen;
 use pardec::mr::matrix::{mr_apsp_by_squaring, mr_min_plus_multiply, MinPlusMatrix, MP_INF};
 use pardec::prelude::*;
@@ -97,39 +96,6 @@ proptest! {
         for v in 0..n {
             prop_assert!((r.hops[v] as u64) <= r.weighted_dist[v] + 1);
         }
-    }
-
-    /// Contraction conserves mass and matches the quotient view.
-    #[test]
-    fn contraction_conserves_mass(g in small_graph(), num_labels in 1usize..8, seed in any::<u64>()) {
-        let n = g.num_nodes();
-        prop_assume!(n > 0);
-        let labels: Vec<NodeId> = (0..n).map(|v| {
-            let h = (v as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed);
-            (h % num_labels as u64) as NodeId
-        }).collect();
-        let c = contract(&g, &labels, num_labels);
-        let cut: u64 = c.edge_multiplicity.values().sum();
-        prop_assert_eq!(cut + c.internal_edges, g.num_edges() as u64);
-        prop_assert_eq!(c.node_weight.iter().sum::<u64>(), n as u64);
-        prop_assert_eq!(&c.graph, &quotient::quotient(&g, &labels, num_labels));
-    }
-
-    /// Induced subgraph: edge iff both endpoints selected and edge in g.
-    #[test]
-    fn induced_subgraph_correct(g in small_graph(), picks in prop::collection::vec(any::<u16>(), 0..40)) {
-        let n = g.num_nodes();
-        prop_assume!(n > 0);
-        let nodes: Vec<NodeId> = picks.into_iter().map(|p| (p as usize % n) as NodeId).collect();
-        let (sub, orig) = induced_subgraph(&g, &nodes);
-        for (a, b) in sub.edges() {
-            prop_assert!(g.has_edge(orig[a as usize], orig[b as usize]));
-        }
-        // Count expected edges among distinct selected nodes.
-        let mut selected = vec![false; n];
-        for &v in &nodes { selected[v as usize] = true; }
-        let expect = g.edges().filter(|&(u, v)| selected[u as usize] && selected[v as usize]).count();
-        prop_assert_eq!(sub.num_edges(), expect);
     }
 
     /// Direction-optimizing BFS is distance-identical to plain BFS.

@@ -5,9 +5,9 @@
 //! and a 4-thread pool.
 //!
 //! The naive implementations are the executable spec: a sort-and-`dedup`
-//! builder, `HashMap` min-combine for the weighted quotient, `HashMap`
-//! sum-combine for contraction multiplicities. The kernel must reproduce
-//! their canonical CSR arrays exactly, not just isomorphically.
+//! builder and a `HashMap` min-combine for the weighted quotient. The
+//! kernel must reproduce their canonical CSR arrays exactly, not just
+//! isomorphically.
 
 use pardec::prelude::*;
 use pardec_graph::{combine, naive};
@@ -149,22 +149,6 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Kernel contraction ≡ naive contraction: contracted graph, node
-    /// weights, sorted multiplicity entries, and internal-edge mass.
-    #[test]
-    fn contract_equals_naive(
-        input in labelled_graph(),
-        threads in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let (g, labels, _dists, k) = input;
-        let expected = naive::contract(&g, &labels, k);
-        let got = on_pool(threads, || pardec_graph::contract::contract(&g, &labels, k));
-        prop_assert_eq!(&got, &expected);
-        // Mass conservation, as the seed tests checked via the HashMap.
-        let cut: u64 = got.edge_multiplicity.values().sum();
-        prop_assert_eq!(cut + got.internal_edges, g.num_edges() as u64);
-    }
-
     /// Parallel `cut_size` ≡ the sequential filter-count it replaced.
     #[test]
     fn cut_size_equals_naive(input in labelled_graph()) {
@@ -176,8 +160,8 @@ proptest! {
     }
 
     /// The raw kernel against a sequential sort + fold oracle, over
-    /// arbitrary key/value multisets and both fold families the contraction
-    /// paths use (min and sum).
+    /// arbitrary key/value multisets and two commutative folds (min and
+    /// sum).
     #[test]
     fn combine_by_key_equals_sorted_fold_oracle(
         pairs in proptest::collection::vec((0u64..500, 0u64..1000), 0..600),

@@ -2,8 +2,10 @@
 //! `Session::save` → `Session::load` is the identity on bytes, every strict
 //! prefix of a snapshot is an error (never a silently shorter session),
 //! snapshots with a version-1 or version-2 `ORCL` section still load into
-//! the same session, arbitrary `ORCL` bytes never panic a load, and request
-//! encoding round-trips through the frame decoder.
+//! the same session, arbitrary `ORCL` bytes never panic a load, request
+//! encoding round-trips through the frame decoder, and arbitrary bytes
+//! never panic the request, response and `STATS` decoders or a snapshot
+//! parse.
 
 use pardec::core::session::{SECTION_CLUSTERING, SECTION_ORACLE, SECTION_ORACLE_VERSION};
 use pardec::core::wire;
@@ -648,6 +650,198 @@ fn session_diameter_matches_approximate_diameter_on_both_backends() {
                     assert_eq!(q.num_edges(), expected.quotient_edges);
                 }
             }
+        }
+    }
+}
+
+/// Byte runs the decoders' length and varint fields are most fragile
+/// against: zero, one, the 7-bit edges, and the varints of `u64::MAX`,
+/// `zigzag(i64::MAX)` and `i64::MAX`.
+const HOSTILE: [&[u8]; 8] = [
+    &[0x00],
+    &[0x01],
+    &[0x02],
+    &[0x7f],
+    &[0x80, 0x01],
+    &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+    &[0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+    &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+];
+
+/// `noise` as raw bytes (`alphabet` 0), or as the [`HOSTILE`] runs its
+/// bytes pick (any other `alphabet`).
+fn shaped(noise: &[u8], alphabet: usize) -> Vec<u8> {
+    match alphabet {
+        0 => noise.to_vec(),
+        _ => noise
+            .iter()
+            .flat_map(|&b| HOSTILE[b as usize % HOSTILE.len()].iter().copied())
+            .collect(),
+    }
+}
+
+/// Snapshot files to corrupt: a 5×5 mesh as a `PDEC1` file and as a
+/// session snapshot with every section, and a 4×4 mesh as a compressed
+/// graph-only snapshot, whose 16 nodes fill one block, so corrupt records
+/// reach the varint checks before any block-index check.
+fn snapshot_bases() -> [Vec<u8>; 3] {
+    let g = generators::mesh(5, 5);
+    let mut pdec1 = Vec::new();
+    pardec::graph::io::save_binary(&g, &mut pdec1).unwrap();
+    let mut session = Vec::new();
+    Session::build(g, &params(2, 7, true))
+        .save(&mut session)
+        .unwrap();
+    let compressed = GraphRepr::Compressed(CcsrGraph::from_csr(&generators::mesh(4, 4)));
+    let mut grpc = Vec::new();
+    save_snapshot_repr(&compressed, &[], &mut grpc).unwrap();
+    [pdec1, session, grpc]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary request bodies decode to `Ok` or `Err`, never a panic, at
+    /// a small batch cap and at `MAX_BATCH`. Half the bodies carry counts
+    /// that agree with their payload length, so the decoder gets past its
+    /// length checks. A decoded request re-encodes to the very body it came
+    /// from, holds at most `body.len() / 4` node ids, and no batch above
+    /// the cap.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_request_decode(
+        opcode in prop_oneof![(0u32..10).prop_map(|o| o as u8), any::<u8>()],
+        fit in any::<bool>(),
+        split in any::<u32>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..160),
+        alphabet in 0usize..2,
+        cap in prop_oneof![0u32..6, proptest::strategy::Just(wire::MAX_BATCH)],
+    ) {
+        let mut payload = shaped(&noise, alphabet);
+        let mut body = vec![opcode];
+        if fit {
+            let ids = payload.len() / 4;
+            let (counts, len) = match opcode {
+                wire::OP_DIST => (vec![ids / 2], ids / 2 * 8),
+                wire::OP_CLUSTER_OF | wire::OP_ECC => (vec![ids], ids * 4),
+                wire::OP_NEAREST => {
+                    let sources = split as usize % (ids + 1);
+                    (vec![sources, ids - sources], ids * 4)
+                }
+                wire::OP_RELOAD => (vec![payload.len()], payload.len()),
+                _ => (Vec::new(), payload.len()),
+            };
+            payload.truncate(len);
+            for c in counts {
+                body.extend_from_slice(&(c as u32).to_le_bytes());
+            }
+        }
+        body.extend_from_slice(&payload);
+        if let Ok(req) = wire::decode_request_limited(&body, cap) {
+            prop_assert_eq!(wire::encode_request(&req), body.clone());
+            let cap = cap as usize;
+            let (ids, batches) = match &req {
+                wire::Request::Distance(pairs) => (2 * pairs.len(), vec![pairs.len()]),
+                wire::Request::ClusterOf(nodes) | wire::Request::Eccentricity(nodes) => {
+                    (nodes.len(), vec![nodes.len()])
+                }
+                wire::Request::Nearest { sources, probes } => {
+                    (sources.len() + probes.len(), vec![sources.len(), probes.len()])
+                }
+                _ => (0, Vec::new()),
+            };
+            prop_assert!(ids <= body.len() / 4, "{ids} ids from {} bytes", body.len());
+            prop_assert!(batches.iter().all(|&b| b <= cap), "{batches:?} over cap {cap}");
+        }
+    }
+
+    /// Any bytes of at least the 15-byte header decode as a response whose
+    /// fields are those bytes; shorter ones are an error. Never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_response_decode(
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        match wire::decode_response(&noise) {
+            Ok(r) => {
+                prop_assert!(noise.len() >= 15);
+                prop_assert_eq!((r.status, r.opcode, r.strategy), (noise[0], noise[1], noise[14]));
+                prop_assert_eq!(&r.body[..], &noise[15..]);
+            }
+            Err(_) => prop_assert!(noise.len() < 15),
+        }
+    }
+
+    /// Arbitrary `STATS` bodies decode to `Ok` or `Err`, never a panic:
+    /// pure noise, or the fixed header and a declared op count followed by
+    /// noise, either of any length or of exactly the declared table's, with
+    /// or without the right bucket count in each entry. A decoded snapshot
+    /// has the declared op count and re-encodes to the very body.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_stats_decode(
+        header in proptest::collection::vec(any::<u8>(), 88..89),
+        n_ops in prop_oneof![0u32..4, 0u32..256],
+        noise in proptest::collection::vec(any::<u8>(), 0..1800),
+        shape in 0usize..3,
+        right_buckets in any::<bool>(),
+    ) {
+        const ENTRY: usize = 26 + pardec::obs::BUCKETS * 8;
+        let body: Vec<u8> = match shape {
+            0 => noise.clone(),
+            1 => header.iter().copied().chain([n_ops as u8]).chain(noise.iter().copied()).collect(),
+            _ => {
+                let mut table: Vec<u8> = noise
+                    .iter()
+                    .copied()
+                    .chain(std::iter::repeat(0x5a))
+                    .take(n_ops as usize * ENTRY)
+                    .collect();
+                if right_buckets {
+                    for entry in table.chunks_mut(ENTRY) {
+                        entry[25] = pardec::obs::BUCKETS as u8;
+                    }
+                }
+                header.iter().copied().chain([n_ops as u8]).chain(table).collect()
+            }
+        };
+        if let Ok(s) = wire::decode_stats_body(&body) {
+            prop_assert_eq!(s.per_op.len(), body[wire::STATS_HEADER - 1] as usize);
+            prop_assert_eq!(wire::encode_stats_body(&s), body);
+        }
+    }
+
+    /// A valid snapshot — `PDEC1`, a session's `PDEC2`, or a compressed
+    /// graph-only `PDEC2` — with noise written over it, cut into it, or
+    /// spliced into it at any byte parses to `Ok` or `Err`, never a panic,
+    /// and so does `graph_repr` on a parse that succeeds. A parsed table
+    /// keeps every section inside the bytes.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_snapshot_parse(
+        base in 0usize..3,
+        at in any::<usize>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..120),
+        alphabet in 0usize..2,
+        edit in 0usize..3,
+    ) {
+        let mut bytes = snapshot_bases()[base].clone();
+        let noise = shaped(&noise, alphabet);
+        let at = at % (bytes.len() + 1);
+        match edit {
+            0 => {
+                let end = (at + noise.len()).min(bytes.len());
+                bytes[at..end].copy_from_slice(&noise[..end - at]);
+            }
+            1 => {
+                bytes.truncate(at);
+                bytes.extend_from_slice(&noise);
+            }
+            _ => {
+                bytes.splice(at..at, noise);
+            }
+        }
+        if let Ok(snap) = Snapshot::parse(&bytes) {
+            for e in snap.sections() {
+                prop_assert!(e.offset + e.len <= bytes.len());
+            }
+            drop(snap.graph_repr());
         }
     }
 }
