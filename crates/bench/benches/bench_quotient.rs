@@ -17,7 +17,10 @@
 //! reader at 1 and 4 threads, with its own allocation peak; plus the weighted
 //! quotient APSP diameter the seed bench tracked, and that APSP against the
 //! seed-era heap APSP with every weight scaled by 1, 8, 128 and 1000 (and
-//! on a weighted path) — the measurement behind the bucket queue's cap.
+//! on a weighted path) — the measurement behind the bucket queue's cap; and
+//! the oracle's APSP triangle (`apsp_upper`, on its contraction hierarchy)
+//! against one built from per-source heap Dijkstra, at 1 and 2 threads, on
+//! each leg's weighted quotient, a path and a weighted cycle.
 
 use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
@@ -25,7 +28,9 @@ use pardec_core::{cluster, ClusterParams};
 use pardec_graph::quotient::{
     quotient_with_stats, weighted_quotient, weighted_quotient_with_stats,
 };
+use pardec_graph::weighted::upper_entry;
 use pardec_graph::{generators, io, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
+use rayon::prelude::*;
 
 const THREAD_CONFIGS: [usize; 3] = [1, 2, 4];
 
@@ -119,6 +124,7 @@ fn main() {
             pardec_bench::alloc::peak_bytes(),
         );
         scaled_apsp_rows(name, &wq);
+        apsp_upper_rows(name, &wq);
     }
     // No collapse: every node of the power-law graph is its own cluster, so
     // every cut edge is a quotient edge of its own — the pre-combine's
@@ -130,9 +136,17 @@ fn main() {
     // The bucket queue's worst shape: on a path the heap never holds more
     // than two entries, while every bucket jump is as long as an edge.
     let path: Vec<(NodeId, NodeId, u64)> = (0..PATH_NODES - 1).map(|u| (u, u + 1, 1)).collect();
-    scaled_apsp_rows(
-        "path",
-        &WeightedGraph::from_edges(PATH_NODES as usize, &path),
+    let path = WeightedGraph::from_edges(PATH_NODES as usize, &path);
+    scaled_apsp_rows("path", &path);
+    // Paths and cycles contract completely, in about log2(n) rounds: the
+    // hierarchy's deepest up-arc chains.
+    apsp_upper_rows("path", &path);
+    let cycle: Vec<(NodeId, NodeId, u64)> = (0..CYCLE_NODES)
+        .map(|u| (u, (u + 1) % CYCLE_NODES, u64::from(u % 9) + 1))
+        .collect();
+    apsp_upper_rows(
+        "cycle",
+        &WeightedGraph::from_edges(CYCLE_NODES as usize, &cycle),
     );
 }
 
@@ -301,6 +315,80 @@ fn scaled_apsp_rows(name: &str, wq: &WeightedGraph) {
             scale,
             max_w,
             diam,
+            heap_secs,
+            secs,
+            heap_secs / secs,
+            pardec_bench::alloc::peak_bytes(),
+        );
+    }
+}
+
+const CYCLE_NODES: NodeId = 2000;
+
+/// The packed upper triangle of per-source heap Dijkstra
+/// (`naive::dijkstra`), parallel over sources: the reference the
+/// `weighted-apsp-upper` rows check `apsp_upper` against.
+fn heap_triangle(g: &WeightedGraph) -> Vec<u32> {
+    let n = g.num_nodes() as NodeId;
+    let rows: Vec<Vec<u32>> = (0..n)
+        .into_par_iter()
+        .map(|i| {
+            naive::dijkstra(g, i)[i as usize..]
+                .iter()
+                .map(|&d| upper_entry(d).expect("bench distances fit a u32 entry"))
+                .collect()
+        })
+        .collect();
+    rows.concat()
+}
+
+/// The `weighted.apsp` span's hierarchy fields of one traced `apsp_upper`
+/// call: `core_nodes`, `core_edges`, `up_arcs` and `rounds`.
+fn hierarchy_shape(g: &WeightedGraph) -> [u64; 4] {
+    pardec_obs::drain();
+    pardec_obs::enable();
+    let _ = g.apsp_upper();
+    pardec_obs::disable();
+    let events = pardec_obs::drain();
+    let span = events
+        .iter()
+        .find(|e| e.name == "weighted.apsp")
+        .expect("apsp_upper emits a weighted.apsp span");
+    ["core_nodes", "core_edges", "up_arcs", "rounds"].map(|key| {
+        match span.fields.iter().find(|f| f.key == key).map(|f| &f.value) {
+            Some(pardec_obs::Value::U64(v)) => *v,
+            other => panic!("weighted.apsp span field {key}: {other:?}"),
+        }
+    })
+}
+
+/// One `weighted-apsp-upper` row per pool size (1 and 2 threads): the
+/// library's `apsp_upper` against the heap triangle, asserted equal entry
+/// for entry before either time is reported, with the hierarchy's shape
+/// read off its trace span.
+fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
+    let [core_nodes, core_edges, up_arcs, rounds] = hierarchy_shape(g);
+    for threads in [1, 2] {
+        let (heap, heap_secs) = best_of_3(threads, || heap_triangle(g));
+        let (upper, secs) = best_of_3(threads, || g.apsp_upper());
+        assert!(
+            upper == heap,
+            "apsp_upper diverged from the heap triangle on {name} at {threads} threads"
+        );
+        println!(
+            "{{\"bench\":\"quotient\",\"case\":\"weighted-apsp-upper\",\"graph\":\"{}\",\
+             \"nodes\":{},\"edges\":{},\"core_nodes\":{},\"core_edges\":{},\
+             \"up_arcs\":{},\"rounds\":{},\"threads\":{},\"seconds_heap\":{:.6},\
+             \"seconds_kernel\":{:.6},\"speedup_kernel_vs_heap\":{:.3},\
+             \"peak_alloc_bytes\":{}}}",
+            name,
+            g.num_nodes(),
+            g.num_edges(),
+            core_nodes,
+            core_edges,
+            up_arcs,
+            rounds,
+            threads,
             heap_secs,
             secs,
             heap_secs / secs,

@@ -122,7 +122,7 @@ pub fn dispatch(args: &Args) -> CmdResult {
         },
         "serve" => crate::serve::cmd_serve(args),
         "help" => {
-            println!("{USAGE}");
+            out!("{USAGE}")?;
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
@@ -235,12 +235,12 @@ fn cmd_generate(args: &Args) -> CmdResult {
     let mut w = BufWriter::new(file);
     io::write_edge_list(&g, &mut w)?;
     w.flush()?;
-    println!(
+    out!(
         "wrote {} ({} nodes, {} edges)",
         out,
         g.num_nodes(),
         g.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -249,12 +249,12 @@ fn cmd_stats(args: &Args) -> CmdResult {
     let summary = stats::summarize(&g);
     let deg = stats::degree_stats(&g);
     let (components, _) = pardec_graph::components::connected_components(&g);
-    println!("nodes       {}", summary.nodes);
-    println!("edges       {}", summary.edges);
-    println!("avg degree  {:.2}", summary.avg_degree);
-    println!("max degree  {}", summary.max_degree);
-    println!("p99 degree  {}", deg.p99);
-    println!("components  {components}");
+    out!("nodes       {}", summary.nodes)?;
+    out!("edges       {}", summary.edges)?;
+    out!("avg degree  {:.2}", summary.avg_degree)?;
+    out!("max degree  {}", summary.max_degree)?;
+    out!("p99 degree  {}", deg.p99)?;
+    out!("components  {components}")?;
     Ok(())
 }
 
@@ -274,30 +274,30 @@ fn cmd_clust(args: &Args, algo: &str) -> CmdResult {
     let session = Session::build(load_graph(args)?, &params);
     let clustering = session.clustering();
     let sizes = clustering.cluster_sizes();
-    println!("algorithm     {}", params.algo.name());
-    println!("backend       {}", session.backend());
-    println!("clusters      {}", clustering.num_clusters());
-    println!("max radius    {}", clustering.max_radius());
-    println!(
+    out!("algorithm     {}", params.algo.name())?;
+    out!("backend       {}", session.backend())?;
+    out!("clusters      {}", clustering.num_clusters())?;
+    out!("max radius    {}", clustering.max_radius())?;
+    out!(
         "cluster size  min {} / max {}",
         sizes.iter().min().unwrap_or(&0),
         sizes.iter().max().unwrap_or(&0)
-    );
+    )?;
     let (q, kernel) = session.quotient();
-    println!(
+    out!(
         "quotient      {} nodes / {} edges",
         q.num_nodes(),
         q.num_edges()
-    );
-    println!(
+    )?;
+    out!(
         "kernel        {} cut edges -> {} ({:.2}x combine)",
         kernel.input_pairs,
         kernel.output_pairs,
         kernel.combine_ratio()
-    );
+    )?;
     if let Ok(path) = args.req("labels") {
         write_labels(path, clustering)?;
-        println!("labels        written to {path}");
+        out!("labels        written to {path}")?;
     }
     Ok(())
 }
@@ -334,34 +334,35 @@ fn cmd_clust_weighted(args: &Args) -> CmdResult {
     let params = weighted_params(args)?;
     let r = pardec_core::weighted_cluster_result(&g, &params);
     let c = &r.clustering;
-    println!("algorithm     weighted-cluster");
-    println!("clusters      {}", c.num_clusters());
-    println!("max w-radius  {}", c.max_weighted_radius());
-    println!("max hop-rad   {}", c.max_hop_radius());
-    println!(
+    out!("algorithm     weighted-cluster")?;
+    out!("clusters      {}", c.num_clusters())?;
+    out!("max w-radius  {}", c.max_weighted_radius())?;
+    out!("max hop-rad   {}", c.max_hop_radius())?;
+    out!(
         "rounds        {} batches + {} tail singletons",
         r.trace.rounds.len(),
         r.trace.tail_singletons
-    );
-    println!(
+    )?;
+    out!(
         "buckets       {} (delta {})",
-        r.trace.buckets, r.trace.delta
-    );
+        r.trace.buckets,
+        r.trace.delta
+    )?;
     let (q, kernel) = c.quotient_with_stats(&g);
-    println!(
+    out!(
         "quotient      {} nodes / {} edges",
         q.num_nodes(),
         q.num_edges()
-    );
-    println!(
+    )?;
+    out!(
         "kernel        {} cut edges -> {} ({:.2}x combine)",
         kernel.input_pairs,
         kernel.output_pairs,
         kernel.combine_ratio()
-    );
+    )?;
     if let Ok(path) = args.req("labels") {
         write_weighted_labels(path, c)?;
-        println!("labels        written to {path}");
+        out!("labels        written to {path}")?;
     }
     Ok(())
 }
@@ -370,41 +371,42 @@ fn cmd_dist_weighted(args: &Args) -> CmdResult {
     let g = load_weighted_graph(args)?;
     let params = weighted_params(args)?;
     let a = pardec_core::weighted_diameter(&g, &params);
-    println!("lower bound (sweep)  {}", a.lower_bound);
-    println!("upper bound (Δ″)     {}", a.upper_bound);
-    println!("weighted radius      {}", a.weighted_radius);
-    println!("hop radius           {}", a.hop_radius);
-    println!(
+    out!("lower bound (sweep)  {}", a.lower_bound)?;
+    out!("upper bound (Δ″)     {}", a.upper_bound)?;
+    out!("weighted radius      {}", a.weighted_radius)?;
+    out!("hop radius           {}", a.hop_radius)?;
+    out!(
         "quotient             {} nodes / {} edges",
-        a.quotient_nodes, a.quotient_edges
-    );
-    println!(
+        a.quotient_nodes,
+        a.quotient_edges
+    )?;
+    out!(
         "contraction kernel   {} cut edges -> {} combined edges ({:.2}x combine, {} buckets)",
         a.quotient_kernel.input_pairs,
         a.quotient_kernel.output_pairs,
         a.quotient_kernel.combine_ratio(),
         a.quotient_kernel.buckets
-    );
-    println!(
+    )?;
+    out!(
         "rounds               {} batches ({} wave buckets, delta {})",
         a.trace.rounds.len(),
         a.trace.buckets,
         a.trace.delta
-    );
+    )?;
     if args.has_flag("exact") {
         let exact = g.apsp_diameter();
-        println!("exact diameter       {exact}");
-        println!(
+        out!("exact diameter       {exact}")?;
+        out!(
             "approximation ratio  {:.3}",
             a.estimate() as f64 / exact.max(1) as f64
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_dist_exact(args: &Args) -> CmdResult {
     let g = load_graph(args)?;
-    println!("exact diameter       {}", diameter::exact_diameter(&g));
+    out!("exact diameter       {}", diameter::exact_diameter(&g))?;
     Ok(())
 }
 
@@ -417,32 +419,33 @@ fn cmd_dist_approx(args: &Args) -> CmdResult {
     let params = session_params(args, algo, 4, false)?;
     let session = Session::build(load_graph(args)?, &params);
     let a = session.diameter(true, None);
-    println!("lower bound (Δ_C)    {}", a.lower_bound);
-    println!("upper bound (Δ″)     {}", a.estimate());
-    println!("cluster radius       {}", a.radius);
-    println!(
+    out!("lower bound (Δ_C)    {}", a.lower_bound)?;
+    out!("upper bound (Δ″)     {}", a.estimate())?;
+    out!("cluster radius       {}", a.radius)?;
+    out!(
         "quotient             {} nodes / {} edges",
-        a.quotient_nodes, a.quotient_edges
-    );
+        a.quotient_nodes,
+        a.quotient_edges
+    )?;
     // The kernel ledger describes the quotient *build*; when Theorem 4
     // sparsification replaces the quotient afterwards, the row above
     // reflects the spanner while this one keeps the pre-sparsification
     // combine, so it deliberately says "combined", not "quotient", edges.
-    println!(
+    out!(
         "contraction kernel   {} cut edges -> {} combined edges ({:.2}x combine, {} buckets)",
         a.quotient_kernel.input_pairs,
         a.quotient_kernel.output_pairs,
         a.quotient_kernel.combine_ratio(),
         a.quotient_kernel.buckets
-    );
-    println!("growth steps         {}", a.growth_steps);
+    )?;
+    out!("growth steps         {}", a.growth_steps)?;
     if args.has_flag("exact") {
         let exact = diameter::exact_diameter(&session.graph().to_csr());
-        println!("exact diameter       {exact}");
-        println!(
+        out!("exact diameter       {exact}")?;
+        out!(
             "approximation ratio  {:.3}",
             a.estimate() as f64 / exact.max(1) as f64
-        );
+        )?;
     }
     Ok(())
 }
@@ -456,7 +459,7 @@ fn cmd_snapshot_save(args: &Args) -> CmdResult {
     let mut w = BufWriter::new(file);
     session.save(&mut w)?;
     w.flush()?;
-    println!(
+    out!(
         "wrote {}: {} nodes / {} edges, {} clusters (radius {}){}",
         out,
         session.graph().num_nodes(),
@@ -464,7 +467,7 @@ fn cmd_snapshot_save(args: &Args) -> CmdResult {
         session.clustering().num_clusters(),
         session.clustering().max_radius(),
         if build_oracle { ", oracle" } else { "" }
-    );
+    )?;
     Ok(())
 }
 
@@ -473,12 +476,12 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
     let path = args.req("snapshot")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let snap = io::Snapshot::parse(&bytes)?;
-    println!(
+    out!(
         "{path}: {} bytes, {} section(s)",
         bytes.len(),
         snap.sections().len()
-    );
-    println!("tag    ver       offset        bytes   share");
+    )?;
+    out!("tag    ver       offset        bytes   share")?;
     for e in snap.sections() {
         let tag: String = e
             .tag
@@ -486,15 +489,15 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
             .iter()
             .map(|&b| if b.is_ascii_graphic() { b as char } else { '.' })
             .collect();
-        println!(
+        out!(
             "{tag:<4}  {:>4}  {:>11}  {:>11}  {:>5.1}%",
             e.version,
             e.offset,
             e.len,
             100.0 * e.len as f64 / bytes.len().max(1) as f64
-        );
+        )?;
     }
-    println!("graph backend {}", snap.graph_backend());
+    out!("graph backend {}", snap.graph_backend())?;
     if let Some(e) = snap
         .sections()
         .iter()
@@ -506,40 +509,40 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
         let repr = snap.graph_repr()?;
         let (n, arcs) = (repr.num_nodes(), repr.num_arcs());
         let plain = 16 + 8 * (n as u64 + 1) + 4 * arcs as u64;
-        println!(
+        out!(
             "compression   {} bytes vs {plain} plain CSR ({:.2}x, {:.2} bytes/edge)",
             e.len,
             plain as f64 / e.len.max(1) as f64,
             e.len as f64 / (arcs / 2).max(1) as f64
-        );
+        )?;
     }
     if snap.section(SECTION_CLUSTERING).is_some() {
         // Untrusted file: full checked load (builder graph + validate).
         let session = Session::load_checked(&bytes, FrontierStrategy::default_from_env())?;
-        println!(
+        out!(
             "graph         {} nodes / {} edges",
             session.graph().num_nodes(),
             session.graph().num_edges()
-        );
-        println!("clusters      {}", session.clustering().num_clusters());
-        println!("max radius    {}", session.clustering().max_radius());
-        println!("growth steps  {}", session.growth_steps());
-        println!(
+        )?;
+        out!("clusters      {}", session.clustering().num_clusters())?;
+        out!("max radius    {}", session.clustering().max_radius())?;
+        out!("growth steps  {}", session.growth_steps())?;
+        out!(
             "oracle        {}",
             match session.oracle() {
                 Some(o) => format!("{} words", o.memory_words()),
                 None => "absent".into(),
             }
-        );
+        )?;
     } else {
         let g = snap.graph_checked()?;
-        println!(
+        out!(
             "graph         {} nodes / {} edges",
             g.num_nodes(),
             g.num_edges()
-        );
+        )?;
         if snap.section(SECTION_ORACLE).is_some() {
-            println!("oracle        present but unusable without a clustering section");
+            out!("oracle        present but unusable without a clustering section")?;
         }
     }
     Ok(())
@@ -554,15 +557,15 @@ fn cmd_kcenter(args: &Args) -> CmdResult {
     } else {
         kcenter(&g, k, s)?
     };
-    println!("centers  {}", result.centers.len());
-    println!("radius   {}", result.radius);
+    out!("centers  {}", result.centers.len())?;
+    out!("radius   {}", result.radius)?;
     let preview: Vec<String> = result
         .centers
         .iter()
         .take(16)
         .map(|c| c.to_string())
         .collect();
-    println!(
+    out!(
         "ids      {}{}",
         preview.join(","),
         if result.centers.len() > 16 {
@@ -570,7 +573,7 @@ fn cmd_kcenter(args: &Args) -> CmdResult {
         } else {
             ""
         }
-    );
+    )?;
     Ok(())
 }
 
@@ -587,19 +590,19 @@ fn cmd_oracle(args: &Args) -> CmdResult {
     }
     let session = Session::build(load_graph(args)?, &params);
     let oracle = session.oracle().expect("session built with an oracle");
-    println!(
+    out!(
         "oracle: {} clusters, radius {}, {} words",
         oracle.num_clusters(),
         oracle.radius(),
         oracle.memory_words()
-    );
+    )?;
     // One batched Session call — the same entry point the daemon serves.
     let (dists, _ledger) = session.distance(&pairs)?;
     for (&(u, v), d) in pairs.iter().zip(dists) {
         if d == u64::MAX {
-            println!("dist({u}, {v}) = unreachable");
+            out!("dist({u}, {v}) = unreachable")?;
         } else {
-            println!("dist({u}, {v}) ≤ {d}");
+            out!("dist({u}, {v}) ≤ {d}")?;
         }
     }
     Ok(())
@@ -615,25 +618,25 @@ fn mr_config(args: &Args) -> Result<MrConfig, crate::args::ArgError> {
 
 /// Prints the §5 communication ledger: rounds, pre-combine (map) and
 /// post-combine (shuffled) volumes, and the peak local-memory demand.
-fn print_ledger(stats: &MrStats) {
-    println!("-- communication ledger (MR(M_G, M_L) emulation) --");
-    println!("rounds          {}", stats.num_rounds());
-    println!(
+fn print_ledger(stats: &MrStats) -> std::io::Result<()> {
+    out!("-- communication ledger (MR(M_G, M_L) emulation) --")?;
+    out!("rounds          {}", stats.num_rounds())?;
+    out!(
         "map volume      {} pairs / {} bytes (pre-combine)",
         stats.total_map_pairs(),
         stats.total_map_bytes()
-    );
-    println!(
+    )?;
+    out!(
         "shuffled        {} pairs / {} bytes (post-combine)",
         stats.total_pairs(),
         stats.total_bytes()
-    );
-    println!("combine ratio   {:.2}x", stats.combine_ratio());
-    println!("peak round      {} pairs", stats.max_round_pairs());
-    println!(
+    )?;
+    out!("combine ratio   {:.2}x", stats.combine_ratio())?;
+    out!("peak round      {} pairs", stats.max_round_pairs())?;
+    out!(
         "peak M_L        {} pairs in one reducer group",
         stats.max_local_memory()
-    );
+    )
 }
 
 fn cmd_mr_cluster(args: &Args) -> CmdResult {
@@ -642,11 +645,11 @@ fn cmd_mr_cluster(args: &Args) -> CmdResult {
     let tau: usize = args.opt_parse("tau", 4, "a positive integer")?;
     let mr = mr_config(args)?;
     let r = mr_cluster_with(&g, &ClusterParams::new(tau, s), &mr);
-    println!("partitions    {}", mr.partitions);
-    println!("clusters      {}", r.clustering.num_clusters());
-    println!("max radius    {}", r.clustering.max_radius());
-    println!("supersteps    {}", r.supersteps);
-    print_ledger(&r.stats);
+    out!("partitions    {}", mr.partitions)?;
+    out!("clusters      {}", r.clustering.num_clusters())?;
+    out!("max radius    {}", r.clustering.max_radius())?;
+    out!("supersteps    {}", r.supersteps)?;
+    print_ledger(&r.stats)?;
     Ok(())
 }
 
@@ -666,12 +669,12 @@ fn cmd_mr_bfs(args: &Args) -> CmdResult {
         .max()
         .copied()
         .unwrap_or(0);
-    println!("partitions    {}", mr.partitions);
-    println!("source        {src}");
-    println!("reached       {} / {}", reached, g.num_nodes());
-    println!("eccentricity  {ecc}");
-    println!("supersteps    {}", r.supersteps);
-    print_ledger(&r.stats);
+    out!("partitions    {}", mr.partitions)?;
+    out!("source        {src}")?;
+    out!("reached       {} / {}", reached, g.num_nodes())?;
+    out!("eccentricity  {ecc}")?;
+    out!("supersteps    {}", r.supersteps)?;
+    print_ledger(&r.stats)?;
     Ok(())
 }
 
@@ -686,11 +689,11 @@ fn cmd_mr_hadi(args: &Args) -> CmdResult {
     let mut params = HadiParams::new(s);
     params.trials = trials;
     let (r, stats) = mr_hadi_with(&g, &params, &mr);
-    println!("partitions    {}", mr.partitions);
-    println!("trials        {trials}");
-    println!("diameter est  {}", r.diameter_estimate);
-    println!("convergence   {} iterations", r.iterations);
-    print_ledger(&stats);
+    out!("partitions    {}", mr.partitions)?;
+    out!("trials        {trials}")?;
+    out!("diameter est  {}", r.diameter_estimate)?;
+    out!("convergence   {} iterations", r.iterations)?;
+    print_ledger(&stats)?;
     Ok(())
 }
 

@@ -33,11 +33,22 @@
 //! `--trace FILE` (or `PARDEC_TRACE=FILE`) writes a JSONL span/metric trace
 //! at exit; the trace is a side channel and never perturbs results.
 
+/// `println!` through the locked stdout, returning the write's
+/// `io::Result` rather than panicking when stdout is closed early (a
+/// `| head` that has read enough).
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        writeln!(std::io::stdout().lock(), $($arg)*)
+    }};
+}
+
 mod args;
 mod commands;
 mod serve;
 
 use args::Args;
+use std::io::ErrorKind;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -73,6 +84,13 @@ fn main() -> ExitCode {
     }
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed stdout has all it wanted.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -97,7 +97,11 @@ fn spawn_reload_watcher(reloader: wire::Reloader, signal_path: String) {
             if std::path::Path::new(&signal_path).exists() {
                 let _ = std::fs::remove_file(&signal_path);
                 match reloader.reload(None) {
-                    Ok(epoch) => println!("pardec serve: reloaded snapshot, epoch {epoch}"),
+                    // The reload took effect whether or not the line is
+                    // read: a closed stdout does not stop the watcher.
+                    Ok(epoch) => {
+                        let _ = out!("pardec serve: reloaded snapshot, epoch {epoch}");
+                    }
                     Err(e) => eprintln!("pardec serve: reload failed, {e}"),
                 }
             }
@@ -133,7 +137,7 @@ pub(crate) fn cmd_serve(args: &Args) -> CmdResult {
     }
     let pool = Arc::new(builder.build().map_err(|e| e.to_string())?);
 
-    println!(
+    out!(
         "pardec serve: {} nodes / {} edges, {} clusters, oracle {}",
         session.graph().num_nodes(),
         session.graph().num_edges(),
@@ -143,20 +147,20 @@ pub(crate) fn cmd_serve(args: &Args) -> CmdResult {
         } else {
             "absent"
         }
-    );
+    )?;
     if config.allow_reload {
-        println!("pardec serve: wire reload enabled (OP_RELOAD)");
+        out!("pardec serve: wire reload enabled (OP_RELOAD)")?;
     }
     let reload_signal = args.opt("reload-signal", "").to_string();
     let handle = wire::serve_with(listener, Arc::new(session), pool, accept_threads, config)?;
     if !reload_signal.is_empty() {
-        println!("pardec serve: watching reload signal {reload_signal}");
+        out!("pardec serve: watching reload signal {reload_signal}")?;
         spawn_reload_watcher(handle.reloader(), reload_signal);
     }
     // The smoke harness greps for this line to learn the resolved port, so
     // keep its shape stable.
-    println!("pardec serve: listening on {}", handle.addr());
+    out!("pardec serve: listening on {}", handle.addr())?;
     handle.join();
-    println!("pardec serve: shut down cleanly");
+    out!("pardec serve: shut down cleanly")?;
     Ok(())
 }

@@ -81,6 +81,12 @@ impl DistanceOracle {
     /// taking the APSP of `quotient`, its weighted quotient, which the
     /// caller built (a session keeps that sweep's topology for
     /// [`crate::session::Session::diameter`]).
+    ///
+    /// The triangle comes from [`WeightedGraph::apsp_upper`], which
+    /// contracts `quotient` into a hierarchy once and then answers each
+    /// cluster's row with a small core search between two sweeps. Its
+    /// entries are the exact quotient distances, so the oracle, `Δ′_C` and
+    /// the saved `ORCL` bytes do not depend on the kernel or the pool size.
     pub(crate) fn from_quotient(clustering: Arc<Clustering>, quotient: &WeightedGraph) -> Self {
         Self::assemble(clustering, quotient.apsp_upper())
     }

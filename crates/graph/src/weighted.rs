@@ -5,6 +5,35 @@
 //! between adjacent clusters. Its diameter `Δ′_C` yields the tightened upper
 //! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP (stored once, as a packed
 //! upper triangle) is the distance oracle.
+//!
+//! # All sources on a contraction hierarchy
+//!
+//! [`WeightedGraph::apsp_upper`] and [`WeightedGraph::apsp_diameter`] run
+//! every source on one contraction hierarchy (Geisberger et al., WEA 2008),
+//! built once per call. Elimination runs in rounds of independent sets: a
+//! round scans the remaining nodes in ascending id and takes a node when no
+//! neighbour of it was taken in the round, its degree is at most 16, and
+//! eliminating it adds no more new edges than it removes, which always
+//! holds at degree ≤ 3. Each pair of an eliminated node's neighbours gets a
+//! shortcut of their two weights' sum, or keeps its edge if that is
+//! lighter, and those neighbours, with their weights, become the node's
+//! *up-arcs*. The nodes left when a round takes none are the *core*, kept
+//! as a CSR. A source then costs three steps (the one-to-all sweep is
+//! PHAST, Delling et al., IPDPS 2011):
+//!
+//! 1. an upward walk over the up-arcs, which point from each node to nodes
+//!    eliminated after it or to the core, so one pass in elimination order
+//!    settles them;
+//! 2. the single-source search loop over the core, seeded with the upward
+//!    distances;
+//! 3. one downward sweep in reverse elimination order, `d(y) = min(d(y),
+//!    d(b) + w)` over the up-arcs `(b, w)` of `y`.
+//!
+//! Every shortest path has an equally short path that climbs the hierarchy,
+//! crosses the core and descends, so the distances are exact: the APSP
+//! equals per-source Dijkstra entry for entry, at any pool size. In a road
+//! quotient about 41% of the clusters have degree ≤ 2, and the core keeps
+//! about a tenth of them.
 
 use crate::combine::{self, pack, PairRecord};
 use crate::{CsrGraph, NodeId};
@@ -19,21 +48,37 @@ pub const INFINITE_WEIGHT: u64 = u64::MAX;
 /// [`WeightedGraph::apsp_upper`].
 pub const INFINITE_ENTRY: u32 = u32::MAX;
 
-/// Most buckets the single-source kernel allocates: graphs whose largest
-/// weight is below this run on Dial's bucket queue, heavier ones on a
-/// binary heap. Weighted quotients of unweighted clusterings carry weights
-/// of at most `2R + 1`, so they get buckets for any radius `R < 512`.
+/// Most buckets the single-source search loop allocates: graphs whose
+/// largest weight is below this run on Dial's bucket queue, heavier ones on
+/// a binary heap. Weighted quotients of unweighted clusterings carry
+/// weights of at most `2R + 1`. The all-sources kernels search the core of
+/// a contraction hierarchy, whose shortcuts are sums of weights, so their
+/// queue follows the core's largest weight: 173–273 on `perfbench` road
+/// quotients whose largest weight (`2R + 1`) is 53–57, and 193 on
+/// `road_network(400, 400, 0.4, 12)`'s CLUSTER(5) quotient.
 ///
 /// Set from `bench_quotient`'s `weighted-apsp-scaled` rows (weights scaled
-/// up to 1000×): below the cap the buckets beat the heap on every measured
-/// quotient, and a jump to the next non-empty bucket reads at most 16
-/// occupancy words, which bounds the loss on a weighted path (where the
-/// heap never holds more than two entries).
+/// up to 1000×, measured on the whole quotient before the hierarchy):
+/// below the cap the buckets beat the heap on every measured quotient, and
+/// a jump to the next non-empty bucket reads at most 16 occupancy words,
+/// which bounds the loss on a weighted path (where the heap never holds
+/// more than two entries).
 const MAX_BUCKETS: u64 = 1024;
 
 /// Sources per parallel task of the all-sources kernels; each task reuses
-/// one queue and one distance row.
+/// one search state.
 const SOURCE_CHUNK: usize = 16;
+
+/// Largest degree at which the hierarchy eliminates a node. Past it, an
+/// elimination's shortcuts cost the build quadratic work and every source
+/// sweeps about as many up-arcs as the core search saves. Without the cap,
+/// `bench_quotient`'s CI-scale power-law quotient (1,249 nodes, average
+/// degree 60) contracts completely, in 334 rounds, into 59,860 up-arcs;
+/// even with a build that re-tested only the nodes an elimination touched,
+/// its APSP took 1.4–1.8× as long as with every node above degree 16 left
+/// in the core. Road and mesh quotients eliminate no node above degree 10,
+/// so the cap leaves them alone.
+const MAX_ELIMINATION_DEGREE: usize = 16;
 
 /// Reusable priority queue of the single-source kernel.
 #[derive(Clone)]
@@ -189,28 +234,53 @@ impl WeightedGraph {
         }
     }
 
-    /// The single-source kernel: shortest-path distances from `src` into
-    /// `dist` (length `n`, overwritten), reusing `queue`'s buffers. Every
-    /// queue yields the same exact distances.
-    fn sssp_into(&self, src: NodeId, dist: &mut [u64], queue: &mut Queue) {
-        dist.fill(INFINITE_WEIGHT);
-        dist[src as usize] = 0;
+    /// The search loop behind [`Self::dijkstra`] and the hierarchy's core
+    /// search: exact distances from `seeds` into `dist`, reusing `queue`'s
+    /// buffers. `seeds` are `(node, distance)` pairs in ascending distance,
+    /// and `dist` holds each seed's distance (or less) and
+    /// [`INFINITE_WEIGHT`] elsewhere. Every queue yields the same exact
+    /// distances.
+    fn sssp_into(&self, seeds: &[(NodeId, u64)], dist: &mut [u64], queue: &mut Queue) {
         match queue {
             Queue::Buckets { buckets, occupied } => {
                 let len = buckets.len();
-                buckets[0].push(src);
-                occupied[0] |= 1;
-                let (mut queued, mut at, mut d) = (1usize, 0usize, 0u64);
-                while queued > 0 {
+                let (mut next, mut queued, mut at, mut d) = (0, 0usize, 0usize, 0u64);
+                loop {
+                    if queued == 0 {
+                        // Empty ring: restart at the next seed, or stop.
+                        let Some(&(_, sd)) = seeds.get(next) else {
+                            break;
+                        };
+                        d = sd;
+                        at = (sd % len as u64) as usize;
+                    }
+                    // Admit the seeds the ring holds: distances in
+                    // `[d, d + len)`. A seed a search reached first is
+                    // stale.
+                    while let Some(&(v, sd)) = seeds.get(next) {
+                        if sd - d >= len as u64 {
+                            break;
+                        }
+                        next += 1;
+                        if dist[v as usize] == sd {
+                            let b = (sd % len as u64) as usize;
+                            buckets[b].push(v);
+                            occupied[b / 64] |= 1 << (b % 64);
+                            queued += 1;
+                        }
+                    }
+                    if queued == 0 {
+                        continue;
+                    }
                     // Jump to the next non-empty bucket.
-                    let next = next_occupied(occupied, at);
-                    let gap = if next >= at {
-                        next - at
+                    let next_at = next_occupied(occupied, at);
+                    let gap = if next_at >= at {
+                        next_at - at
                     } else {
-                        next + len - at
+                        next_at + len - at
                     };
                     d += gap as u64;
-                    at = next;
+                    at = next_at;
                     // Zero weights push back into this bucket; drain it all.
                     while let Some(u) = buckets[at].pop() {
                         queued -= 1;
@@ -233,7 +303,7 @@ impl WeightedGraph {
                 }
             }
             Queue::Heap(heap) => {
-                heap.push(Reverse((0, src)));
+                heap.extend(seeds.iter().map(|&(v, d)| Reverse((d, v))));
                 while let Some(Reverse((d, u))) = heap.pop() {
                     if d > dist[u as usize] {
                         continue; // stale entry
@@ -254,7 +324,8 @@ impl WeightedGraph {
     /// weights below 1024, else on a binary heap).
     pub fn dijkstra(&self, src: NodeId) -> Vec<u64> {
         let mut dist = vec![INFINITE_WEIGHT; self.num_nodes()];
-        self.sssp_into(src, &mut dist, &mut self.new_queue());
+        dist[src as usize] = 0;
+        self.sssp_into(&[(src, 0)], &mut dist, &mut self.new_queue());
         dist
     }
 
@@ -263,23 +334,22 @@ impl WeightedGraph {
         max_finite(&self.dijkstra(u))
     }
 
-    /// Weighted diameter via all-sources Dijkstra, parallelized over fixed
-    /// chunks of sources. Returns the largest finite eccentricity (i.e.
-    /// per-component diameters are maxed).
+    /// Weighted diameter: the largest finite distance between any two nodes
+    /// (i.e. per-component diameters are maxed), from every source on one
+    /// contraction hierarchy (see the module docs), in fixed chunks of
+    /// sources run in parallel.
     pub fn apsp_diameter(&self) -> u64 {
         let n = self.num_nodes();
-        let empty = self.new_queue();
+        let mut span = pardec_obs::span!("weighted.apsp", nodes = n);
+        let h = Hierarchy::build(self);
+        h.record(&mut span);
         (0..n.div_ceil(SOURCE_CHUNK))
             .into_par_iter()
             .map(|chunk| {
-                let mut queue = empty.clone();
-                let mut dist = vec![INFINITE_WEIGHT; n];
+                let mut search = h.search();
                 let first = chunk * SOURCE_CHUNK;
                 (first..(first + SOURCE_CHUNK).min(n))
-                    .map(|u| {
-                        self.sssp_into(u as NodeId, &mut dist, &mut queue);
-                        max_finite(&dist)
-                    })
+                    .map(|u| max_finite(search.run(&h, u as NodeId)))
                     .max()
                     .unwrap_or(0)
             })
@@ -293,11 +363,12 @@ impl WeightedGraph {
     /// [`INFINITE_ENTRY`] for unreachable pairs. Distances are symmetric, so
     /// the lower half adds nothing.
     ///
-    /// Sources run in the fixed chunks of [`Self::apsp_diameter`]; each chunk
-    /// reuses one queue and one `u64` distance row, and narrows each row's
-    /// tail `dist[i..]` into its own disjoint run of the triangle. Quadratic
-    /// space — intended for quotient graphs, which the paper keeps small
-    /// enough for one machine.
+    /// Every source runs on one contraction hierarchy (see the module
+    /// docs), in the fixed chunks of [`Self::apsp_diameter`]; each chunk
+    /// reuses one search state and narrows each row's tail `j ≥ i` into its
+    /// own disjoint run of the triangle. The hierarchy adds `O(n + m)` words
+    /// to the triangle's quadratic space — intended for quotient graphs,
+    /// which the paper keeps small enough for one machine.
     ///
     /// # Panics
     /// Panics if a finite distance is `u32::MAX` or more (see
@@ -305,7 +376,9 @@ impl WeightedGraph {
     /// their finite distances stay below `2n` of the clustered graph.
     pub fn apsp_upper(&self) -> Vec<u32> {
         let n = self.num_nodes();
-        let empty = self.new_queue();
+        let mut span = pardec_obs::span!("weighted.apsp", nodes = n);
+        let h = Hierarchy::build(self);
+        h.record(&mut span);
         let mut upper = vec![0; upper_row_start(n, n)];
         // Chunk `first / SOURCE_CHUNK` owns rows `first..last`: a contiguous
         // run of the packed layout.
@@ -319,12 +392,12 @@ impl WeightedGraph {
             rest = tail;
         }
         runs.into_par_iter().for_each(|(sources, mut run)| {
-            let mut queue = empty.clone();
-            let mut dist = vec![INFINITE_WEIGHT; n];
+            let mut search = h.search();
             for i in sources {
-                self.sssp_into(i as NodeId, &mut dist, &mut queue);
+                let dist = search.run(&h, i as NodeId);
                 let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
-                for (entry, &d) in row.iter_mut().zip(&dist[i..]) {
+                for (entry, &p) in row.iter_mut().zip(&h.place[i..]) {
+                    let d = dist[p as usize];
                     *entry = upper_entry(d).unwrap_or_else(|| {
                         panic!(
                             "finite distance {d} does not fit a u32 APSP entry \
@@ -362,6 +435,223 @@ impl WeightedGraph {
     }
 }
 
+/// The contraction hierarchy behind [`WeightedGraph::apsp_upper`] and
+/// [`WeightedGraph::apsp_diameter`] (see the module docs). Nodes are
+/// renumbered by *place*: the eliminated nodes in elimination order, then
+/// the core in ascending id, so a source's distance row is indexed by place
+/// and both sweeps walk it in order.
+struct Hierarchy {
+    /// `place[v]`: node `v`'s place.
+    place: Vec<NodeId>,
+    /// Up-arcs of the eliminated node at place `p`:
+    /// `up_start[p]..up_start[p + 1]` into `up_to` (places, all above `p`)
+    /// and `up_weight`. One entry per eliminated node, plus one.
+    up_start: Vec<usize>,
+    up_to: Vec<NodeId>,
+    up_weight: Vec<u64>,
+    /// The core with its shortcuts, on core-local ids (place minus the
+    /// number of eliminated nodes).
+    core: WeightedGraph,
+    /// An empty queue for the core, chosen from the core's largest weight:
+    /// shortcuts are sums of weights, so it can exceed the graph's.
+    queue: Queue,
+    /// Elimination rounds that took at least one node.
+    rounds: usize,
+}
+
+impl Hierarchy {
+    /// Contracts `g` in rounds of independent sets until a round takes no
+    /// node. Sequential and deterministic; `O(n + m)` words, since no
+    /// elimination adds more edges than it removes.
+    fn build(g: &WeightedGraph) -> Self {
+        let n = g.num_nodes();
+        // The remaining graph, one adjacency list per node, targets sorted.
+        let mut adj: Vec<Vec<(NodeId, u64)>> =
+            (0..n as NodeId).map(|u| g.neighbors(u).collect()).collect();
+        let mut remaining: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut taken = vec![false; n];
+        let mut merged = Vec::new();
+        let mut order = Vec::new();
+        let (mut up_start, mut up_to, mut up_weight) = (vec![0], Vec::new(), Vec::new());
+        let mut rounds = 0;
+        loop {
+            // Ascending id; no two neighbours in one round, so a node's
+            // edges do not change while its round eliminates others.
+            let mut round = Vec::new();
+            for &x in &remaining {
+                let nx = &adj[x as usize];
+                if !nx.iter().any(|&(a, _)| taken[a as usize]) && eliminable(&adj, nx) {
+                    taken[x as usize] = true;
+                    round.push(x);
+                }
+            }
+            if round.is_empty() {
+                break;
+            }
+            rounds += 1;
+            for &x in &round {
+                let nx = std::mem::take(&mut adj[x as usize]);
+                for &(a, wa) in &nx {
+                    // `a`'s list without `x`, merged with a shortcut to
+                    // every other neighbour of `x`, keeping the lighter.
+                    let mut list = adj[a as usize].iter().filter(|&&(t, _)| t != x).peekable();
+                    merged.clear();
+                    for &(b, wb) in nx.iter().filter(|&&(b, _)| b != a) {
+                        let w = wa.saturating_add(wb);
+                        while let Some(&arc) = list.next_if(|&&(t, _)| t < b) {
+                            merged.push(arc);
+                        }
+                        let kept = list.next_if(|&&(t, _)| t == b);
+                        merged.push((b, kept.map_or(w, |&(_, old)| old.min(w))));
+                    }
+                    merged.extend(list);
+                    std::mem::swap(&mut adj[a as usize], &mut merged);
+                }
+                up_to.extend(nx.iter().map(|&(a, _)| a));
+                up_weight.extend(nx.iter().map(|&(_, w)| w));
+                up_start.push(up_to.len());
+                order.push(x);
+            }
+            remaining.retain(|&x| !taken[x as usize]);
+        }
+        let eliminated = order.len();
+        let mut place = vec![0; n];
+        for (p, &v) in order.iter().chain(&remaining).enumerate() {
+            place[v as usize] = p as NodeId;
+        }
+        for t in &mut up_to {
+            *t = place[*t as usize];
+        }
+        // The core keeps ascending ids, so its adjacency lists stay sorted.
+        let mut core = WeightedGraph {
+            offsets: vec![0],
+            targets: Vec::new(),
+            weights: Vec::new(),
+        };
+        for &c in &remaining {
+            for &(v, w) in &adj[c as usize] {
+                core.targets.push(place[v as usize] - eliminated as NodeId);
+                core.weights.push(w);
+            }
+            core.offsets.push(core.targets.len());
+        }
+        debug_assert!(
+            core.check_invariants().is_ok(),
+            "{:?}",
+            core.check_invariants()
+        );
+        Hierarchy {
+            place,
+            up_start,
+            up_to,
+            up_weight,
+            queue: core.new_queue(),
+            core,
+            rounds,
+        }
+    }
+
+    /// Puts the hierarchy's shape on the `weighted.apsp` span.
+    fn record(&self, span: &mut pardec_obs::SpanGuard) {
+        span.field("core_nodes", self.core.num_nodes());
+        span.field("core_edges", self.core.num_edges());
+        span.field("up_arcs", self.up_to.len());
+        span.field("rounds", self.rounds);
+    }
+
+    /// Number of eliminated nodes: places below it have up-arcs.
+    fn eliminated(&self) -> usize {
+        self.up_start.len() - 1
+    }
+
+    /// A fresh search state for one chunk of sources.
+    fn search(&self) -> Search {
+        Search {
+            dist: vec![INFINITE_WEIGHT; self.place.len()],
+            seeds: Vec::new(),
+            queue: self.queue.clone(),
+        }
+    }
+}
+
+/// Whether the node with neighbours `nx` may be eliminated: it has at most
+/// [`MAX_ELIMINATION_DEGREE`] of them, and eliminating it adds no more new
+/// edges (neighbour pairs not yet adjacent) than the `nx.len()` it removes.
+/// Always at degree ≤ 3, which has at most 3 pairs; otherwise counted,
+/// stopping at the first pair too many.
+fn eliminable(adj: &[Vec<(NodeId, u64)>], nx: &[(NodeId, u64)]) -> bool {
+    let degree = nx.len();
+    if degree > MAX_ELIMINATION_DEGREE {
+        return false;
+    }
+    let mut new_edges = 0;
+    for (i, &(a, _)) in nx.iter().enumerate() {
+        let na = &adj[a as usize];
+        for &(b, _) in &nx[i + 1..] {
+            if na.binary_search_by_key(&b, |&(t, _)| t).is_err() {
+                new_edges += 1;
+                if new_edges > degree {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// One chunk's reusable state for single sources on a [`Hierarchy`]: a
+/// distance per place, the core's seeds and the core's queue.
+struct Search {
+    dist: Vec<u64>,
+    seeds: Vec<(NodeId, u64)>,
+    queue: Queue,
+}
+
+impl Search {
+    /// Exact distances from `src` to every node, indexed by place.
+    fn run(&mut self, h: &Hierarchy, src: NodeId) -> &[u64] {
+        let eliminated = h.eliminated();
+        let dist = self.dist.as_mut_slice();
+        dist.fill(INFINITE_WEIGHT);
+        let start = h.place[src as usize] as usize;
+        dist[start] = 0;
+        // 1. Upward: every up-arc points to a later place, so one pass in
+        // place order settles the walk.
+        for p in start..eliminated {
+            let d = dist[p];
+            if d == INFINITE_WEIGHT {
+                continue;
+            }
+            for k in h.up_start[p]..h.up_start[p + 1] {
+                let t = h.up_to[k] as usize;
+                dist[t] = dist[t].min(d + h.up_weight[k]);
+            }
+        }
+        // 2. The core, seeded with the upward distances in ascending order.
+        let core = &mut dist[eliminated..];
+        self.seeds.clear();
+        self.seeds.extend(
+            (0..core.len() as NodeId)
+                .zip(core.iter().copied())
+                .filter(|&(_, d)| d != INFINITE_WEIGHT),
+        );
+        self.seeds.sort_unstable_by_key(|&(c, d)| (d, c));
+        h.core.sssp_into(&self.seeds, core, &mut self.queue);
+        // 3. Downward, in reverse elimination order: every up-arc's target
+        // is final before its tail.
+        for p in (0..eliminated).rev() {
+            let arcs = h.up_start[p]..h.up_start[p + 1];
+            dist[p] = h.up_to[arcs.clone()]
+                .iter()
+                .zip(&h.up_weight[arcs])
+                .fold(dist[p], |best, (&b, &w)| {
+                    best.min(dist[b as usize].saturating_add(w))
+                });
+        }
+        dist
+    }
+}
+
 /// Offset of row `i` in a packed upper triangle of order `n` (the layout of
 /// [`WeightedGraph::apsp_upper`]); `upper_row_start(n, n)` is its length.
 #[inline]
@@ -393,6 +683,7 @@ pub fn max_finite(dist: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
 
     fn diamond() -> WeightedGraph {
         // 0 -1- 1 -1- 3, and a heavy shortcut 0 -5- 3, plus 0 -1- 2 -1- 3
@@ -469,6 +760,115 @@ mod tests {
         assert_eq!(g.dijkstra(0), vec![0, 999, 1699, 65]);
         assert_eq!(g.dijkstra(2), vec![1699, 700, 0, 1764]);
         assert_eq!(g.apsp_diameter(), 1764);
+    }
+
+    /// Unit weights on an unweighted generator graph.
+    fn unit(g: &CsrGraph) -> WeightedGraph {
+        let edges: Vec<_> = g.edges().map(|(u, v)| (u, v, 1)).collect();
+        WeightedGraph::from_edges(g.num_nodes(), &edges)
+    }
+
+    /// Arcs on the longest up-arc path of `h`.
+    fn longest_chain(h: &Hierarchy) -> usize {
+        let mut height = vec![0usize; h.place.len()];
+        for p in (0..h.eliminated()).rev() {
+            let arcs = &h.up_to[h.up_start[p]..h.up_start[p + 1]];
+            height[p] = arcs
+                .iter()
+                .map(|&b| height[b as usize] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        height.into_iter().max().unwrap_or(0)
+    }
+
+    /// Every row of the hierarchy's kernel equals `dijkstra`, by node.
+    fn assert_rows_match_dijkstra(g: &WeightedGraph) {
+        let h = Hierarchy::build(g);
+        let mut search = h.search();
+        for u in 0..g.num_nodes() as NodeId {
+            let by_place = search.run(&h, u);
+            let by_node: Vec<u64> = h.place.iter().map(|&p| by_place[p as usize]).collect();
+            assert_eq!(by_node, g.dijkstra(u), "source {u}");
+        }
+    }
+
+    #[test]
+    fn trees_leave_no_core() {
+        let star = unit(&generators::star(9));
+        // A random spanning tree: each node hangs off an earlier one.
+        let edges: Vec<_> = (1..300u32)
+            .map(|v| (v, (v * 7919 + 13) % v, u64::from(v % 5)))
+            .collect();
+        let tree = WeightedGraph::from_edges(300, &edges);
+        for g in [
+            star,
+            tree,
+            unit(&generators::path(1)),
+            unit(&CsrGraph::empty(4)),
+        ] {
+            let h = Hierarchy::build(&g);
+            assert_eq!(h.core.num_nodes(), 0);
+            assert_eq!(h.eliminated(), g.num_nodes());
+            assert_rows_match_dijkstra(&g);
+        }
+    }
+
+    #[test]
+    fn cycles_and_paths_contract_in_logarithmic_chains() {
+        for n in [2usize, 3, 5, 64, 100, 257, 1000, 2000] {
+            for g in [
+                unit(&generators::path(n)),
+                unit(&generators::cycle(n.max(3))),
+            ] {
+                let h = Hierarchy::build(&g);
+                let bound = 2.0 * (g.num_nodes() as f64).log2() + 2.0;
+                let chain = longest_chain(&h);
+                assert!(chain as f64 <= bound, "n = {n}: chain {chain} > {bound}");
+                assert_eq!(h.core.num_nodes(), 0, "n = {n}");
+                assert!(h.rounds as f64 <= bound, "n = {n}: {} rounds", h.rounds);
+            }
+        }
+        assert_rows_match_dijkstra(&unit(&generators::cycle(100)));
+        assert_rows_match_dijkstra(&unit(&generators::path(100)));
+    }
+
+    #[test]
+    fn dense_graphs_keep_a_core_and_exact_rows() {
+        // A mesh keeps its degree-4 interior; shortcuts are weight sums.
+        let g = unit(&generators::mesh(12, 12));
+        let h = Hierarchy::build(&g);
+        assert!(h.core.num_nodes() > 0 && h.core.num_nodes() < g.num_nodes());
+        assert_rows_match_dijkstra(&g);
+        // A clique adds no edges: it contracts one node per round.
+        let k = unit(&generators::complete(12));
+        let h = Hierarchy::build(&k);
+        assert_eq!((h.core.num_nodes(), h.rounds), (0, 12));
+        assert_rows_match_dijkstra(&k);
+        // Past the degree cap a clique stays whole: the core search is
+        // the plain search of the graph.
+        let k = unit(&generators::complete(MAX_ELIMINATION_DEGREE + 2));
+        let h = Hierarchy::build(&k);
+        assert_eq!((h.core, h.rounds), (k.clone(), 0));
+        assert_rows_match_dijkstra(&k);
+        assert_rows_match_dijkstra(&diamond());
+    }
+
+    #[test]
+    fn core_search_takes_the_heap_when_shortcuts_reach_the_cap() {
+        // Degree-5 nodes keep a core; the weights stay below the bucket
+        // cap, but their sums on the shortcuts do not.
+        let edges: Vec<_> = generators::mesh(6, 6)
+            .edges()
+            .map(|(u, v)| (u, v, 600 + u64::from(u + v) % 7))
+            .chain((0..30u32).map(|u| (u, (u + 6 + u % 5) % 36, 520)))
+            .collect();
+        let g = WeightedGraph::from_edges(36, &edges);
+        assert!(matches!(g.new_queue(), Queue::Buckets { .. }));
+        let h = Hierarchy::build(&g);
+        assert!(h.core.num_nodes() > 0);
+        assert!(matches!(h.queue, Queue::Heap(_)));
+        assert_rows_match_dijkstra(&g);
     }
 
     #[test]

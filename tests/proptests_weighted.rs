@@ -11,9 +11,11 @@
 //!   sequential heap oracle `weighted_cluster::naive` at every δ and pool
 //!   size, and every clustering it produces passes `validate`;
 //! * `weighted_diameter` brackets the true weighted diameter;
-//! * the single-source kernel behind `dijkstra` / `apsp_upper` /
-//!   `apsp_diameter` (bucket queue, or heap past the bucket cap) equals the
-//!   seed-era binary-heap Dijkstra `graph::naive::dijkstra`;
+//! * the single-source kernel behind `dijkstra` (bucket queue, or heap past
+//!   the bucket cap) and the contraction-hierarchy kernel behind
+//!   `apsp_upper` / `apsp_diameter` equal the seed-era binary-heap Dijkstra
+//!   `graph::naive::dijkstra`, also on shapes that contract completely,
+//!   deeply, or around a core searched on the heap;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
@@ -156,13 +158,95 @@ fn per_source_oracle(
     (owner, dist, hops, dedup)
 }
 
-/// Graphs for the single-source kernel: the arbitrary families above plus
-/// raw edge soups (duplicates, isolated nodes, disconnected parts) whose
-/// weights are mostly zero, small, just under the bucket cap (jumps across
-/// many occupancy words), or past it (heap fallback).
+/// `g` with the weights of [`weight_edges`] passed through `f`.
+fn weigh(g: &CsrGraph, salt: u64, max_w: u64, f: impl Fn(u64) -> u64) -> WeightedGraph {
+    let edges: Vec<_> = weight_edges(g, salt, max_w)
+        .into_iter()
+        .map(|(u, v, w)| (u, v, f(w)))
+        .collect();
+    WeightedGraph::from_edges(g.num_nodes(), &edges)
+}
+
+/// Shapes for the contraction hierarchy behind the APSP kernels: trees and
+/// forests (no core), long cycles and paths (the deepest up-arc chains),
+/// grids with pendant paths, a component that contracts completely beside
+/// one that keeps a core, zero weights, and weights below the bucket cap
+/// whose shortcut sums reach it, so the core search takes the heap.
+fn contraction_graphs() -> impl Strategy<Value = WeightedGraph> {
+    prop_oneof![
+        // Trees, and forests with every fifth edge dropped: each node
+        // hangs off an earlier one. Weights from 0.
+        (2usize..300, 1u64..500, 1u64..20, any::<bool>()).prop_map(|(n, s, w, forest)| {
+            let edges: Vec<_> = (1..n as NodeId)
+                .map(|v| (v, u64::from(v).wrapping_mul(0x9e3779b97f4a7c15) ^ s))
+                .filter(|&(_, h)| !forest || h % 5 != 0)
+                .map(|(v, h)| (v, (h % u64::from(v)) as NodeId, h % w))
+                .collect();
+            WeightedGraph::from_edges(n, &edges)
+        }),
+        (100usize..600, any::<bool>(), 1u64..500, 1u64..30).prop_map(|(n, cycle, s, w)| {
+            let g = if cycle {
+                generators::cycle(n)
+            } else {
+                generators::path(n)
+            };
+            weigh(&g, s, w, |w| w)
+        }),
+        // A grid with pendant paths hanging off it.
+        (3usize..16, 3usize..16, 1usize..4, 1usize..40, 1u64..500).prop_map(
+            |(r, c, chains, len, s)| {
+                let mut g = generators::mesh(r, c);
+                for k in 0..chains {
+                    let attach = (k * 7919 + s as usize) % (r * c);
+                    g = generators::append_chain(&g, attach as NodeId, len);
+                }
+                weigh(&g, s, 9, |w| w)
+            }
+        ),
+        // Two components: a path that contracts completely, a torus that
+        // keeps a core.
+        (2usize..150, 4usize..10, 1u64..500).prop_map(|(n, side, s)| {
+            let g =
+                generators::disjoint_union(&generators::path(n), &generators::torus(side, side));
+            weigh(&g, s, 12, |w| w)
+        }),
+        // Zero weights: shortcuts and whole paths of length 0.
+        (3usize..10, 3usize..10, 1usize..30, 1u64..500).prop_map(|(r, c, len, s)| {
+            let g = generators::append_chain(&generators::mesh(r, c), 0, len);
+            weigh(&g, s, 3, |w| w - 1)
+        }),
+        // A torus with every other edge subdivided keeps the torus as its
+        // core, with a shortcut for each subdivided edge. Weights 512..=611
+        // take the buckets on the graph, but every shortcut weighs at least
+        // 1024: the core search takes the heap.
+        (4usize..10, 4usize..10, 1u64..500).prop_map(|(r, c, s)| {
+            let torus = generators::torus(r, c);
+            let mut mid = torus.num_nodes() as NodeId;
+            let (n, m) = (torus.num_nodes(), torus.num_edges());
+            let mut b = GraphBuilder::with_capacity(n + m / 2, m + m / 2);
+            for (k, (u, v)) in torus.edges().enumerate() {
+                if k % 2 == 0 {
+                    b.add_edge(u, v);
+                } else {
+                    b.add_edge(u, mid);
+                    b.add_edge(mid, v);
+                    mid += 1;
+                }
+            }
+            weigh(&b.build(), s, 100, |w| w + 511)
+        }),
+    ]
+}
+
+/// Graphs for the single-source kernel: the arbitrary families above,
+/// the contraction shapes, and raw edge soups (duplicates, isolated nodes,
+/// disconnected parts) whose weights are mostly zero, small, just under the
+/// bucket cap (jumps across many occupancy words), or past it (heap
+/// fallback).
 fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
     prop_oneof![
         arbitrary_weighted(),
+        contraction_graphs(),
         (
             2usize..50,
             proptest::collection::vec((0u32..50, 0u32..50, 0u64..40), 0..150),
@@ -187,7 +271,9 @@ fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    // Three families share the cases, and the contraction shapes split
+    // theirs six ways.
+    #![proptest_config(ProptestConfig::with_cases(120))]
 
     /// Every `u32` entry `(i, j ≥ i)` of `apsp_upper` equals both
     /// `naive::dijkstra(i)[j]` and `naive::dijkstra(j)[i]` (`u32::MAX` where
@@ -222,6 +308,10 @@ proptest! {
             .unwrap_or(0);
         prop_assert_eq!(diameter, u64::from(largest));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The bucketed engine equals the per-source Dijkstra oracle for every
     /// bucket width, at 1 and 4 threads, byte for byte.
