@@ -18,9 +18,10 @@
 //! quotient APSP diameter the seed bench tracked, and that APSP against the
 //! seed-era heap APSP with every weight scaled by 1, 8, 128 and 1000 (and
 //! on a weighted path) — the measurement behind the bucket queue's cap; and
-//! the oracle's APSP triangle (`apsp_upper`, on its contraction hierarchy)
-//! against one built from per-source heap Dijkstra, at 1 and 2 threads, on
-//! each leg's weighted quotient, a path and a weighted cycle.
+//! the oracle's APSP triangle (`apsp_upper`, on its contraction hierarchy,
+//! sixteen sources per sweep) against one built from per-source heap
+//! Dijkstra, at 1 and 2 threads, on each leg's weighted quotient, a path
+//! and a weighted cycle, with the kernel's lane width and core table size.
 
 use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
@@ -342,9 +343,10 @@ fn heap_triangle(g: &WeightedGraph) -> Vec<u32> {
     rows.concat()
 }
 
-/// The `weighted.apsp` span's hierarchy fields of one traced `apsp_upper`
-/// call: `core_nodes`, `core_edges`, `up_arcs` and `rounds`.
-fn hierarchy_shape(g: &WeightedGraph) -> [u64; 4] {
+/// The `weighted.apsp` span's kernel fields of one traced `apsp_upper`
+/// call: `core_nodes`, `core_edges`, `up_arcs`, `rounds`, `lane_bits` and
+/// `core_table_bytes`.
+fn kernel_shape(g: &WeightedGraph) -> [u64; 6] {
     pardec_obs::drain();
     pardec_obs::enable();
     let _ = g.apsp_upper();
@@ -354,20 +356,28 @@ fn hierarchy_shape(g: &WeightedGraph) -> [u64; 4] {
         .iter()
         .find(|e| e.name == "weighted.apsp")
         .expect("apsp_upper emits a weighted.apsp span");
-    ["core_nodes", "core_edges", "up_arcs", "rounds"].map(|key| {
-        match span.fields.iter().find(|f| f.key == key).map(|f| &f.value) {
+    [
+        "core_nodes",
+        "core_edges",
+        "up_arcs",
+        "rounds",
+        "lane_bits",
+        "core_table_bytes",
+    ]
+    .map(
+        |key| match span.fields.iter().find(|f| f.key == key).map(|f| &f.value) {
             Some(pardec_obs::Value::U64(v)) => *v,
             other => panic!("weighted.apsp span field {key}: {other:?}"),
-        }
-    })
+        },
+    )
 }
 
 /// One `weighted-apsp-upper` row per pool size (1 and 2 threads): the
 /// library's `apsp_upper` against the heap triangle, asserted equal entry
-/// for entry before either time is reported, with the hierarchy's shape
-/// read off its trace span.
+/// for entry before either time is reported, with the hierarchy's shape,
+/// the lane width and the core table's size read off its trace span.
 fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
-    let [core_nodes, core_edges, up_arcs, rounds] = hierarchy_shape(g);
+    let [core_nodes, core_edges, up_arcs, rounds, lane_bits, core_table_bytes] = kernel_shape(g);
     for threads in [1, 2] {
         let (heap, heap_secs) = best_of_3(threads, || heap_triangle(g));
         let (upper, secs) = best_of_3(threads, || g.apsp_upper());
@@ -378,7 +388,8 @@ fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
         println!(
             "{{\"bench\":\"quotient\",\"case\":\"weighted-apsp-upper\",\"graph\":\"{}\",\
              \"nodes\":{},\"edges\":{},\"core_nodes\":{},\"core_edges\":{},\
-             \"up_arcs\":{},\"rounds\":{},\"threads\":{},\"seconds_heap\":{:.6},\
+             \"up_arcs\":{},\"rounds\":{},\"lane_bits\":{},\"core_table_bytes\":{},\
+             \"threads\":{},\"seconds_heap\":{:.6},\
              \"seconds_kernel\":{:.6},\"speedup_kernel_vs_heap\":{:.3},\
              \"peak_alloc_bytes\":{}}}",
             name,
@@ -388,6 +399,8 @@ fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
             core_edges,
             up_arcs,
             rounds,
+            lane_bits,
+            core_table_bytes,
             threads,
             heap_secs,
             secs,

@@ -330,8 +330,8 @@ fn write_weighted_labels(path: &str, c: &pardec_core::WeightedClustering) -> Cmd
 }
 
 fn cmd_clust_weighted(args: &Args) -> CmdResult {
-    let g = load_weighted_graph(args)?;
     let params = weighted_params(args)?;
+    let g = load_weighted_graph(args)?;
     let r = pardec_core::weighted_cluster_result(&g, &params);
     let c = &r.clustering;
     out!("algorithm     weighted-cluster")?;
@@ -368,8 +368,8 @@ fn cmd_clust_weighted(args: &Args) -> CmdResult {
 }
 
 fn cmd_dist_weighted(args: &Args) -> CmdResult {
-    let g = load_weighted_graph(args)?;
     let params = weighted_params(args)?;
+    let g = load_weighted_graph(args)?;
     let a = pardec_core::weighted_diameter(&g, &params);
     out!("lower bound (sweep)  {}", a.lower_bound)?;
     out!("upper bound (Δ″)     {}", a.upper_bound)?;
@@ -549,9 +549,9 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
 }
 
 fn cmd_kcenter(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let s = seed(args)?;
     let k: usize = args.req_parse("k", "a positive integer")?;
+    let g = load_graph(args)?;
     let result = if args.has_flag("gonzalez") {
         gonzalez(&g, k, s)?
     } else {
@@ -640,10 +640,10 @@ fn print_ledger(stats: &MrStats) -> std::io::Result<()> {
 }
 
 fn cmd_mr_cluster(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let s = seed(args)?;
     let tau: usize = args.opt_parse("tau", 4, "a positive integer")?;
     let mr = mr_config(args)?;
+    let g = load_graph(args)?;
     let r = mr_cluster_with(&g, &ClusterParams::new(tau, s), &mr);
     out!("partitions    {}", mr.partitions)?;
     out!("clusters      {}", r.clustering.num_clusters())?;
@@ -654,12 +654,13 @@ fn cmd_mr_cluster(args: &Args) -> CmdResult {
 }
 
 fn cmd_mr_bfs(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let src: NodeId = args.opt_parse("source", 0, "a node id")?;
+    let mr = mr_config(args)?;
+    // Only the range check needs the graph.
+    let g = load_graph(args)?;
     if src as usize >= g.num_nodes() {
         return Err(format!("--source {src} out of range (n = {})", g.num_nodes()).into());
     }
-    let mr = mr_config(args)?;
     let r = mr_bfs_with(&g, src, &mr);
     let reached = r.values.iter().filter(|&&d| d != INFINITE_DIST).count();
     let ecc = r
@@ -679,13 +680,13 @@ fn cmd_mr_bfs(args: &Args) -> CmdResult {
 }
 
 fn cmd_mr_hadi(args: &Args) -> CmdResult {
-    let g = load_graph(args)?;
     let s = seed(args)?;
     let trials: usize = args.opt_parse("trials", 32, "a positive integer")?;
     if trials == 0 {
         return Err("--trials must be positive".into());
     }
     let mr = mr_config(args)?;
+    let g = load_graph(args)?;
     let mut params = HadiParams::new(s);
     params.trials = trials;
     let (r, stats) = mr_hadi_with(&g, &params, &mr);

@@ -83,8 +83,10 @@ impl DistanceOracle {
     /// [`crate::session::Session::diameter`]).
     ///
     /// The triangle comes from [`WeightedGraph::apsp_upper`], which
-    /// contracts `quotient` into a hierarchy once and then answers each
-    /// cluster's row with a small core search between two sweeps. Its
+    /// contracts `quotient` into a hierarchy once, fills a distance table
+    /// over its core, and then answers the clusters' rows sixteen at a
+    /// time: per cluster an upward walk and the table rows of the core
+    /// nodes it reaches, then one downward sweep for all sixteen. Its
     /// entries are the exact quotient distances, so the oracle, `Δ′_C` and
     /// the saved `ORCL` bytes do not depend on the kernel or the pool size.
     pub(crate) fn from_quotient(clustering: Arc<Clustering>, quotient: &WeightedGraph) -> Self {

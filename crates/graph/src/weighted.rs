@@ -6,7 +6,7 @@
 //! bound `Δ″ = 2·R_ALG2 + Δ′_C`, and its APSP (stored once, as a packed
 //! upper triangle) is the distance oracle.
 //!
-//! # All sources on a contraction hierarchy
+//! # All sources on a contraction hierarchy, sixteen per sweep
 //!
 //! [`WeightedGraph::apsp_upper`] and [`WeightedGraph::apsp_diameter`] run
 //! every source on one contraction hierarchy (Geisberger et al., WEA 2008),
@@ -18,28 +18,41 @@
 //! shortcut of their two weights' sum, or keeps its edge if that is
 //! lighter, and those neighbours, with their weights, become the node's
 //! *up-arcs*. The nodes left when a round takes none are the *core*, kept
-//! as a CSR. A source then costs three steps (the one-to-all sweep is
-//! PHAST, Delling et al., IPDPS 2011):
+//! as a CSR. In a road quotient about 41% of the clusters have degree ≤ 2,
+//! and the core keeps about a tenth of them.
 //!
-//! 1. an upward walk over the up-arcs, which point from each node to nodes
-//!    eliminated after it or to the core, so one pass in elimination order
-//!    settles them;
-//! 2. the single-source search loop over the core, seeded with the upward
-//!    distances;
-//! 3. one downward sweep in reverse elimination order, `d(y) = min(d(y),
-//!    d(b) + w)` over the up-arcs `(b, w)` of `y`.
+//! The core's own distances come first: one single-seed search of the core
+//! per core node that an up-arc reaches fills a row of the *core table*
+//! (every core node of a road quotient, so `c × c` entries). Sources then
+//! run in chunks of 16, the lanes of one place-major matrix, and a chunk
+//! costs three steps (the one-to-all sweep is PHAST, Delling et al., IPDPS
+//! 2011, which also sweeps many sources at once):
+//!
+//! 1. per source, an upward walk over the up-arcs, which point from each
+//!    node to nodes eliminated after it or to the core; it expands the
+//!    places it reaches in ascending order, and the core nodes it reaches
+//!    are the source's *seeds* (a core source is its own seed);
+//! 2. per source, each core node's distance is the least, over the seeds,
+//!    of the seed's distance plus the seed's table entry; a core source
+//!    with no table row searches the core itself, so a graph that contracts
+//!    nothing needs no table;
+//! 3. one downward sweep for all 16 lanes in reverse elimination order,
+//!    `d(y) = min(d(y), d(b) + w)` over the up-arcs `(b, w)` of `y`.
 //!
 //! Every shortest path has an equally short path that climbs the hierarchy,
 //! crosses the core and descends, so the distances are exact: the APSP
-//! equals per-source Dijkstra entry for entry, at any pool size. In a road
-//! quotient about 41% of the clusters have degree ≤ 2, and the core keeps
-//! about a tenth of them.
+//! equals per-source Dijkstra entry for entry, at any pool size. Lanes are
+//! `u32` when `(n − 1) · max_weight < u32::MAX`, which bounds every finite
+//! distance, and `u64` otherwise; additions saturate at the lane's largest
+//! value, the unreachable sentinel, which only a sum longer than every
+//! finite distance reaches.
 
 use crate::combine::{self, pack, PairRecord};
 use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Sentinel for "unreachable" in weighted distance arrays.
 pub const INFINITE_WEIGHT: u64 = u64::MAX;
@@ -51,11 +64,13 @@ pub const INFINITE_ENTRY: u32 = u32::MAX;
 /// Most buckets the single-source search loop allocates: graphs whose
 /// largest weight is below this run on Dial's bucket queue, heavier ones on
 /// a binary heap. Weighted quotients of unweighted clusterings carry
-/// weights of at most `2R + 1`. The all-sources kernels search the core of
-/// a contraction hierarchy, whose shortcuts are sums of weights, so their
-/// queue follows the core's largest weight: 173–273 on `perfbench` road
-/// quotients whose largest weight (`2R + 1`) is 53–57, and 193 on
-/// `road_network(400, 400, 0.4, 12)`'s CLUSTER(5) quotient.
+/// weights of at most `2R + 1`. The all-sources kernels search only the
+/// core of a contraction hierarchy, once per core node (a row of the core
+/// table, or a core source's own distances); its shortcuts are sums of
+/// weights, so the queue follows the
+/// core's largest weight: 173–273 on `perfbench` road quotients whose
+/// largest weight (`2R + 1`) is 53–57, and 193 on `road_network(400, 400,
+/// 0.4, 12)`'s CLUSTER(5) quotient.
 ///
 /// Set from `bench_quotient`'s `weighted-apsp-scaled` rows (weights scaled
 /// up to 1000×, measured on the whole quotient before the hierarchy):
@@ -65,8 +80,11 @@ pub const INFINITE_ENTRY: u32 = u32::MAX;
 /// more than two entries).
 const MAX_BUCKETS: u64 = 1024;
 
-/// Sources per parallel task of the all-sources kernels; each task reuses
-/// one search state.
+/// Sources per parallel task of the all-sources kernels, and so the lanes
+/// of one downward sweep: a task keeps one place-major matrix of 16 lanes
+/// per place (155 KB of `u32` lanes on a 2,420-node road quotient), and
+/// each up-arc the sweep reads updates all 16 lanes at once. The core
+/// table's searches run in tasks of as many rows.
 const SOURCE_CHUNK: usize = 16;
 
 /// Largest degree at which the hierarchy eliminates a node. Past it, an
@@ -234,53 +252,28 @@ impl WeightedGraph {
         }
     }
 
-    /// The search loop behind [`Self::dijkstra`] and the hierarchy's core
-    /// search: exact distances from `seeds` into `dist`, reusing `queue`'s
-    /// buffers. `seeds` are `(node, distance)` pairs in ascending distance,
-    /// and `dist` holds each seed's distance (or less) and
-    /// [`INFINITE_WEIGHT`] elsewhere. Every queue yields the same exact
-    /// distances.
-    fn sssp_into(&self, seeds: &[(NodeId, u64)], dist: &mut [u64], queue: &mut Queue) {
+    /// The search loop behind [`Self::dijkstra`] and the core table: exact
+    /// distances from `src` into `dist`, reusing `queue`'s buffers. Every
+    /// queue yields the same exact distances.
+    fn sssp_into(&self, src: NodeId, dist: &mut [u64], queue: &mut Queue) {
+        dist.fill(INFINITE_WEIGHT);
+        dist[src as usize] = 0;
         match queue {
             Queue::Buckets { buckets, occupied } => {
                 let len = buckets.len();
-                let (mut next, mut queued, mut at, mut d) = (0, 0usize, 0usize, 0u64);
-                loop {
-                    if queued == 0 {
-                        // Empty ring: restart at the next seed, or stop.
-                        let Some(&(_, sd)) = seeds.get(next) else {
-                            break;
-                        };
-                        d = sd;
-                        at = (sd % len as u64) as usize;
-                    }
-                    // Admit the seeds the ring holds: distances in
-                    // `[d, d + len)`. A seed a search reached first is
-                    // stale.
-                    while let Some(&(v, sd)) = seeds.get(next) {
-                        if sd - d >= len as u64 {
-                            break;
-                        }
-                        next += 1;
-                        if dist[v as usize] == sd {
-                            let b = (sd % len as u64) as usize;
-                            buckets[b].push(v);
-                            occupied[b / 64] |= 1 << (b % 64);
-                            queued += 1;
-                        }
-                    }
-                    if queued == 0 {
-                        continue;
-                    }
+                buckets[0].push(src);
+                occupied[0] |= 1;
+                let (mut queued, mut at, mut d) = (1usize, 0usize, 0u64);
+                while queued > 0 {
                     // Jump to the next non-empty bucket.
-                    let next_at = next_occupied(occupied, at);
-                    let gap = if next_at >= at {
-                        next_at - at
+                    let next = next_occupied(occupied, at);
+                    let gap = if next >= at {
+                        next - at
                     } else {
-                        next_at + len - at
+                        next + len - at
                     };
                     d += gap as u64;
-                    at = next_at;
+                    at = next;
                     // Zero weights push back into this bucket; drain it all.
                     while let Some(u) = buckets[at].pop() {
                         queued -= 1;
@@ -303,7 +296,7 @@ impl WeightedGraph {
                 }
             }
             Queue::Heap(heap) => {
-                heap.extend(seeds.iter().map(|&(v, d)| Reverse((d, v))));
+                heap.push(Reverse((0, src)));
                 while let Some(Reverse((d, u))) = heap.pop() {
                     if d > dist[u as usize] {
                         continue; // stale entry
@@ -324,8 +317,7 @@ impl WeightedGraph {
     /// weights below 1024, else on a binary heap).
     pub fn dijkstra(&self, src: NodeId) -> Vec<u64> {
         let mut dist = vec![INFINITE_WEIGHT; self.num_nodes()];
-        dist[src as usize] = 0;
-        self.sssp_into(&[(src, 0)], &mut dist, &mut self.new_queue());
+        self.sssp_into(src, &mut dist, &mut self.new_queue());
         dist
     }
 
@@ -334,27 +326,28 @@ impl WeightedGraph {
         max_finite(&self.dijkstra(u))
     }
 
+    /// Whether the all-sources kernels may run on `u32` lanes: a finite
+    /// distance follows a path of at most `n − 1` edges, so when `(n − 1) ·
+    /// max_weight < u32::MAX` every finite distance is below `u32::MAX`.
+    fn u32_lanes(&self) -> bool {
+        let max_w = self.weights.iter().copied().max().unwrap_or(0);
+        (self.num_nodes().saturating_sub(1) as u128) * u128::from(max_w) < u128::from(u32::MAX)
+    }
+
     /// Weighted diameter: the largest finite distance between any two nodes
     /// (i.e. per-component diameters are maxed), from every source on one
     /// contraction hierarchy (see the module docs), in fixed chunks of
-    /// sources run in parallel.
+    /// sources run in parallel. Adds the core table's lanes, at most `c²`,
+    /// to the hierarchy's `O(n + m)` words, and one lane matrix of `16n`
+    /// lanes per running task.
     pub fn apsp_diameter(&self) -> u64 {
-        let n = self.num_nodes();
-        let mut span = pardec_obs::span!("weighted.apsp", nodes = n);
+        let mut span = pardec_obs::span!("weighted.apsp", nodes = self.num_nodes());
         let h = Hierarchy::build(self);
-        h.record(&mut span);
-        (0..n.div_ceil(SOURCE_CHUNK))
-            .into_par_iter()
-            .map(|chunk| {
-                let mut search = h.search();
-                let first = chunk * SOURCE_CHUNK;
-                (first..(first + SOURCE_CHUNK).min(n))
-                    .map(|u| max_finite(search.run(&h, u as NodeId)))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0)
+        if self.u32_lanes() {
+            Kernel::<u32>::new(&h, &mut span).diameter()
+        } else {
+            Kernel::<u64>::new(&h, &mut span).diameter()
+        }
     }
 
     /// The APSP matrix stored once: its packed upper triangle, `d(i, j)` for
@@ -365,51 +358,25 @@ impl WeightedGraph {
     ///
     /// Every source runs on one contraction hierarchy (see the module
     /// docs), in the fixed chunks of [`Self::apsp_diameter`]; each chunk
-    /// reuses one search state and narrows each row's tail `j ≥ i` into its
-    /// own disjoint run of the triangle. The hierarchy adds `O(n + m)` words
-    /// to the triangle's quadratic space — intended for quotient graphs,
-    /// which the paper keeps small enough for one machine.
+    /// narrows its 16 lanes into its own disjoint run of the triangle, the
+    /// row tails `j ≥ i` of its sources. The core table and the hierarchy
+    /// add at most `c²` lanes and `O(n + m)` words to the triangle's
+    /// quadratic space, and each running task one lane matrix of `16n` —
+    /// intended for quotient graphs, which the paper keeps small enough for
+    /// one machine.
     ///
     /// # Panics
     /// Panics if a finite distance is `u32::MAX` or more (see
     /// [`upper_entry`]). Weighted quotients of clusterings never get there:
     /// their finite distances stay below `2n` of the clustered graph.
     pub fn apsp_upper(&self) -> Vec<u32> {
-        let n = self.num_nodes();
-        let mut span = pardec_obs::span!("weighted.apsp", nodes = n);
+        let mut span = pardec_obs::span!("weighted.apsp", nodes = self.num_nodes());
         let h = Hierarchy::build(self);
-        h.record(&mut span);
-        let mut upper = vec![0; upper_row_start(n, n)];
-        // Chunk `first / SOURCE_CHUNK` owns rows `first..last`: a contiguous
-        // run of the packed layout.
-        let mut runs = Vec::with_capacity(n.div_ceil(SOURCE_CHUNK));
-        let mut rest = upper.as_mut_slice();
-        for first in (0..n).step_by(SOURCE_CHUNK) {
-            let last = (first + SOURCE_CHUNK).min(n);
-            let len = upper_row_start(n, last) - upper_row_start(n, first);
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            runs.push((first..last, run));
-            rest = tail;
+        if self.u32_lanes() {
+            Kernel::<u32>::new(&h, &mut span).upper()
+        } else {
+            Kernel::<u64>::new(&h, &mut span).upper()
         }
-        runs.into_par_iter().for_each(|(sources, mut run)| {
-            let mut search = h.search();
-            for i in sources {
-                let dist = search.run(&h, i as NodeId);
-                let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
-                for (entry, &p) in row.iter_mut().zip(&h.place[i..]) {
-                    let d = dist[p as usize];
-                    *entry = upper_entry(d).unwrap_or_else(|| {
-                        panic!(
-                            "finite distance {d} does not fit a u32 APSP entry \
-                             (bound: below u32::MAX = {})",
-                            u32::MAX
-                        )
-                    });
-                }
-                run = tail;
-            }
-        });
-        upper
     }
 
     /// Structural invariant check (mirrors [`crate::CsrGraph::check_invariants`]).
@@ -438,8 +405,8 @@ impl WeightedGraph {
 /// The contraction hierarchy behind [`WeightedGraph::apsp_upper`] and
 /// [`WeightedGraph::apsp_diameter`] (see the module docs). Nodes are
 /// renumbered by *place*: the eliminated nodes in elimination order, then
-/// the core in ascending id, so a source's distance row is indexed by place
-/// and both sweeps walk it in order.
+/// the core in ascending id, so a chunk's lane matrix is indexed by place
+/// and both walks over the up-arcs go through it in order.
 struct Hierarchy {
     /// `place[v]`: node `v`'s place.
     place: Vec<NodeId>,
@@ -452,9 +419,6 @@ struct Hierarchy {
     /// The core with its shortcuts, on core-local ids (place minus the
     /// number of eliminated nodes).
     core: WeightedGraph,
-    /// An empty queue for the core, chosen from the core's largest weight:
-    /// shortcuts are sums of weights, so it can exceed the graph's.
-    queue: Queue,
     /// Elimination rounds that took at least one node.
     rounds: usize,
 }
@@ -545,32 +509,14 @@ impl Hierarchy {
             up_start,
             up_to,
             up_weight,
-            queue: core.new_queue(),
             core,
             rounds,
         }
     }
 
-    /// Puts the hierarchy's shape on the `weighted.apsp` span.
-    fn record(&self, span: &mut pardec_obs::SpanGuard) {
-        span.field("core_nodes", self.core.num_nodes());
-        span.field("core_edges", self.core.num_edges());
-        span.field("up_arcs", self.up_to.len());
-        span.field("rounds", self.rounds);
-    }
-
     /// Number of eliminated nodes: places below it have up-arcs.
     fn eliminated(&self) -> usize {
         self.up_start.len() - 1
-    }
-
-    /// A fresh search state for one chunk of sources.
-    fn search(&self) -> Search {
-        Search {
-            dist: vec![INFINITE_WEIGHT; self.place.len()],
-            seeds: Vec::new(),
-            queue: self.queue.clone(),
-        }
     }
 }
 
@@ -599,56 +545,314 @@ fn eliminable(adj: &[Vec<(NodeId, u64)>], nx: &[(NodeId, u64)]) -> bool {
     true
 }
 
-/// One chunk's reusable state for single sources on a [`Hierarchy`]: a
-/// distance per place, the core's seeds and the core's queue.
-struct Search {
-    dist: Vec<u64>,
-    seeds: Vec<(NodeId, u64)>,
+/// A distance lane of the all-sources kernels. Its largest value is the
+/// unreachable sentinel, and [`Lane::plus`] saturates there. `u32` lanes
+/// serve only graphs whose finite distances all lie below `u32::MAX` (see
+/// [`WeightedGraph::u32_lanes`]), so a saturated sum is longer than every
+/// finite distance and never wins a minimum. `u64` lanes ran 1.4–1.9×
+/// slower on road and mesh quotients, hence a kernel generic over both.
+trait Lane: Copy + Ord + Send + Sync {
+    const ZERO: Self;
+    const INFINITE: Self;
+    /// `d`, or [`Lane::INFINITE`] when `d` does not fit below it.
+    fn narrow(d: u64) -> Self;
+    /// `self + w`, saturating at [`Lane::INFINITE`].
+    fn plus(self, w: Self) -> Self;
+    /// As an entry of the `u32` triangle ([`upper_entry`]); `None` for a
+    /// finite distance that does not fit one.
+    fn entry(self) -> Option<u32>;
+    /// As a distance, with [`INFINITE_WEIGHT`] for the sentinel.
+    fn widen(self) -> u64;
+}
+
+impl Lane for u32 {
+    const ZERO: u32 = 0;
+    const INFINITE: u32 = INFINITE_ENTRY;
+    #[inline]
+    fn narrow(d: u64) -> u32 {
+        u32::try_from(d).unwrap_or(INFINITE_ENTRY)
+    }
+    #[inline]
+    fn plus(self, w: u32) -> u32 {
+        self.saturating_add(w)
+    }
+    #[inline]
+    fn entry(self) -> Option<u32> {
+        Some(self)
+    }
+    #[inline]
+    fn widen(self) -> u64 {
+        if self == INFINITE_ENTRY {
+            INFINITE_WEIGHT
+        } else {
+            u64::from(self)
+        }
+    }
+}
+
+impl Lane for u64 {
+    const ZERO: u64 = 0;
+    const INFINITE: u64 = INFINITE_WEIGHT;
+    #[inline]
+    fn narrow(d: u64) -> u64 {
+        d
+    }
+    #[inline]
+    fn plus(self, w: u64) -> u64 {
+        self.saturating_add(w)
+    }
+    #[inline]
+    fn entry(self) -> Option<u32> {
+        upper_entry(self)
+    }
+    #[inline]
+    fn widen(self) -> u64 {
+        self
+    }
+}
+
+/// The all-sources kernel on one [`Hierarchy`], with lanes of type `L`
+/// (see the module docs).
+struct Kernel<'h, L> {
+    h: &'h Hierarchy,
+    /// The up-arc weights as lanes. A weight past a `u32` lane saturates:
+    /// a path through it is longer than every finite distance.
+    up_weight: Vec<L>,
+    /// `row[k]`: core node `k`'s row of `table`, or [`NO_ROW`] when no
+    /// up-arc reaches `k`. Then no walk has `k` as a seed, and only `k`
+    /// itself, as a source, needs its distances: its chunk searches them.
+    row: Vec<u32>,
+    /// `table[row[k] · c + j]`: the distance between core nodes `k` and `j`.
+    table: Vec<L>,
+    /// An empty queue for the core, chosen from the core's largest weight:
+    /// shortcuts are sums of weights, so it can exceed the graph's.
     queue: Queue,
 }
 
-impl Search {
-    /// Exact distances from `src` to every node, indexed by place.
-    fn run(&mut self, h: &Hierarchy, src: NodeId) -> &[u64] {
-        let eliminated = h.eliminated();
-        let dist = self.dist.as_mut_slice();
-        dist.fill(INFINITE_WEIGHT);
-        let start = h.place[src as usize] as usize;
-        dist[start] = 0;
-        // 1. Upward: every up-arc points to a later place, so one pass in
-        // place order settles the walk.
-        for p in start..eliminated {
-            let d = dist[p];
-            if d == INFINITE_WEIGHT {
-                continue;
-            }
-            for k in h.up_start[p]..h.up_start[p + 1] {
-                let t = h.up_to[k] as usize;
-                dist[t] = dist[t].min(d + h.up_weight[k]);
+/// [`Kernel::row`] of a core node that has no table row.
+const NO_ROW: u32 = u32::MAX;
+
+/// One task's state: the lane matrix of a chunk of sources and the upward
+/// walks' scratch.
+struct Lanes<L> {
+    /// `rows[p][s]`: the distance from the chunk's `s`-th source to the
+    /// node at place `p`.
+    rows: Vec<[L; SOURCE_CHUNK]>,
+    /// Places the current walk has reached but not expanded, least first.
+    pending: BinaryHeap<Reverse<NodeId>>,
+    /// Every place the current walk has reached, and a mark for each.
+    reached: Vec<NodeId>,
+    is_reached: Vec<bool>,
+    /// The core nodes the current walk reached, with their distances.
+    seeds: Vec<(usize, L)>,
+    /// One source's core distances, and a core search's state for a core
+    /// source without a table row.
+    core: Vec<L>,
+    dist: Vec<u64>,
+    queue: Queue,
+}
+
+impl<'h, L: Lane> Kernel<'h, L> {
+    /// Fills the core table, one single-seed search of the core per row in
+    /// parallel tasks of [`SOURCE_CHUNK`] rows, and puts the hierarchy's
+    /// shape, the lane width and the table's size on the `weighted.apsp`
+    /// span. The table keeps a row for each core node an up-arc reaches, so
+    /// a graph that contracts nothing has no table at all.
+    fn new(h: &'h Hierarchy, span: &mut pardec_obs::SpanGuard) -> Self {
+        let (eliminated, c) = (h.eliminated(), h.core.num_nodes());
+        // The core nodes an up-arc reaches, ascending: the only seeds a walk
+        // can have, and so the table's rows.
+        let mut reached = vec![false; c];
+        for &t in &h.up_to {
+            if let Some(k) = (t as usize).checked_sub(eliminated) {
+                reached[k] = true;
             }
         }
-        // 2. The core, seeded with the upward distances in ascending order.
-        let core = &mut dist[eliminated..];
-        self.seeds.clear();
-        self.seeds.extend(
-            (0..core.len() as NodeId)
-                .zip(core.iter().copied())
-                .filter(|&(_, d)| d != INFINITE_WEIGHT),
-        );
-        self.seeds.sort_unstable_by_key(|&(c, d)| (d, c));
-        h.core.sssp_into(&self.seeds, core, &mut self.queue);
-        // 3. Downward, in reverse elimination order: every up-arc's target
-        // is final before its tail.
-        for p in (0..eliminated).rev() {
-            let arcs = h.up_start[p]..h.up_start[p + 1];
-            dist[p] = h.up_to[arcs.clone()]
-                .iter()
-                .zip(&h.up_weight[arcs])
-                .fold(dist[p], |best, (&b, &w)| {
-                    best.min(dist[b as usize].saturating_add(w))
+        let seeded: Vec<NodeId> = (0..c as NodeId).filter(|&k| reached[k as usize]).collect();
+        let mut row = vec![NO_ROW; c];
+        for (r, &k) in seeded.iter().enumerate() {
+            row[k as usize] = r as u32;
+        }
+        let queue = h.core.new_queue();
+        let mut table = vec![L::INFINITE; seeded.len() * c];
+        // Without seeded nodes there are no rows to split.
+        if !seeded.is_empty() {
+            table
+                .par_chunks_mut(c * SOURCE_CHUNK)
+                .enumerate()
+                .for_each(|(chunk, rows)| {
+                    let (mut dist, mut queue) = (vec![INFINITE_WEIGHT; c], queue.clone());
+                    for (k, row) in rows.chunks_mut(c).enumerate() {
+                        h.core
+                            .sssp_into(seeded[chunk * SOURCE_CHUNK + k], &mut dist, &mut queue);
+                        for (t, &d) in row.iter_mut().zip(&dist) {
+                            *t = L::narrow(d);
+                        }
+                    }
                 });
         }
-        dist
+        span.field("core_nodes", c);
+        span.field("core_edges", h.core.num_edges());
+        span.field("up_arcs", h.up_to.len());
+        span.field("rounds", h.rounds);
+        span.field("lane_bits", 8 * std::mem::size_of::<L>());
+        span.field("core_table_bytes", std::mem::size_of_val(table.as_slice()));
+        Kernel {
+            h,
+            up_weight: h.up_weight.iter().map(|&w| L::narrow(w)).collect(),
+            row,
+            table,
+            queue,
+        }
+    }
+
+    /// A fresh state for one task.
+    fn lanes(&self) -> Lanes<L> {
+        let n = self.h.place.len();
+        Lanes {
+            rows: vec![[L::INFINITE; SOURCE_CHUNK]; n],
+            pending: BinaryHeap::new(),
+            reached: Vec::new(),
+            is_reached: vec![false; n],
+            seeds: Vec::new(),
+            core: vec![L::INFINITE; self.h.core.num_nodes()],
+            dist: vec![INFINITE_WEIGHT; self.h.core.num_nodes()],
+            queue: self.queue.clone(),
+        }
+    }
+
+    /// Exact distances from `sources`, at most [`SOURCE_CHUNK`] nodes, into
+    /// `lanes.rows`: lane `s` for the `s`-th source, [`Lane::INFINITE`] in
+    /// the lanes no source uses.
+    fn sweep(&self, sources: Range<usize>, lanes: &mut Lanes<L>) {
+        let h = self.h;
+        let (eliminated, c) = (h.eliminated(), h.core.num_nodes());
+        let rows = &mut lanes.rows;
+        rows.fill([L::INFINITE; SOURCE_CHUNK]);
+        for (s, src) in sources.enumerate() {
+            // 1. Upward: every up-arc points to a later place, so a place is
+            // final once the walk expands the reached places below it.
+            let start = h.place[src];
+            rows[start as usize][s] = L::ZERO;
+            lanes.pending.push(Reverse(start));
+            lanes.reached.push(start);
+            lanes.is_reached[start as usize] = true;
+            lanes.seeds.clear();
+            while let Some(Reverse(p)) = lanes.pending.pop() {
+                let (p, d) = (p as usize, rows[p as usize][s]);
+                if p >= eliminated {
+                    lanes.seeds.push((p - eliminated, d));
+                    continue;
+                }
+                let arcs = h.up_start[p]..h.up_start[p + 1];
+                for (&t, &w) in h.up_to[arcs.clone()].iter().zip(&self.up_weight[arcs]) {
+                    let row = &mut rows[t as usize];
+                    row[s] = row[s].min(d.plus(w));
+                    if !lanes.is_reached[t as usize] {
+                        lanes.is_reached[t as usize] = true;
+                        lanes.reached.push(t);
+                        lanes.pending.push(Reverse(t));
+                    }
+                }
+            }
+            for p in lanes.reached.drain(..) {
+                lanes.is_reached[p as usize] = false;
+            }
+            // 2. The core: a core source without a table row searches it;
+            // any other source takes, per core node, the least over its
+            // seeds of the seed's distance plus the seed's table entry.
+            let own = (start as usize).checked_sub(eliminated);
+            if let Some(k) = own.filter(|&k| self.row[k] == NO_ROW) {
+                h.core
+                    .sssp_into(k as NodeId, &mut lanes.dist, &mut lanes.queue);
+                for (row, &d) in rows[eliminated..].iter_mut().zip(&lanes.dist) {
+                    row[s] = L::narrow(d);
+                }
+            } else if !lanes.seeds.is_empty() {
+                lanes.core.fill(L::INFINITE);
+                for &(k, d) in &lanes.seeds {
+                    let r = self.row[k] as usize;
+                    let table_row = &self.table[r * c..(r + 1) * c];
+                    for (x, &t) in lanes.core.iter_mut().zip(table_row) {
+                        *x = (*x).min(d.plus(t));
+                    }
+                }
+                for (row, &x) in rows[eliminated..].iter_mut().zip(&lanes.core) {
+                    row[s] = x;
+                }
+            }
+        }
+        // 3. Downward, every lane at once, in reverse elimination order:
+        // every up-arc's target is final before its tail.
+        for p in (0..eliminated).rev() {
+            let mut best = rows[p];
+            let arcs = h.up_start[p]..h.up_start[p + 1];
+            for (&b, &w) in h.up_to[arcs.clone()].iter().zip(&self.up_weight[arcs]) {
+                for (x, &d) in best.iter_mut().zip(&rows[b as usize]) {
+                    *x = (*x).min(d.plus(w));
+                }
+            }
+            rows[p] = best;
+        }
+    }
+
+    /// The packed upper triangle of [`WeightedGraph::apsp_upper`]: chunk
+    /// `first / SOURCE_CHUNK` narrows its lanes into rows `first..last`, a
+    /// contiguous run of the packed layout.
+    fn upper(&self) -> Vec<u32> {
+        let n = self.h.place.len();
+        let mut upper = vec![0; upper_row_start(n, n)];
+        let mut runs = Vec::with_capacity(n.div_ceil(SOURCE_CHUNK));
+        let mut rest = upper.as_mut_slice();
+        for first in (0..n).step_by(SOURCE_CHUNK) {
+            let last = (first + SOURCE_CHUNK).min(n);
+            let len = upper_row_start(n, last) - upper_row_start(n, first);
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            runs.push((first..last, run));
+            rest = tail;
+        }
+        runs.into_par_iter().for_each(|(sources, mut run)| {
+            let mut lanes = self.lanes();
+            self.sweep(sources.clone(), &mut lanes);
+            for (s, i) in sources.enumerate() {
+                let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
+                for (entry, &p) in row.iter_mut().zip(&self.h.place[i..]) {
+                    let d = lanes.rows[p as usize][s];
+                    *entry = d.entry().unwrap_or_else(|| {
+                        panic!(
+                            "finite distance {} does not fit a u32 APSP entry \
+                             (bound: below u32::MAX = {})",
+                            d.widen(),
+                            u32::MAX
+                        )
+                    });
+                }
+                run = tail;
+            }
+        });
+        upper
+    }
+
+    /// The largest finite entry over every chunk's lanes.
+    fn diameter(&self) -> u64 {
+        let n = self.h.place.len();
+        (0..n.div_ceil(SOURCE_CHUNK))
+            .into_par_iter()
+            .map(|chunk| {
+                let mut lanes = self.lanes();
+                let first = chunk * SOURCE_CHUNK;
+                self.sweep(first..(first + SOURCE_CHUNK).min(n), &mut lanes);
+                lanes
+                    .rows
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .filter(|&d| d != L::INFINITE)
+                    .max()
+                    .map_or(0, L::widen)
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -782,14 +986,35 @@ mod tests {
         height.into_iter().max().unwrap_or(0)
     }
 
-    /// Every row of the hierarchy's kernel equals `dijkstra`, by node.
+    /// Every lane of the hierarchy's kernel equals `dijkstra`, by node, on
+    /// `u64` lanes and, where the graph allows them, on `u32` lanes; each
+    /// chunk reuses one task state.
     fn assert_rows_match_dijkstra(g: &WeightedGraph) {
         let h = Hierarchy::build(g);
-        let mut search = h.search();
-        for u in 0..g.num_nodes() as NodeId {
-            let by_place = search.run(&h, u);
-            let by_node: Vec<u64> = h.place.iter().map(|&p| by_place[p as usize]).collect();
-            assert_eq!(by_node, g.dijkstra(u), "source {u}");
+        assert_lanes_match_dijkstra::<u64>(g, &h);
+        if g.u32_lanes() {
+            assert_lanes_match_dijkstra::<u32>(g, &h);
+        }
+    }
+
+    fn assert_lanes_match_dijkstra<L: Lane>(g: &WeightedGraph, h: &Hierarchy) {
+        let kernel = Kernel::<L>::new(h, &mut pardec_obs::span("test"));
+        let mut lanes = kernel.lanes();
+        let n = g.num_nodes();
+        for first in (0..n).step_by(SOURCE_CHUNK) {
+            let sources = first..(first + SOURCE_CHUNK).min(n);
+            kernel.sweep(sources.clone(), &mut lanes);
+            for s in sources.len()..SOURCE_CHUNK {
+                assert!(lanes.rows.iter().all(|row| row[s] == L::INFINITE));
+            }
+            for (s, u) in sources.enumerate() {
+                let by_node: Vec<u64> = h
+                    .place
+                    .iter()
+                    .map(|&p| lanes.rows[p as usize][s].widen())
+                    .collect();
+                assert_eq!(by_node, g.dijkstra(u as NodeId), "source {u}");
+            }
         }
     }
 
@@ -849,6 +1074,10 @@ mod tests {
         // the plain search of the graph.
         let k = unit(&generators::complete(MAX_ELIMINATION_DEGREE + 2));
         let h = Hierarchy::build(&k);
+        // No up-arc reaches the core, so the table keeps no row: each
+        // source searches its own.
+        let kernel = Kernel::<u32>::new(&h, &mut pardec_obs::span("test"));
+        assert!(kernel.table.is_empty() && kernel.row.iter().all(|&r| r == NO_ROW));
         assert_eq!((h.core, h.rounds), (k.clone(), 0));
         assert_rows_match_dijkstra(&k);
         assert_rows_match_dijkstra(&diamond());
@@ -867,7 +1096,7 @@ mod tests {
         assert!(matches!(g.new_queue(), Queue::Buckets { .. }));
         let h = Hierarchy::build(&g);
         assert!(h.core.num_nodes() > 0);
-        assert!(matches!(h.queue, Queue::Heap(_)));
+        assert!(matches!(h.core.new_queue(), Queue::Heap(_)));
         assert_rows_match_dijkstra(&g);
     }
 

@@ -15,7 +15,9 @@
 //!   the bucket cap) and the contraction-hierarchy kernel behind
 //!   `apsp_upper` / `apsp_diameter` equal the seed-era binary-heap Dijkstra
 //!   `graph::naive::dijkstra`, also on shapes that contract completely,
-//!   deeply, or around a core searched on the heap;
+//!   deeply, or around a core searched on the heap, and at the corners of
+//!   its sixteen-source chunks: no core, a partial last chunk, everything
+//!   in the core, and weights that need `u64` lanes;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
@@ -270,43 +272,108 @@ fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
     ]
 }
 
+/// Shapes at the corners of the chunked all-sources kernel (sixteen
+/// sources per lane matrix), each with a flag that is set when its weights
+/// force the `u64` lanes: trees and forests (no core, so no core table);
+/// node counts one below, at and one above a multiple of 16 (a last chunk
+/// with unused lanes); a weighted clique past the elimination cap (every
+/// node in the core); and graphs with `(n − 1) · max_weight ≥ u32::MAX`
+/// whose distances still fit a `u32` entry: a mesh (with a core) beside a
+/// path, a star (without a core) and a clique past the cap, weighted near
+/// `u32::MAX` over their hop diameter plus one.
+fn chunk_graphs() -> impl Strategy<Value = (WeightedGraph, bool)> {
+    prop_oneof![
+        (1usize..70, 1u64..500, 1u64..40, any::<bool>()).prop_map(|(n, s, w, forest)| {
+            let edges: Vec<_> = (1..n as NodeId)
+                .map(|v| (v, u64::from(v).wrapping_mul(0x9e3779b97f4a7c15) ^ s))
+                .filter(|&(_, h)| !forest || h % 4 != 0)
+                .map(|(v, h)| (v, (h % u64::from(v)) as NodeId, h % w + 1))
+                .collect();
+            (WeightedGraph::from_edges(n, &edges), false)
+        }),
+        (1usize..5, 0usize..3, 0usize..4, 1u64..500).prop_map(|(k, off, density, s)| {
+            let n = 16 * k + off - 1;
+            let g = generators::gnm(n, (n * (density + 1)).min(n * (n - 1) / 2), s);
+            (weigh(&g, s, 20, |w| w), false)
+        }),
+        (18usize..40, 1u64..500, 1u64..50)
+            .prop_map(|(n, s, w)| { (weigh(&generators::complete(n), s, w, |w| w), false) }),
+        // Beside a path of three nodes, so that some pairs are unreachable.
+        (3usize..8, 3usize..8, 1u64..500).prop_map(|(r, c, s)| {
+            let top = u64::from(u32::MAX) / (r + c - 1) as u64;
+            let g = generators::disjoint_union(&generators::mesh(r, c), &generators::path(3));
+            (weigh(&g, s, 1000, |w| top - w + 1), true)
+        }),
+        (5usize..40, 1u64..500).prop_map(|(n, s)| {
+            let top = u64::from(u32::MAX) / 3;
+            (weigh(&generators::star(n), s, 1000, |w| top - w + 1), true)
+        }),
+        (18usize..30, 1u64..500).prop_map(|(n, s)| {
+            let top = u64::from(u32::MAX) / 2;
+            (
+                weigh(&generators::complete(n), s, 1000, |w| top - w + 1),
+                true,
+            )
+        }),
+    ]
+}
+
+/// Every `u32` entry `(i, j ≥ i)` of `apsp_upper` equals both
+/// `naive::dijkstra(i)[j]` and `naive::dijkstra(j)[i]` (`u32::MAX` where
+/// they are unreachable), `dijkstra` equals the heap reference,
+/// `apsp_diameter` is the triangle's largest finite entry, and both are
+/// identical on 1 and 4 threads.
+fn assert_apsp_matches_heap_dijkstra(g: &WeightedGraph) {
+    let (one, four) = on_both_pools(|| (g.apsp_upper(), g.apsp_diameter()));
+    assert_eq!(one, four);
+    let (upper, diameter) = one;
+    let n = g.num_nodes();
+    assert_eq!(upper.len(), n * (n + 1) / 2);
+    let reference: Vec<Vec<u64>> = (0..n as NodeId).map(|u| heap_dijkstra(g, u)).collect();
+    let entry = |d: u64| match d {
+        INFINITE_WEIGHT => INFINITE_ENTRY,
+        d => u32::try_from(d).expect("kernel graphs keep distances small"),
+    };
+    for i in 0..n {
+        for j in i..n {
+            let d = upper[upper_row_start(n, i) + (j - i)];
+            assert_eq!(d, entry(reference[i][j]), "d({i}, {j})");
+            assert_eq!(d, entry(reference[j][i]), "d({i}, {j}) vs d({j}, {i})");
+        }
+        assert_eq!(g.dijkstra(i as NodeId), reference[i], "dijkstra({i})");
+    }
+    let largest = upper
+        .iter()
+        .copied()
+        .filter(|&d| d != INFINITE_ENTRY)
+        .max()
+        .unwrap_or(0);
+    assert_eq!(diameter, u64::from(largest));
+}
+
 proptest! {
     // Three families share the cases, and the contraction shapes split
     // theirs six ways.
     #![proptest_config(ProptestConfig::with_cases(120))]
 
-    /// Every `u32` entry `(i, j ≥ i)` of `apsp_upper` equals both
-    /// `naive::dijkstra(i)[j]` and `naive::dijkstra(j)[i]` (`u32::MAX` where
-    /// they are unreachable), `dijkstra` equals the heap reference,
-    /// `apsp_diameter` is the triangle's largest finite entry, and both are
-    /// identical on 1 and 4 threads.
+    /// [`assert_apsp_matches_heap_dijkstra`] on the kernel graphs.
     #[test]
     fn apsp_kernel_matches_heap_dijkstra(g in kernel_graphs()) {
-        let (one, four) = on_both_pools(|| (g.apsp_upper(), g.apsp_diameter()));
-        prop_assert_eq!(&one, &four);
-        let (upper, diameter) = one;
-        let n = g.num_nodes();
-        prop_assert_eq!(upper.len(), n * (n + 1) / 2);
-        let reference: Vec<Vec<u64>> = (0..n as NodeId).map(|u| heap_dijkstra(&g, u)).collect();
-        let entry = |d: u64| match d {
-            INFINITE_WEIGHT => INFINITE_ENTRY,
-            d => u32::try_from(d).expect("kernel graphs keep distances small"),
-        };
-        for i in 0..n {
-            for j in i..n {
-                let d = upper[upper_row_start(n, i) + (j - i)];
-                prop_assert_eq!(d, entry(reference[i][j]), "d({}, {})", i, j);
-                prop_assert_eq!(d, entry(reference[j][i]), "d({}, {}) vs d({}, {})", i, j, j, i);
-            }
-            prop_assert_eq!(&g.dijkstra(i as NodeId), &reference[i], "dijkstra({})", i);
-        }
-        let largest = upper
-            .iter()
-            .copied()
-            .filter(|&d| d != INFINITE_ENTRY)
+        assert_apsp_matches_heap_dijkstra(&g);
+    }
+
+    /// [`assert_apsp_matches_heap_dijkstra`] at the chunked kernel's
+    /// corners; the flagged shapes must really need `u64` lanes.
+    #[test]
+    fn apsp_chunks_match_heap_dijkstra(case in chunk_graphs()) {
+        let (g, wide) = case;
+        let max_w = (0..g.num_nodes() as NodeId)
+            .flat_map(|u| g.neighbors(u).map(|(_, w)| w))
             .max()
             .unwrap_or(0);
-        prop_assert_eq!(diameter, u64::from(largest));
+        let bound = (g.num_nodes() as u128 - 1) * u128::from(max_w);
+        prop_assert_eq!(wide, bound >= u128::from(u32::MAX), "n = {}, max weight {}", g.num_nodes(), max_w);
+        assert_apsp_matches_heap_dijkstra(&g);
     }
 }
 
