@@ -21,7 +21,8 @@
 //! the oracle's APSP triangle (`apsp_upper`, on its contraction hierarchy,
 //! sixteen sources per sweep) against one built from per-source heap
 //! Dijkstra, at 1 and 2 threads, on each leg's weighted quotient, a path
-//! and a weighted cycle, with the kernel's lane width and core table size.
+//! and a weighted cycle, with the kernel's lane and entry widths and core
+//! table size.
 
 use pardec_bench::workloads::Scale;
 use pardec_bench::{scale_from_args, timed};
@@ -29,7 +30,7 @@ use pardec_core::{cluster, ClusterParams};
 use pardec_graph::quotient::{
     quotient_with_stats, weighted_quotient, weighted_quotient_with_stats,
 };
-use pardec_graph::weighted::upper_entry;
+use pardec_graph::weighted::{max_finite, upper_entry, Apsp, Triangle};
 use pardec_graph::{generators, io, naive, CsrGraph, GraphBuilder, NodeId, WeightedGraph};
 use rayon::prelude::*;
 
@@ -326,30 +327,37 @@ fn scaled_apsp_rows(name: &str, wq: &WeightedGraph) {
 
 const CYCLE_NODES: NodeId = 2000;
 
-/// The packed upper triangle of per-source heap Dijkstra
-/// (`naive::dijkstra`), parallel over sources: the reference the
-/// `weighted-apsp-upper` rows check `apsp_upper` against.
-fn heap_triangle(g: &WeightedGraph) -> Vec<u32> {
+/// The APSP of per-source heap Dijkstra (`naive::dijkstra`), parallel over
+/// sources, with every radius 0: the reference the `weighted-apsp-upper`
+/// rows check `apsp_upper` against, its triangle narrowed by the width rule.
+fn heap_apsp(g: &WeightedGraph) -> Apsp {
     let n = g.num_nodes() as NodeId;
-    let rows: Vec<Vec<u32>> = (0..n)
+    let rows: Vec<Vec<u64>> = (0..n)
         .into_par_iter()
-        .map(|i| {
-            naive::dijkstra(g, i)[i as usize..]
-                .iter()
-                .map(|&d| upper_entry(d).expect("bench distances fit a u32 entry"))
-                .collect()
-        })
+        .map(|i| naive::dijkstra(g, i))
         .collect();
-    rows.concat()
+    let ecc: Vec<u64> = rows.iter().map(|row| max_finite(row)).collect();
+    let diameter = ecc.iter().copied().max().unwrap_or(0);
+    let upper = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(i, row)| &row[i..])
+        .map(|&d| upper_entry(d).expect("bench distances fit a u32 entry"))
+        .collect();
+    Apsp {
+        triangle: Triangle::wide(upper).narrow(diameter),
+        ecc,
+        diameter,
+    }
 }
 
 /// The `weighted.apsp` span's kernel fields of one traced `apsp_upper`
-/// call: `core_nodes`, `core_edges`, `up_arcs`, `rounds`, `lane_bits` and
-/// `core_table_bytes`.
-fn kernel_shape(g: &WeightedGraph) -> [u64; 6] {
+/// call: `core_nodes`, `core_edges`, `up_arcs`, `rounds`, `lane_bits`,
+/// `entry_bits` and `core_table_bytes`.
+fn kernel_shape(g: &WeightedGraph) -> [u64; 7] {
     pardec_obs::drain();
     pardec_obs::enable();
-    let _ = g.apsp_upper();
+    let _ = g.apsp_upper(&vec![0; g.num_nodes()]);
     pardec_obs::disable();
     let events = pardec_obs::drain();
     let span = events
@@ -362,6 +370,7 @@ fn kernel_shape(g: &WeightedGraph) -> [u64; 6] {
         "up_arcs",
         "rounds",
         "lane_bits",
+        "entry_bits",
         "core_table_bytes",
     ]
     .map(
@@ -373,22 +382,26 @@ fn kernel_shape(g: &WeightedGraph) -> [u64; 6] {
 }
 
 /// One `weighted-apsp-upper` row per pool size (1 and 2 threads): the
-/// library's `apsp_upper` against the heap triangle, asserted equal entry
-/// for entry before either time is reported, with the hierarchy's shape,
-/// the lane width and the core table's size read off its trace span.
+/// library's `apsp_upper` against the heap APSP, asserted equal entry for
+/// entry (width, eccentricities and diameter too) before either time is
+/// reported, with the hierarchy's shape, the lane and entry widths and the
+/// core table's size read off its trace span.
 fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
-    let [core_nodes, core_edges, up_arcs, rounds, lane_bits, core_table_bytes] = kernel_shape(g);
+    let [core_nodes, core_edges, up_arcs, rounds, lane_bits, entry_bits, core_table_bytes] =
+        kernel_shape(g);
+    let radii = vec![0; g.num_nodes()];
     for threads in [1, 2] {
-        let (heap, heap_secs) = best_of_3(threads, || heap_triangle(g));
-        let (upper, secs) = best_of_3(threads, || g.apsp_upper());
+        let (heap, heap_secs) = best_of_3(threads, || heap_apsp(g));
+        let (upper, secs) = best_of_3(threads, || g.apsp_upper(&radii));
         assert!(
             upper == heap,
-            "apsp_upper diverged from the heap triangle on {name} at {threads} threads"
+            "apsp_upper diverged from the heap APSP on {name} at {threads} threads"
         );
         println!(
             "{{\"bench\":\"quotient\",\"case\":\"weighted-apsp-upper\",\"graph\":\"{}\",\
              \"nodes\":{},\"edges\":{},\"core_nodes\":{},\"core_edges\":{},\
-             \"up_arcs\":{},\"rounds\":{},\"lane_bits\":{},\"core_table_bytes\":{},\
+             \"up_arcs\":{},\"rounds\":{},\"lane_bits\":{},\"entry_bits\":{},\
+             \"core_table_bytes\":{},\
              \"threads\":{},\"seconds_heap\":{:.6},\
              \"seconds_kernel\":{:.6},\"speedup_kernel_vs_heap\":{:.3},\
              \"peak_alloc_bytes\":{}}}",
@@ -400,6 +413,7 @@ fn apsp_upper_rows(name: &str, g: &WeightedGraph) {
             up_arcs,
             rounds,
             lane_bits,
+            entry_bits,
             core_table_bytes,
             threads,
             heap_secs,

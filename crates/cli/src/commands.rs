@@ -530,7 +530,11 @@ fn cmd_snapshot_info(args: &Args) -> CmdResult {
         out!(
             "oracle        {}",
             match session.oracle() {
-                Some(o) => format!("{} words", o.memory_words()),
+                Some(o) => format!(
+                    "{} words, {}-byte entries",
+                    o.memory_words(),
+                    o.entry_bytes()
+                ),
                 None => "absent".into(),
             }
         )?;

@@ -11,22 +11,25 @@
 //! an upper bound on `dist(u, v)` that the paper shows is
 //! `O(dist(u, v)·log³ n + R_ALG2)` — polylogarithmic for far-apart pairs.
 //! The quotient APSP is symmetric, so it is stored once, as the packed upper
-//! triangle of `q(q + 1)/2` entries of 4 bytes (`u32`, with `u32::MAX` for
-//! unreachable). With `τ = O(√n / log⁴ n)`, `q² = O(n)`, keeping the oracle
-//! linear-space.
+//! triangle of `q(q + 1)/2` entries. With `τ = O(√n / log⁴ n)`, `q² = O(n)`,
+//! keeping the oracle linear-space.
 //!
-//! Four bytes suffice: every finite entry is below `2n`. Along a shortest
-//! quotient path each cluster `C` appears once, and the path's length
-//! through it is at most `2·radius(C) + 1 ≤ 2|C| − 1` (the radius of a
-//! connected cluster is below its size). So entries fit whenever
-//! `n < 2³¹`; [`pardec_graph::WeightedGraph::apsp_upper`] panics rather
-//! than wrap if one ever does not.
+//! The entries take 2 or 4 bytes by the width rule of
+//! [`pardec_graph::weighted::Triangle`]: 2 (`u16`, with `u16::MAX` for
+//! unreachable) when `Δ′_C`, the largest finite entry, is below `u16::MAX`,
+//! else 4 (`u32`, with `u32::MAX`). A road quotient of 2,533 clusters has
+//! `Δ′_C = 856`. Four bytes always suffice: every finite entry is below
+//! `2n`. Along a shortest quotient path each cluster `C` appears once, and
+//! the path's length through it is at most `2·radius(C) + 1 ≤ 2|C| − 1`
+//! (the radius of a connected cluster is below its size). So entries fit
+//! whenever `n < 2³¹`; [`pardec_graph::WeightedGraph::apsp_upper`] panics
+//! rather than wrap if one ever does not.
 
 use crate::cluster::ClusterParams;
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::diameter::Decomposition;
-use pardec_graph::weighted::{upper_row_start, INFINITE_ENTRY};
+use pardec_graph::weighted::{upper_row_start, Triangle, INFINITE_WEIGHT};
 use pardec_graph::{NeighborAccess, NodeId, WeightedGraph};
 use std::sync::Arc;
 
@@ -38,16 +41,15 @@ pub struct DistanceOracle {
     /// oracle.
     clustering: Arc<Clustering>,
     /// APSP over the weighted quotient (connecting-path metric), as the
-    /// packed `u32` upper triangle of
+    /// packed upper triangle of
     /// [`pardec_graph::WeightedGraph::apsp_upper`].
-    apsp: Vec<u32>,
+    apsp: Triangle,
     /// `ecc[c]`: the largest `apsp[c][C] + radius(C)` over the clusters `C`
-    /// reachable from `c`. Derived from `apsp` and `radii` at build and at
-    /// load; snapshots do not store it. Drives [`Self::eccentricity_bound`].
+    /// reachable from `c`. The APSP kernel computes it; snapshots store it.
+    /// Drives [`Self::eccentricity_bound`].
     ecc: Vec<u64>,
-    /// `Δ′_C`, the largest finite entry of `apsp`, found by the same pass
-    /// as `ecc`.
-    quotient_diameter: u32,
+    /// `Δ′_C`, the largest finite entry of `apsp`.
+    quotient_diameter: u64,
     radius: u32,
 }
 
@@ -82,24 +84,74 @@ impl DistanceOracle {
     /// caller built (a session keeps that sweep's topology for
     /// [`crate::session::Session::diameter`]).
     ///
-    /// The triangle comes from [`WeightedGraph::apsp_upper`], which
-    /// contracts `quotient` into a hierarchy once, fills a distance table
-    /// over its core, and then answers the clusters' rows sixteen at a
-    /// time: per cluster an upward walk and the table rows of the core
-    /// nodes it reaches, then one downward sweep for all sixteen. Its
-    /// entries are the exact quotient distances, so the oracle, `Δ′_C` and
-    /// the saved `ORCL` bytes do not depend on the kernel or the pool size.
+    /// The triangle, `ecc` and `Δ′_C` all come from
+    /// [`WeightedGraph::apsp_upper`], which contracts `quotient` into a
+    /// hierarchy once, fills a distance table over its core, and then
+    /// answers the clusters' rows sixteen at a time: per cluster an upward
+    /// walk and the table rows of the core nodes it reaches, then one
+    /// downward sweep for all sixteen, whose lane matrix also yields the
+    /// chunk's eccentricities. Its entries are the exact quotient
+    /// distances, so the oracle, `Δ′_C` and the saved `ORCL` bytes do not
+    /// depend on the kernel or the pool size; nothing rescans the triangle.
     pub(crate) fn from_quotient(clustering: Arc<Clustering>, quotient: &WeightedGraph) -> Self {
-        Self::assemble(clustering, quotient.apsp_upper())
+        let apsp = quotient.apsp_upper(&clustering.radii);
+        Self::new(clustering, apsp.triangle, apsp.ecc, apsp.diameter)
     }
 
-    /// Reassembles an oracle from its stored parts (snapshot load path):
-    /// `apsp` is the packed upper triangle over `radii.len()` clusters.
-    /// Shape-validates everything; returns the first violation found.
+    /// Reassembles an oracle from a triangle alone (older snapshot layouts):
+    /// `apsp` is the packed upper triangle over `radii.len()` clusters, in
+    /// 4-byte entries. Shape-validates everything, returning the first
+    /// violation found, then derives `ecc` and `Δ′_C` by one scan of the
+    /// triangle and narrows it by the width rule, so the oracle equals a
+    /// fresh build's.
     pub(crate) fn from_raw_parts(
         clustering: Arc<Clustering>,
-        apsp: Vec<u32>,
+        apsp: Triangle,
     ) -> Result<Self, String> {
+        Self::check_shape(&clustering, &apsp)?;
+        let (ecc, diameter) = apsp.eccentricities(&clustering.radii);
+        Ok(Self::new(clustering, apsp.narrow(diameter), ecc, diameter))
+    }
+
+    /// Reassembles an oracle from its stored parts (the current snapshot
+    /// layout), `ecc` with one word per cluster. Shape-validates them: the
+    /// triangle's width must follow the rule for `Δ′_C = diameter`. With
+    /// `checked`, also rescans the triangle and rejects an `ecc` or `Δ′_C`
+    /// that differs from it; without, takes them as stored, as it takes
+    /// the triangle's distances.
+    pub(crate) fn from_stored_parts(
+        clustering: Arc<Clustering>,
+        apsp: Triangle,
+        ecc: Vec<u64>,
+        diameter: u64,
+        checked: bool,
+    ) -> Result<Self, String> {
+        Self::check_shape(&clustering, &apsp)?;
+        debug_assert_eq!(ecc.len(), clustering.radii.len(), "one word per cluster");
+        if !apsp.follows_width_rule(diameter) {
+            return Err(format!(
+                "oracle quotient diameter {diameter} does not fit its {}-byte entries",
+                apsp.entry_bytes()
+            ));
+        }
+        if checked {
+            let (scanned_ecc, scanned_diameter) = apsp.eccentricities(&clustering.radii);
+            if scanned_diameter != diameter {
+                return Err(format!(
+                    "oracle quotient diameter {diameter} does not match its triangle's \
+                     {scanned_diameter}"
+                ));
+            }
+            if scanned_ecc != ecc {
+                return Err("oracle eccentricities do not match its triangle".into());
+            }
+        }
+        Ok(Self::new(clustering, apsp, ecc, diameter))
+    }
+
+    /// The checks both load paths run on every layout: per-node arrays of
+    /// equal length, assignments below `q`, and `q(q + 1)/2` entries.
+    fn check_shape(clustering: &Clustering, apsp: &Triangle) -> Result<(), String> {
         let q = clustering.radii.len();
         if clustering.assignment.len() != clustering.dist_to_center.len() {
             return Err("assignment / dist_to_center length mismatch".into());
@@ -110,41 +162,16 @@ impl DistanceOracle {
         if clustering.assignment.iter().any(|&c| (c as usize) >= q) {
             return Err("assignment references a cluster beyond q".into());
         }
-        Ok(Self::assemble(clustering, apsp))
+        Ok(())
     }
 
-    /// The oracle over shape-checked parts, with `ecc` and `Δ′_C` computed
-    /// in one pass over the triangle: entry `(i, j)` offers `d + radius(j)`
-    /// to `ecc[i]`, `d + radius(i)` to `ecc[j]`, and `d` to `Δ′_C`. Sums of
-    /// two `u32`s cannot overflow the `u64` they are taken in, whatever a
-    /// snapshot stores.
-    fn assemble(clustering: Arc<Clustering>, apsp: Vec<u32>) -> Self {
-        let radii = &clustering.radii;
-        let q = radii.len();
-        let mut ecc = vec![0u64; q];
-        let mut quotient_diameter = 0;
-        let mut rows = apsp.as_slice();
-        for i in 0..q {
-            let (row, rest) = rows.split_at(q - i);
-            rows = rest;
-            let r_i = radii[i] as u64;
-            let mut best = 0;
-            for ((&d, &r_j), e_j) in row.iter().zip(&radii[i..]).zip(&mut ecc[i..]) {
-                if d != INFINITE_ENTRY {
-                    quotient_diameter = quotient_diameter.max(d);
-                    let d = d as u64;
-                    best = best.max(d + r_j as u64);
-                    *e_j = (*e_j).max(d + r_i);
-                }
-            }
-            ecc[i] = ecc[i].max(best);
-        }
+    fn new(clustering: Arc<Clustering>, apsp: Triangle, ecc: Vec<u64>, diameter: u64) -> Self {
         DistanceOracle {
-            radius: radii.iter().copied().max().unwrap_or(0),
+            radius: clustering.radii.iter().copied().max().unwrap_or(0),
             clustering,
             apsp,
             ecc,
-            quotient_diameter,
+            quotient_diameter: diameter,
         }
     }
 
@@ -161,9 +188,10 @@ impl DistanceOracle {
     /// Entries of storage the oracle reads: the per-node arrays, the
     /// quotient triangle, the per-cluster radii and eccentricities —
     /// `n + n + q(q + 1)/2 + 2q`, linear in `n` when `q = O(√n)`. It counts
-    /// entries, not bytes: the eccentricities take 8 bytes each, every
-    /// other entry 4. The per-node arrays and the radii are the
-    /// clustering's, which a session does not hold twice.
+    /// entries, not bytes: the eccentricities take 8 bytes each, the
+    /// triangle's entries 2 or 4 ([`Self::entry_bytes`]), every other entry
+    /// 4. The per-node arrays and the radii are the clustering's, which a
+    /// session does not hold twice.
     pub fn memory_words(&self) -> usize {
         let c = &self.clustering;
         c.assignment.len()
@@ -173,17 +201,28 @@ impl DistanceOracle {
             + self.ecc.len()
     }
 
+    /// Bytes per entry of the quotient APSP triangle: 2 or 4, by the width
+    /// rule.
+    pub fn entry_bytes(&self) -> usize {
+        self.apsp.entry_bytes()
+    }
+
     /// The packed upper triangle of the quotient APSP (for persistence).
-    pub(crate) fn apsp_upper(&self) -> &[u32] {
+    pub(crate) fn apsp_upper(&self) -> &Triangle {
         &self.apsp
     }
 
+    /// The per-cluster eccentricities (for persistence).
+    pub(crate) fn eccentricities(&self) -> &[u64] {
+        &self.ecc
+    }
+
     /// `Δ′_C`, the weighted-quotient diameter: the largest finite entry of
-    /// the stored APSP triangle, recorded when the oracle was assembled.
-    /// Equals `weighted_quotient(g).apsp_diameter()` of the source
-    /// clustering, without a second APSP.
+    /// the APSP triangle, recorded with it. Equals
+    /// `weighted_quotient(g).apsp_diameter()` of the source clustering,
+    /// without a second APSP.
     pub fn quotient_diameter(&self) -> u64 {
-        self.quotient_diameter as u64
+        self.quotient_diameter
     }
 
     /// Upper bound on `dist(u, v)`; `u64::MAX` when the endpoints are in
@@ -203,11 +242,13 @@ impl DistanceOracle {
             return du + dv;
         }
         let (i, j) = (cu.min(cv) as usize, cu.max(cv) as usize);
-        let between = self.apsp[upper_row_start(self.num_clusters(), i) + (j - i)];
-        if between == INFINITE_ENTRY {
+        let between = self
+            .apsp
+            .get(upper_row_start(self.num_clusters(), i) + (j - i));
+        if between == INFINITE_WEIGHT {
             return u64::MAX;
         }
-        du + between as u64 + dv
+        du + between + dv
     }
 
     /// Upper bound on the eccentricity of `v` **within its connected
@@ -219,9 +260,13 @@ impl DistanceOracle {
     /// Every node of a reachable cluster is reachable (clusters are
     /// internally connected) and lies within `radius(C)` of `C`'s center,
     /// so this dominates `max_u dist(v, u)` over the component.
+    ///
+    /// A loaded oracle takes `ecc` as its snapshot stores it, so the sum
+    /// saturates rather than overflow on a corrupt word.
     pub fn eccentricity_bound(&self, v: NodeId) -> u64 {
         let c = &self.clustering;
-        c.dist_to_center[v as usize] as u64 + self.ecc[c.assignment[v as usize] as usize]
+        (c.dist_to_center[v as usize] as u64)
+            .saturating_add(self.ecc[c.assignment[v as usize] as usize])
     }
 }
 
@@ -318,14 +363,39 @@ mod tests {
 
     #[test]
     fn raw_parts_round_trips_and_validates() {
-        // Two components, so the `u32` triangle holds unreachable entries.
+        // Two components, so the triangle holds unreachable entries.
         let g = generators::disjoint_union(&generators::mesh(10, 10), &generators::cycle(9));
         let oracle = DistanceOracle::build(&g, 4, 1, Decomposition::Cluster2);
-        assert!(oracle.apsp.contains(&INFINITE_ENTRY));
+        assert!(oracle.apsp.iter().any(|d| d == INFINITE_WEIGHT));
+        assert_eq!(oracle.entry_bytes(), 2);
         let c = &oracle.clustering;
-        let rebuilt = DistanceOracle::from_raw_parts(c.clone(), oracle.apsp.clone()).unwrap();
+        // The same distances in 4-byte entries narrow back by the rule.
+        let wide = Triangle::wide(
+            oracle
+                .apsp
+                .iter()
+                .map(|d| u32::try_from(d).unwrap_or(u32::MAX))
+                .collect(),
+        );
+        let rebuilt = DistanceOracle::from_raw_parts(c.clone(), wide.clone()).unwrap();
         assert_eq!(rebuilt, oracle);
         assert_eq!(rebuilt.query(0, 100), u64::MAX);
+        let (ecc, d) = (oracle.ecc.clone(), oracle.quotient_diameter);
+        for checked in [false, true] {
+            let stored = DistanceOracle::from_stored_parts(
+                c.clone(),
+                oracle.apsp.clone(),
+                ecc.clone(),
+                d,
+                checked,
+            );
+            assert_eq!(stored.unwrap(), oracle);
+            // A 4-byte triangle with a diameter that 2 bytes hold breaks
+            // the width rule.
+            let stored =
+                DistanceOracle::from_stored_parts(c.clone(), wide.clone(), ecc.clone(), d, checked);
+            assert!(stored.is_err());
+        }
 
         // Shape violations are rejected.
         let with = |change: fn(&mut Clustering)| {
@@ -334,14 +404,16 @@ mod tests {
             Arc::new(c)
         };
         let longer_dist = with(|c| c.dist_to_center.push(0));
-        assert!(DistanceOracle::from_raw_parts(longer_dist, oracle.apsp.clone()).is_err());
+        assert!(DistanceOracle::from_raw_parts(longer_dist, wide.clone()).is_err());
         // q shrinks: assignment now out of range.
         let one_cluster = with(|c| c.radii.truncate(1));
-        assert!(DistanceOracle::from_raw_parts(one_cluster, vec![0]).is_err());
-        for len in [oracle.apsp.len() - 1, oracle.apsp.len() + 1] {
-            let mut apsp = oracle.apsp.clone();
-            apsp.resize(len, 0);
-            assert!(DistanceOracle::from_raw_parts(c.clone(), apsp).is_err());
+        assert!(DistanceOracle::from_raw_parts(one_cluster, Triangle::wide(vec![0])).is_err());
+        let len = oracle.apsp.len();
+        for len in [len - 1, len + 1] {
+            let apsp = Triangle::wide(wide.iter().map(|d| d as u32).chain([0]).take(len).collect());
+            assert!(DistanceOracle::from_raw_parts(c.clone(), apsp.clone()).is_err());
+            let stored = DistanceOracle::from_stored_parts(c.clone(), apsp, ecc.clone(), d, false);
+            assert!(stored.is_err());
         }
     }
 

@@ -31,22 +31,34 @@
 //! | tag | version | payload |
 //! |-----|---------|---------|
 //! | `CLUS` | 1 | `n u64, k u64, growth_steps u64, assignment n×u32, centers k×u32, dist_to_center n×u32, radii k×u32` |
-//! | `ORCL` | 3 | `q u64, apsp q(q+1)/2×u32` (the packed upper triangle: `d(i, j)` for `i ≤ j`, row-major, `u32::MAX` = unreachable; per-node arrays are shared with `CLUS`) |
+//! | `ORCL` | 4 | `q u64, entry_bytes u64, Δ′_C u64, ecc q×u64, apsp q(q+1)/2×entry` (`entry_bytes` is 2 or 4; the packed upper triangle: `d(i, j)` for `i ≤ j`, row-major, the entry type's largest value = unreachable; per-node arrays are shared with `CLUS`) |
 //!
-//! Saves always write `ORCL` version 3, streaming the oracle's triangle into
-//! the writer. Two older layouts are still read, so older snapshots load
-//! (and hot-reload) into the same oracle: version 2 (`q u64, apsp
-//! q(q+1)/2×u64`, the same triangle in 8-byte words) and version 1 (`q u64,
-//! apsp q²×u64`, the full row-major matrix, of which the loader keeps the
-//! upper triangle). Their words are narrowed in the same pass: `u64::MAX`
-//! becomes `u32::MAX`, and a finite word of `u32::MAX` or more is an error.
+//! Saves always write `ORCL` version 4, streaming the oracle's triangle into
+//! the writer. Its entries take 2 bytes (`u16`) when `Δ′_C`, the largest
+//! finite entry, is below `u16::MAX`, else 4 (`u32`): the width rule of
+//! [`pardec_graph::weighted::Triangle`], a pure function of the distances.
+//! `ecc[c]` is the largest `d(c, C) + radius(C)` over the clusters `C`
+//! reachable from `c`, as the APSP kernel computed it.
+//!
+//! Three older layouts are still read, so older snapshots load (and
+//! hot-reload) into the same oracle: version 3 (`q u64, apsp
+//! q(q+1)/2×u32`), version 2 (`q u64, apsp q(q+1)/2×u64`, the same triangle
+//! in 8-byte words) and version 1 (`q u64, apsp q²×u64`, the full row-major
+//! matrix, of which the loader keeps the upper triangle). Their 8-byte words
+//! are narrowed in the same pass: `u64::MAX` becomes `u32::MAX`, and a
+//! finite word of `u32::MAX` or more is an error. They store no `ecc` or
+//! `Δ′_C`, so the loader scans the triangle for both, then narrows it by
+//! the width rule: an older snapshot re-saves as a fresh build's bytes.
 //!
 //! All integers little-endian; all size arithmetic checked, so hostile
 //! section payloads error rather than panic or over-allocate.
 //!
 //! A loaded session answers `distance`, `eccentricity` and the `Δ″` bound
-//! of [`Session::diameter`] from the stored `ORCL` triangle; both load paths
-//! check its shape, not its distances.
+//! of [`Session::diameter`] from the stored `ORCL` section. Both load paths
+//! check its shape: sizes, the entry width, and a `Δ′_C` that fits it. The
+//! fast path takes the stored distances, `ecc` and `Δ′_C` on trust;
+//! [`Session::load_checked`] rescans the triangle and rejects an `ecc` or a
+//! `Δ′_C` that differs from it.
 
 use crate::cluster::{cluster, ClusterParams};
 use crate::cluster2::cluster2;
@@ -59,7 +71,7 @@ use crate::oracle::DistanceOracle;
 use bytes::{Buf, BufMut};
 use pardec_graph::frontier::{FrontierEngine, FrontierStrategy};
 use pardec_graph::io::{save_snapshot_repr, SectionData, Snapshot, Words};
-use pardec_graph::weighted::{upper_entry, upper_row_start};
+use pardec_graph::weighted::{upper_entry, Triangle};
 use pardec_graph::{
     Backend, CombineStats, CsrGraph, GraphRepr, NodeId, INFINITE_DIST, INVALID_NODE,
 };
@@ -72,10 +84,11 @@ pub const SECTION_CLUSTERING: u32 = u32::from_le_bytes(*b"CLUS");
 pub const SECTION_CLUSTERING_VERSION: u32 = 1;
 /// Section tag for the persisted [`DistanceOracle`] state (`b"ORCL"`).
 pub const SECTION_ORACLE: u32 = u32::from_le_bytes(*b"ORCL");
-/// Layout version of the oracle section [`Session::save`] writes (the
-/// packed `u32` triangle); versions 1 (the full `u64` matrix) and 2 (the
-/// `u64` triangle) still load.
-pub const SECTION_ORACLE_VERSION: u32 = 3;
+/// Layout version of the oracle section [`Session::save`] writes (`ecc`,
+/// `Δ′_C` and the packed triangle of 2- or 4-byte entries); versions 1 (the
+/// full `u64` matrix), 2 (the `u64` triangle) and 3 (the `u32` triangle)
+/// still load.
+pub const SECTION_ORACLE_VERSION: u32 = 4;
 
 /// Which decomposition a session runs at build time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -527,11 +540,19 @@ impl Session {
             words: runs.map(|r| Words::U32(r)).to_vec(),
         }];
         if let Some(oracle) = &self.oracle {
+            let ecc = oracle.eccentricities();
+            let mut head = Vec::with_capacity(8 * (3 + ecc.len()));
+            head.put_u64_le(oracle.num_clusters() as u64);
+            head.put_u64_le(oracle.entry_bytes() as u64);
+            head.put_u64_le(oracle.quotient_diameter());
+            for &e in ecc {
+                head.put_u64_le(e);
+            }
             sections.push(SectionData {
                 tag: SECTION_ORACLE,
                 version: SECTION_ORACLE_VERSION,
-                head: (oracle.num_clusters() as u64).to_le_bytes().to_vec(),
-                words: vec![Words::U32(oracle.apsp_upper())],
+                head,
+                words: vec![oracle.apsp_upper().words()],
             });
         }
         save_snapshot_repr(&self.graph, &sections, w)
@@ -575,7 +596,7 @@ impl Session {
         let clustering = Arc::new(clustering);
         let oracle = match snap.section(SECTION_ORACLE) {
             None => None,
-            Some((version, body)) => Some(decode_oracle(version, body, &clustering)?),
+            Some((version, body)) => Some(decode_oracle(version, body, &clustering, checked)?),
         };
         load_span.field("nodes", graph.num_nodes());
         load_span.field("oracle", oracle.is_some());
@@ -594,6 +615,10 @@ impl Session {
 
 fn data_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn oracle_err(msg: String) -> io::Error {
+    data_err(format!("oracle {msg}"))
 }
 
 fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering, usize)> {
@@ -640,13 +665,15 @@ fn decode_clustering(body: &[u8], graph_nodes: usize) -> io::Result<(Clustering,
 }
 
 /// Decodes an `ORCL` payload of layout `version` (1: full `q × q` `u64`
-/// matrix, 2: packed `u64` upper triangle, 3: packed `u32` upper triangle)
-/// into the oracle over `clustering`, in one pass over the payload
-/// straight into the `u32` triangle.
+/// matrix, 2: packed `u64` upper triangle, 3: packed `u32` upper triangle,
+/// 4: `ecc`, `Δ′_C` and a packed triangle of 2- or 4-byte entries) into the
+/// oracle over `clustering`, in one pass over the payload. `checked`
+/// rescans a version-4 triangle against its stored `ecc` and `Δ′_C`.
 fn decode_oracle(
     version: u32,
     body: &[u8],
     clustering: &Arc<Clustering>,
+    checked: bool,
 ) -> io::Result<DistanceOracle> {
     let mut buf = body;
     if buf.remaining() < 8 {
@@ -659,46 +686,66 @@ fn decode_oracle(
     let triangle = q
         .checked_add(1)
         .and_then(|t| t.checked_mul(q))
-        .map(|t| t / 2);
-    let (entries, width) = match version {
-        1 => (q.checked_mul(q), 8),
-        2 => (triangle, 8),
-        3 => (triangle, 4),
+        .map(|t| t / 2)
+        .ok_or_else(|| data_err("oracle sizes overflow"))?;
+    let oracle = match version {
+        4 => {
+            if buf.remaining() < 16 {
+                return Err(data_err("truncated oracle header"));
+            }
+            let (entry_bytes, diameter) = (buf.get_u64_le(), buf.get_u64_le());
+            let ecc_bytes = q
+                .checked_mul(8)
+                .filter(|&b| b <= buf.remaining())
+                .ok_or_else(|| data_err("truncated oracle eccentricities"))?;
+            let (ecc, apsp) = buf.split_at(ecc_bytes);
+            let ecc = ecc
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes")))
+                .collect();
+            let apsp = Triangle::decode(entry_bytes, triangle, apsp).map_err(oracle_err)?;
+            DistanceOracle::from_stored_parts(clustering.clone(), apsp, ecc, diameter, checked)
+        }
+        3 => {
+            let apsp = Triangle::decode(4, triangle, buf).map_err(oracle_err)?;
+            DistanceOracle::from_raw_parts(clustering.clone(), apsp)
+        }
+        1 | 2 => {
+            let entries = if version == 1 {
+                q.checked_mul(q)
+            } else {
+                Some(triangle)
+            };
+            let expected = entries
+                .and_then(|t| t.checked_mul(8))
+                .ok_or_else(|| data_err("oracle sizes overflow"))?;
+            if buf.remaining() != expected {
+                return Err(data_err("oracle length mismatch"));
+            }
+            let mut upper = Vec::with_capacity(triangle);
+            for i in 0..q {
+                // Version 1 stores row `i` in full; its first `i` words
+                // repeat the lower half.
+                let skip = if version == 1 { i } else { 0 };
+                let (row, rest) = buf.split_at(8 * (skip + q - i));
+                buf = rest;
+                for b in row[8 * skip..].chunks_exact(8) {
+                    let d = u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"));
+                    upper.push(
+                        upper_entry(d)
+                            .ok_or_else(|| data_err("oracle distance does not fit a u32 entry"))?,
+                    );
+                }
+            }
+            DistanceOracle::from_raw_parts(clustering.clone(), Triangle::wide(upper))
+        }
         _ => {
             return Err(data_err(format!(
                 "unsupported oracle section version {version}"
             )))
         }
     };
-    let expected = entries
-        .and_then(|t| t.checked_mul(width))
-        .ok_or_else(|| data_err("oracle sizes overflow"))?;
-    if buf.remaining() != expected {
-        return Err(data_err("oracle length mismatch"));
-    }
-    let apsp: Vec<u32> = if version == 3 {
-        buf.chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("chunks of 4 bytes")))
-            .collect()
-    } else {
-        let mut upper = Vec::with_capacity(upper_row_start(q, q));
-        for i in 0..q {
-            // Version 1 stores row `i` in full; its first `i` words repeat
-            // the lower half.
-            let skip = if version == 1 { i } else { 0 };
-            let (row, rest) = buf.split_at(8 * (skip + q - i));
-            buf = rest;
-            for b in row[8 * skip..].chunks_exact(8) {
-                let d = u64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"));
-                upper.push(
-                    upper_entry(d)
-                        .ok_or_else(|| data_err("oracle distance does not fit a u32 entry"))?,
-                );
-            }
-        }
-        upper
-    };
-    DistanceOracle::from_raw_parts(clustering.clone(), apsp).map_err(data_err)
+    oracle.map_err(data_err)
 }
 
 #[cfg(test)]

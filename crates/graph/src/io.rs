@@ -668,6 +668,8 @@ pub struct SectionData<'a> {
 /// A run of [`SectionData`] payload words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Words<'a> {
+    /// Written as 2-byte words (the narrow APSP triangle).
+    U16(&'a [u16]),
     /// Written as 4-byte words.
     U32(&'a [u32]),
     /// Written as 8-byte words (CSR offsets).
@@ -688,6 +690,7 @@ impl SectionData<'_> {
     /// Payload length in bytes, as the section table declares it.
     fn payload_len(&self) -> usize {
         let run = |w: &Words| match w {
+            Words::U16(w) => 2 * w.len(),
             Words::U32(w) => 4 * w.len(),
             Words::U64(w) => 8 * w.len(),
         };
@@ -768,6 +771,7 @@ impl<W: Write> Blocks<W> {
         self.put(&s.head)?;
         for run in &s.words {
             match *run {
+                Words::U16(w) => self.put_words(w, u16::to_le_bytes)?,
                 Words::U32(w) => self.put_words(w, u32::to_le_bytes)?,
                 Words::U64(w) => self.put_words(w, |o| (o as u64).to_le_bytes())?,
             }
@@ -1375,7 +1379,15 @@ mod tests {
         let wide: Vec<usize> = (0..BLOCK_BYTES / 8 + 5)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
+        // An odd count of 2-byte words first, so the later runs straddle
+        // block ends at every offset parity.
+        let narrow: Vec<u16> = (0..(BLOCK_BYTES / 2 + 7) as u16)
+            .map(|i| i.wrapping_mul(0x9e37))
+            .collect();
         let mut payload = vec![1, 2, 3];
+        for w in &narrow {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
         for w in &words {
             payload.extend_from_slice(&w.to_le_bytes());
         }
@@ -1388,7 +1400,7 @@ mod tests {
                 tag: TAG_A,
                 version: 1,
                 head: vec![1, 2, 3],
-                words: vec![Words::U32(&words), Words::U64(&wide)],
+                words: vec![Words::U16(&narrow), Words::U32(&words), Words::U64(&wide)],
             },
             tail.clone(),
         ];

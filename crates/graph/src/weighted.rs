@@ -41,13 +41,36 @@
 //!
 //! Every shortest path has an equally short path that climbs the hierarchy,
 //! crosses the core and descends, so the distances are exact: the APSP
-//! equals per-source Dijkstra entry for entry, at any pool size. Lanes are
-//! `u32` when `(n − 1) · max_weight < u32::MAX`, which bounds every finite
-//! distance, and `u64` otherwise; additions saturate at the lane's largest
-//! value, the unreachable sentinel, which only a sum longer than every
-//! finite distance reaches.
+//! equals per-source Dijkstra entry for entry, at any pool size.
+//!
+//! # Sixteen-bit lanes and entries
+//!
+//! Before the kernel runs, one bound `B` on every finite distance picks the
+//! lanes: the smaller of `(n − 1) · max_weight` and twice the largest
+//! distance from the lowest-id node of any component (one search per
+//! component that has an edge, on one distance array). Lanes are `u16` when
+//! `B < u16::MAX`, `u32` when `B < u32::MAX`, else `u64`; additions saturate
+//! at the lane's largest value, the unreachable sentinel, which only a sum
+//! longer than every finite distance reaches, and the sums along a shortest
+//! path never exceed its length. Built for baseline x86-64, the downward
+//! sweep's saturating add and min take four SSE2 instructions per eight
+//! `u16` lanes (`paddusw`, then `psubusw` and `psubw` for the min), where
+//! `u32` lanes took about fourteen per four; the core table halves too.
+//! Road quotients (largest distance 856 at 2,533 clusters) run on `u16`
+//! lanes.
+//!
+//! The triangle of [`WeightedGraph::apsp_upper`] is a [`Triangle`], whose
+//! entry width is a pure function of the distances: 2 bytes when its
+//! largest finite entry `Δ` is below `u16::MAX`, else 4. `u16` lanes write
+//! their values as they are; wider lanes write 4-byte entries, which
+//! [`Triangle::narrow`] narrows when `Δ` allows (a `2 × 40,000` mesh
+//! quotient has `B ≥ 65,535 > Δ`). Each chunk also takes, from the lane
+//! matrix it holds, its sources' eccentricities plus the far node's radius
+//! and its largest finite lane, so the oracle reads `ecc` and `Δ` off the
+//! kernel instead of scanning the triangle.
 
 use crate::combine::{self, pack, PairRecord};
+use crate::io::Words;
 use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 use std::cmp::Reverse;
@@ -57,8 +80,8 @@ use std::ops::Range;
 /// Sentinel for "unreachable" in weighted distance arrays.
 pub const INFINITE_WEIGHT: u64 = u64::MAX;
 
-/// Sentinel for "unreachable" in the `u32` APSP triangle of
-/// [`WeightedGraph::apsp_upper`].
+/// Sentinel for "unreachable" in a 4-byte [`Triangle`] and in the `u32`
+/// entries of [`upper_entry`].
 pub const INFINITE_ENTRY: u32 = u32::MAX;
 
 /// Most buckets the single-source search loop allocates: graphs whose
@@ -82,7 +105,7 @@ const MAX_BUCKETS: u64 = 1024;
 
 /// Sources per parallel task of the all-sources kernels, and so the lanes
 /// of one downward sweep: a task keeps one place-major matrix of 16 lanes
-/// per place (155 KB of `u32` lanes on a 2,420-node road quotient), and
+/// per place (77 KB of `u16` lanes on a 2,420-node road quotient), and
 /// each up-arc the sweep reads updates all 16 lanes at once. The core
 /// table's searches run in tasks of as many rows.
 const SOURCE_CHUNK: usize = 16;
@@ -257,6 +280,13 @@ impl WeightedGraph {
     /// queue yields the same exact distances.
     fn sssp_into(&self, src: NodeId, dist: &mut [u64], queue: &mut Queue) {
         dist.fill(INFINITE_WEIGHT);
+        self.settle(src, dist, queue);
+    }
+
+    /// Exact distances from `src` into `dist`, which must be
+    /// [`INFINITE_WEIGHT`] on `src`'s component; other entries stay as
+    /// they are. The queue ends empty.
+    fn settle(&self, src: NodeId, dist: &mut [u64], queue: &mut Queue) {
         dist[src as usize] = 0;
         match queue {
             Queue::Buckets { buckets, occupied } => {
@@ -326,12 +356,30 @@ impl WeightedGraph {
         max_finite(&self.dijkstra(u))
     }
 
-    /// Whether the all-sources kernels may run on `u32` lanes: a finite
-    /// distance follows a path of at most `n − 1` edges, so when `(n − 1) ·
-    /// max_weight < u32::MAX` every finite distance is below `u32::MAX`.
-    fn u32_lanes(&self) -> bool {
+    /// An upper bound `B` on every finite distance, which picks the
+    /// all-sources kernels' lanes: the smaller of `(n − 1) · max_weight` (a
+    /// shortest path has at most `n − 1` edges) and twice the largest
+    /// distance from the lowest-id node of any component (two legs through
+    /// that node join any two nodes of its component). The second takes one
+    /// search per component that has an edge, all on one distance array, so
+    /// nothing is reset per component; it is skipped when the first already
+    /// picks `u16` lanes.
+    fn distance_bound(&self) -> u64 {
+        let n = self.num_nodes();
         let max_w = self.weights.iter().copied().max().unwrap_or(0);
-        (self.num_nodes().saturating_sub(1) as u128) * u128::from(max_w) < u128::from(u32::MAX)
+        let hops =
+            u64::try_from(n.saturating_sub(1) as u128 * u128::from(max_w)).unwrap_or(u64::MAX);
+        if hops < u64::from(u16::MAX) {
+            return hops;
+        }
+        let (mut dist, mut queue) = (vec![INFINITE_WEIGHT; n], self.new_queue());
+        for u in 0..n {
+            // The first node of a component that no search reached yet.
+            if dist[u] == INFINITE_WEIGHT && self.offsets[u] < self.offsets[u + 1] {
+                self.settle(u as NodeId, &mut dist, &mut queue);
+            }
+        }
+        hops.min(max_finite(&dist).saturating_mul(2))
     }
 
     /// Weighted diameter: the largest finite distance between any two nodes
@@ -343,40 +391,48 @@ impl WeightedGraph {
     pub fn apsp_diameter(&self) -> u64 {
         let mut span = pardec_obs::span!("weighted.apsp", nodes = self.num_nodes());
         let h = Hierarchy::build(self);
-        if self.u32_lanes() {
-            Kernel::<u32>::new(&h, &mut span).diameter()
-        } else {
-            Kernel::<u64>::new(&h, &mut span).diameter()
+        match self.distance_bound() {
+            b if b < u64::from(u16::MAX) => Kernel::<u16>::new(&h, &mut span).diameter(),
+            b if b < u64::from(u32::MAX) => Kernel::<u32>::new(&h, &mut span).diameter(),
+            _ => Kernel::<u64>::new(&h, &mut span).diameter(),
         }
     }
 
-    /// The APSP matrix stored once: its packed upper triangle, `d(i, j)` for
-    /// every `i ≤ j`, row-major in one vector of `n(n + 1)/2` `u32` entries
-    /// (entry `(i, j)` sits at [`upper_row_start`]`(n, i) + j − i`), with
-    /// [`INFINITE_ENTRY`] for unreachable pairs. Distances are symmetric, so
-    /// the lower half adds nothing.
+    /// The APSP matrix stored once, with what the §4 oracle derives from
+    /// it. The [`Triangle`] holds its packed upper half, `d(i, j)` for
+    /// every `i ≤ j`, row-major in `n(n + 1)/2` entries (entry `(i, j)`
+    /// sits at [`upper_row_start`]`(n, i) + j − i`), of 2 or 4 bytes by
+    /// the width rule; distances are symmetric, so the lower half adds
+    /// nothing. `radii[v]` is node `v`'s radius (a quotient node's cluster
+    /// radius), and [`Apsp::ecc`] adds the far node's radius to each
+    /// eccentricity.
     ///
     /// Every source runs on one contraction hierarchy (see the module
     /// docs), in the fixed chunks of [`Self::apsp_diameter`]; each chunk
-    /// narrows its 16 lanes into its own disjoint run of the triangle, the
-    /// row tails `j ≥ i` of its sources. The core table and the hierarchy
-    /// add at most `c²` lanes and `O(n + m)` words to the triangle's
-    /// quadratic space, and each running task one lane matrix of `16n` —
-    /// intended for quotient graphs, which the paper keeps small enough for
-    /// one machine.
+    /// writes its 16 lanes into its own disjoint run of the triangle, the
+    /// row tails `j ≥ i` of its sources, and its sources' eccentricities
+    /// and largest finite lane from the whole lane matrix. The core table
+    /// and the hierarchy add at most `c²` lanes and `O(n + m)` words to the
+    /// triangle's quadratic space, and each running task one lane matrix of
+    /// `16n` — intended for quotient graphs, which the paper keeps small
+    /// enough for one machine.
     ///
     /// # Panics
-    /// Panics if a finite distance is `u32::MAX` or more (see
-    /// [`upper_entry`]). Weighted quotients of clusterings never get there:
-    /// their finite distances stay below `2n` of the clustered graph.
-    pub fn apsp_upper(&self) -> Vec<u32> {
+    /// Panics if `radii` does not have one entry per node, or if a finite
+    /// distance is `u32::MAX` or more (see [`upper_entry`]). Weighted
+    /// quotients of clusterings never get there: their finite distances
+    /// stay below `2n` of the clustered graph.
+    pub fn apsp_upper(&self, radii: &[u32]) -> Apsp {
+        assert_eq!(radii.len(), self.num_nodes(), "one radius per node");
         let mut span = pardec_obs::span!("weighted.apsp", nodes = self.num_nodes());
         let h = Hierarchy::build(self);
-        if self.u32_lanes() {
-            Kernel::<u32>::new(&h, &mut span).upper()
-        } else {
-            Kernel::<u64>::new(&h, &mut span).upper()
-        }
+        let apsp = match self.distance_bound() {
+            b if b < u64::from(u16::MAX) => Kernel::<u16>::new(&h, &mut span).upper(radii),
+            b if b < u64::from(u32::MAX) => Kernel::<u32>::new(&h, &mut span).upper(radii),
+            _ => Kernel::<u64>::new(&h, &mut span).upper(radii),
+        };
+        span.field("entry_bits", 8 * apsp.triangle.entry_bytes());
+        apsp
     }
 
     /// Structural invariant check (mirrors [`crate::CsrGraph::check_invariants`]).
@@ -546,28 +602,70 @@ fn eliminable(adj: &[Vec<(NodeId, u64)>], nx: &[(NodeId, u64)]) -> bool {
 }
 
 /// A distance lane of the all-sources kernels. Its largest value is the
-/// unreachable sentinel, and [`Lane::plus`] saturates there. `u32` lanes
-/// serve only graphs whose finite distances all lie below `u32::MAX` (see
-/// [`WeightedGraph::u32_lanes`]), so a saturated sum is longer than every
-/// finite distance and never wins a minimum. `u64` lanes ran 1.4–1.9×
-/// slower on road and mesh quotients, hence a kernel generic over both.
-trait Lane: Copy + Ord + Send + Sync {
+/// unreachable sentinel, and [`Lane::plus`] saturates there. A lane type
+/// serves only graphs whose finite distances all lie below its sentinel
+/// (see [`WeightedGraph::distance_bound`]), so a saturated sum is longer
+/// than every finite distance and never wins a minimum. `u64` lanes ran
+/// 1.4–1.9× slower than `u32` lanes on road and mesh quotients, hence a
+/// kernel generic over all three widths.
+trait Lane: Copy + Ord + Send + Sync + Into<u64> {
     const ZERO: Self;
     const INFINITE: Self;
+    /// The triangle entries these lanes write: `u16` lanes their own
+    /// values, wider lanes 4-byte entries.
+    type Entry: Entry;
     /// `d`, or [`Lane::INFINITE`] when `d` does not fit below it.
     fn narrow(d: u64) -> Self;
     /// `self + w`, saturating at [`Lane::INFINITE`].
     fn plus(self, w: Self) -> Self;
-    /// As an entry of the `u32` triangle ([`upper_entry`]); `None` for a
-    /// finite distance that does not fit one.
-    fn entry(self) -> Option<u32>;
+    /// `self + 1`, wrapping the sentinel to 0.
+    fn wrapping_inc(self) -> Self;
+    /// As a triangle entry; `None` for a finite distance that does not fit
+    /// one.
+    fn entry(self) -> Option<Self::Entry>;
+    /// The triangle of `entries`, whose largest finite entry is `diameter`,
+    /// in the width the rule gives it.
+    fn triangle(entries: Vec<Self::Entry>, diameter: u64) -> Triangle;
     /// As a distance, with [`INFINITE_WEIGHT`] for the sentinel.
-    fn widen(self) -> u64;
+    fn widen(self) -> u64 {
+        if self == Self::INFINITE {
+            INFINITE_WEIGHT
+        } else {
+            self.into()
+        }
+    }
+}
+
+impl Lane for u16 {
+    const ZERO: u16 = 0;
+    const INFINITE: u16 = u16::MAX;
+    type Entry = u16;
+    #[inline]
+    fn narrow(d: u64) -> u16 {
+        u16::try_from(d).unwrap_or(u16::MAX)
+    }
+    #[inline]
+    fn plus(self, w: u16) -> u16 {
+        self.saturating_add(w)
+    }
+    #[inline]
+    fn wrapping_inc(self) -> u16 {
+        self.wrapping_add(1)
+    }
+    #[inline]
+    fn entry(self) -> Option<u16> {
+        Some(self)
+    }
+    fn triangle(entries: Vec<u16>, _: u64) -> Triangle {
+        // Every finite lane lies below `u16::MAX`, so `diameter` does too.
+        Triangle(Entries::Two(entries))
+    }
 }
 
 impl Lane for u32 {
     const ZERO: u32 = 0;
     const INFINITE: u32 = INFINITE_ENTRY;
+    type Entry = u32;
     #[inline]
     fn narrow(d: u64) -> u32 {
         u32::try_from(d).unwrap_or(INFINITE_ENTRY)
@@ -577,22 +675,22 @@ impl Lane for u32 {
         self.saturating_add(w)
     }
     #[inline]
+    fn wrapping_inc(self) -> u32 {
+        self.wrapping_add(1)
+    }
+    #[inline]
     fn entry(self) -> Option<u32> {
         Some(self)
     }
-    #[inline]
-    fn widen(self) -> u64 {
-        if self == INFINITE_ENTRY {
-            INFINITE_WEIGHT
-        } else {
-            u64::from(self)
-        }
+    fn triangle(entries: Vec<u32>, diameter: u64) -> Triangle {
+        Triangle::wide(entries).narrow(diameter)
     }
 }
 
 impl Lane for u64 {
     const ZERO: u64 = 0;
     const INFINITE: u64 = INFINITE_WEIGHT;
+    type Entry = u32;
     #[inline]
     fn narrow(d: u64) -> u64 {
         d
@@ -602,12 +700,15 @@ impl Lane for u64 {
         self.saturating_add(w)
     }
     #[inline]
+    fn wrapping_inc(self) -> u64 {
+        self.wrapping_add(1)
+    }
+    #[inline]
     fn entry(self) -> Option<u32> {
         upper_entry(self)
     }
-    #[inline]
-    fn widen(self) -> u64 {
-        self
+    fn triangle(entries: Vec<u32>, diameter: u64) -> Triangle {
+        Triangle::wide(entries).narrow(diameter)
     }
 }
 
@@ -796,41 +897,62 @@ impl<'h, L: Lane> Kernel<'h, L> {
         }
     }
 
-    /// The packed upper triangle of [`WeightedGraph::apsp_upper`]: chunk
-    /// `first / SOURCE_CHUNK` narrows its lanes into rows `first..last`, a
-    /// contiguous run of the packed layout.
-    fn upper(&self) -> Vec<u32> {
+    /// The [`Apsp`] of [`WeightedGraph::apsp_upper`]: chunk `first /
+    /// SOURCE_CHUNK` writes its lanes into rows `first..last`, a contiguous
+    /// run of the packed layout, and `ecc[first..last]`, and yields its
+    /// largest finite lane.
+    fn upper(&self, radii: &[u32]) -> Apsp {
         let n = self.h.place.len();
-        let mut upper = vec![0; upper_row_start(n, n)];
+        let mut radius_at = vec![0; n];
+        for (&p, &r) in self.h.place.iter().zip(radii) {
+            radius_at[p as usize] = r;
+        }
+        let max_radius = radii.iter().copied().max().map_or(0, u64::from);
+        let mut upper = vec![<L::Entry as Entry>::INFINITE; upper_row_start(n, n)];
+        let mut ecc = vec![0; n];
         let mut runs = Vec::with_capacity(n.div_ceil(SOURCE_CHUNK));
         let mut rest = upper.as_mut_slice();
-        for first in (0..n).step_by(SOURCE_CHUNK) {
-            let last = (first + SOURCE_CHUNK).min(n);
+        for (first, ecc) in (0..n)
+            .step_by(SOURCE_CHUNK)
+            .zip(ecc.chunks_mut(SOURCE_CHUNK))
+        {
+            let last = first + ecc.len();
             let len = upper_row_start(n, last) - upper_row_start(n, first);
             let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            runs.push((first..last, run));
+            runs.push((first..last, run, ecc));
             rest = tail;
         }
-        runs.into_par_iter().for_each(|(sources, mut run)| {
-            let mut lanes = self.lanes();
-            self.sweep(sources.clone(), &mut lanes);
-            for (s, i) in sources.enumerate() {
-                let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
-                for (entry, &p) in row.iter_mut().zip(&self.h.place[i..]) {
-                    let d = lanes.rows[p as usize][s];
-                    *entry = d.entry().unwrap_or_else(|| {
-                        panic!(
-                            "finite distance {} does not fit a u32 APSP entry \
-                             (bound: below u32::MAX = {})",
-                            d.widen(),
-                            u32::MAX
-                        )
-                    });
+        let diameter = runs
+            .into_par_iter()
+            .map(|(sources, mut run, ecc)| {
+                let mut lanes = self.lanes();
+                self.sweep(sources.clone(), &mut lanes);
+                for (s, i) in sources.enumerate() {
+                    let (row, tail) = std::mem::take(&mut run).split_at_mut(n - i);
+                    for (entry, &p) in row.iter_mut().zip(&self.h.place[i..]) {
+                        let d = lanes.rows[p as usize][s];
+                        *entry = d.entry().unwrap_or_else(|| {
+                            panic!(
+                                "finite distance {} does not fit a u32 APSP entry \
+                                 (bound: below u32::MAX = {})",
+                                d.widen(),
+                                u32::MAX
+                            )
+                        });
+                    }
+                    run = tail;
                 }
-                run = tail;
-            }
-        });
-        upper
+                let (far, best) = farthest(&lanes.rows, &radius_at, max_radius);
+                ecc.copy_from_slice(&best[..ecc.len()]);
+                far.into_iter().max().unwrap_or(0)
+            })
+            .max()
+            .unwrap_or(0);
+        Apsp {
+            triangle: L::triangle(upper, diameter),
+            ecc,
+            diameter,
+        }
     }
 
     /// The largest finite entry over every chunk's lanes.
@@ -854,6 +976,44 @@ impl<'h, L: Lane> Kernel<'h, L> {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Per lane of a chunk's lane matrix `rows`, the largest finite distance
+/// and the largest finite distance plus the radius of its node (by place,
+/// `radius_at`, at most `max_radius`), 0 where the lane has none. Both are
+/// taken in the lane type, an add and a maximum per lane and place with no
+/// select, so that they vectorize (a `u64` maximum per lane and place cost
+/// about a quarter of `apsp_upper` on a road quotient): `d + 1` and
+/// `d + r + 1` wrap the sentinel to 0. A finite sum that reaches the
+/// sentinel would wrap too, so when one can, the sums are taken again in
+/// `u64`.
+fn farthest<L: Lane>(
+    rows: &[[L; SOURCE_CHUNK]],
+    radius_at: &[u32],
+    max_radius: u64,
+) -> ([u64; SOURCE_CHUNK], [u64; SOURCE_CHUNK]) {
+    let (mut far, mut best) = ([L::ZERO; SOURCE_CHUNK], [L::ZERO; SOURCE_CHUNK]);
+    for (row, &r) in rows.iter().zip(radius_at) {
+        let r = L::narrow(r.into());
+        for ((f, b), &d) in far.iter_mut().zip(&mut best).zip(row) {
+            *f = (*f).max(d.wrapping_inc());
+            *b = (*b).max(d.plus(r).wrapping_inc());
+        }
+    }
+    let [far, best] = [far, best].map(|lanes| lanes.map(|x| x.into().saturating_sub(1)));
+    let infinite: u64 = L::INFINITE.into();
+    if far.iter().all(|&d| d.saturating_add(max_radius) < infinite) {
+        return (far, best);
+    }
+    let mut best = [0u64; SOURCE_CHUNK];
+    for (row, &r) in rows.iter().zip(radius_at) {
+        for (&d, best) in row.iter().zip(&mut best) {
+            if d != L::INFINITE {
+                *best = (*best).max(d.into().saturating_add(r.into()));
+            }
+        }
+    }
+    (far, best)
 }
 
 /// Offset of row `i` in a packed upper triangle of order `n` (the layout of
@@ -882,6 +1042,196 @@ pub fn max_finite(dist: &[u64]) -> u64 {
         .filter(|&d| d != INFINITE_WEIGHT)
         .max()
         .unwrap_or(0)
+}
+
+/// What [`WeightedGraph::apsp_upper`] computes: the APSP triangle and what
+/// the §4 oracle derives from it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Apsp {
+    /// The packed upper triangle of the distances.
+    pub triangle: Triangle,
+    /// `ecc[i]`: the largest `d(i, j) + radii[j]` over the nodes `j`
+    /// reachable from `i`, `i` itself included.
+    pub ecc: Vec<u64>,
+    /// The largest finite distance (0 when there is none): the weighted
+    /// diameter, per-component diameters maxed.
+    pub diameter: u64,
+}
+
+/// A packed upper APSP triangle (the layout of
+/// [`WeightedGraph::apsp_upper`]) in one of two entry widths: 2 bytes, with
+/// `u16::MAX` for unreachable, or 4 bytes, with [`INFINITE_ENTRY`]. The
+/// width rule makes the width a pure function of the distances: 2 bytes
+/// exactly when the largest finite entry is below `u16::MAX`. This type
+/// alone reads, writes and decodes entries, so no caller matches on widths.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Triangle(Entries);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Entries {
+    Two(Vec<u16>),
+    Four(Vec<u32>),
+}
+
+/// An entry type of a [`Triangle`]; its largest value is the unreachable
+/// sentinel.
+trait Entry: Copy + Eq + Send + Sync + Into<u64> {
+    const INFINITE: Self;
+}
+
+impl Entry for u16 {
+    const INFINITE: u16 = u16::MAX;
+}
+
+impl Entry for u32 {
+    const INFINITE: u32 = INFINITE_ENTRY;
+}
+
+impl Triangle {
+    /// A triangle of 4-byte entries as they are, [`INFINITE_ENTRY`] for
+    /// unreachable.
+    pub fn wide(entries: Vec<u32>) -> Triangle {
+        Triangle(Entries::Four(entries))
+    }
+
+    /// The width rule: this triangle in 2-byte entries when `diameter`, its
+    /// largest finite entry, is below `u16::MAX`, else as it is. The kernel
+    /// narrows its 4-byte triangles with it, and the snapshot loader the
+    /// older layouts' triangles, so both hold the same width for the same
+    /// distances.
+    pub fn narrow(self, diameter: u64) -> Triangle {
+        match self.0 {
+            Entries::Four(wide) if diameter < u64::from(u16::MAX) => Triangle(Entries::Two(
+                // The sentinel, and only it, lies above `diameter`.
+                wide.iter()
+                    .map(|&d| d.min(u32::from(u16::MAX)) as u16)
+                    .collect(),
+            )),
+            entries => Triangle(entries),
+        }
+    }
+
+    /// Decodes `len` little-endian entries of `entry_bytes` (2 or 4) bytes
+    /// each, which must be all of `payload`.
+    pub fn decode(entry_bytes: u64, len: usize, payload: &[u8]) -> Result<Triangle, String> {
+        if entry_bytes != 2 && entry_bytes != 4 {
+            return Err(format!("entries of {entry_bytes} bytes (expected 2 or 4)"));
+        }
+        if len.checked_mul(entry_bytes as usize) != Some(payload.len()) {
+            return Err("length mismatch".into());
+        }
+        Ok(Triangle(if entry_bytes == 2 {
+            let le = |b: &[u8]| u16::from_le_bytes([b[0], b[1]]);
+            Entries::Two(payload.chunks_exact(2).map(le).collect())
+        } else {
+            let le = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            Entries::Four(payload.chunks_exact(4).map(le).collect())
+        }))
+    }
+
+    /// Bytes per entry: 2 or 4.
+    pub fn entry_bytes(&self) -> usize {
+        match self.0 {
+            Entries::Two(_) => 2,
+            Entries::Four(_) => 4,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Entries::Two(e) => e.len(),
+            Entries::Four(e) => e.len(),
+        }
+    }
+
+    /// Whether the triangle has no entries (a graph without nodes).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `k` as a distance, [`INFINITE_WEIGHT`] when unreachable.
+    #[inline]
+    pub fn get(&self, k: usize) -> u64 {
+        fn widen<E: Entry>(e: E) -> u64 {
+            if e == E::INFINITE {
+                INFINITE_WEIGHT
+            } else {
+                e.into()
+            }
+        }
+        match &self.0 {
+            Entries::Two(e) => widen(e[k]),
+            Entries::Four(e) => widen(e[k]),
+        }
+    }
+
+    /// Every entry as a distance, in packed order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|k| self.get(k))
+    }
+
+    /// The entries as the words a snapshot writes.
+    pub fn words(&self) -> Words<'_> {
+        match &self.0 {
+            Entries::Two(e) => Words::U16(e),
+            Entries::Four(e) => Words::U32(e),
+        }
+    }
+
+    /// Whether `diameter` can be this triangle's largest finite entry by
+    /// the width rule: below the sentinel, and below `u16::MAX` exactly
+    /// when the entries take 2 bytes.
+    pub fn follows_width_rule(&self, diameter: u64) -> bool {
+        match self.0 {
+            Entries::Two(_) => diameter < u64::from(u16::MAX),
+            Entries::Four(_) => {
+                (u64::from(u16::MAX)..u64::from(INFINITE_ENTRY)).contains(&diameter)
+            }
+        }
+    }
+
+    /// [`Apsp::ecc`] and [`Apsp::diameter`] by one pass over the triangle
+    /// of order `radii.len()`: entry `(i, j)` offers `d + radii[j]` to
+    /// `ecc[i]`, `d + radii[i]` to `ecc[j]`, and `d` to the diameter. Sums
+    /// of two 4-byte values cannot overflow the `u64` they are taken in.
+    ///
+    /// # Panics
+    /// Panics unless the triangle has `q(q + 1)/2` entries for `q =
+    /// radii.len()`.
+    pub fn eccentricities(&self, radii: &[u32]) -> (Vec<u64>, u64) {
+        fn scan<E: Entry>(entries: &[E], radii: &[u32]) -> (Vec<u64>, u64) {
+            let q = radii.len();
+            assert_eq!(
+                entries.len(),
+                upper_row_start(q, q),
+                "a triangle of order q"
+            );
+            let mut ecc = vec![0u64; q];
+            let mut diameter = 0;
+            let mut rows = entries;
+            for i in 0..q {
+                let (row, rest) = rows.split_at(q - i);
+                rows = rest;
+                let r_i = u64::from(radii[i]);
+                let mut best = 0;
+                for ((&d, &r_j), e_j) in row.iter().zip(&radii[i..]).zip(&mut ecc[i..]) {
+                    if d != E::INFINITE {
+                        let d: u64 = d.into();
+                        diameter = diameter.max(d);
+                        best = best.max(d + u64::from(r_j));
+                        *e_j = (*e_j).max(d + r_i);
+                    }
+                }
+                ecc[i] = ecc[i].max(best);
+            }
+            (ecc, diameter)
+        }
+        match &self.0 {
+            Entries::Two(e) => scan(e, radii),
+            Entries::Four(e) => scan(e, radii),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -915,24 +1265,38 @@ mod tests {
         assert_eq!(g.eccentricity(0), 1);
     }
 
+    /// `g`'s APSP with every radius 0, its triangle as distances.
+    fn apsp(g: &WeightedGraph) -> (Apsp, Vec<u64>) {
+        let apsp = g.apsp_upper(&vec![0; g.num_nodes()]);
+        let distances = apsp.triangle.iter().collect();
+        (apsp, distances)
+    }
+
     #[test]
     fn apsp_diameter_weighted_path() {
         let g = WeightedGraph::from_edges(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 4)]);
         assert_eq!(g.apsp_diameter(), 9);
         // Rows 0..4 of the triangle hold 4, 3, 2 and 1 entries.
+        let (upper, distances) = apsp(&g);
         assert_eq!(
-            g.apsp_upper(),
-            vec![0u32, 2, 5, 9, 0, 3, 7, 0, 4, 0],
+            distances,
+            vec![0, 2, 5, 9, 0, 3, 7, 0, 4, 0],
             "d(i, j) for i <= j, row-major"
         );
+        assert_eq!((upper.ecc, upper.diameter), (vec![9, 7, 5, 9], 9));
+        let with_radii = g.apsp_upper(&[1, 10, 100, 1000]);
+        assert_eq!(with_radii.ecc, vec![1009, 1007, 1004, 1000]);
+        assert_eq!(with_radii.triangle, upper.triangle);
         assert_eq!(upper_row_start(4, 1), 4);
         assert_eq!(upper_row_start(4, 3), 9);
         assert_eq!(upper_row_start(4, 4), 10);
-        assert!(WeightedGraph::from_edges(0, &[]).apsp_upper().is_empty());
+        assert!(apsp(&WeightedGraph::from_edges(0, &[])).1.is_empty());
         // An isolated node is unreachable from, and to, everything else.
         let g = WeightedGraph::from_edges(3, &[(0, 1, 2)]);
-        let inf = INFINITE_ENTRY;
-        assert_eq!(g.apsp_upper(), vec![0, 2, inf, 0, inf, 0]);
+        let inf = INFINITE_WEIGHT;
+        let (upper, distances) = apsp(&g);
+        assert_eq!(distances, vec![0, 2, inf, 0, inf, 0]);
+        assert_eq!((upper.ecc, upper.diameter), (vec![2, 2, 0], 2));
         assert_eq!(g.apsp_diameter(), 2);
     }
 
@@ -940,7 +1304,9 @@ mod tests {
     fn apsp_entries_up_to_u32_max_minus_one_round_trip() {
         let top = u64::from(u32::MAX) - 1;
         let g = WeightedGraph::from_edges(3, &[(0, 1, top - 5), (1, 2, 5)]);
-        assert_eq!(g.apsp_upper(), vec![0, u32::MAX - 6, u32::MAX - 1, 0, 5, 0]);
+        let (upper, distances) = apsp(&g);
+        assert_eq!(distances, vec![0, top - 5, top, 0, 5, 0]);
+        assert_eq!((upper.triangle.entry_bytes(), upper.diameter), (4, top));
         assert_eq!(g.apsp_diameter(), top);
         assert_eq!(upper_entry(top), Some(u32::MAX - 1));
         assert_eq!(upper_entry(INFINITE_WEIGHT), Some(INFINITE_ENTRY));
@@ -953,7 +1319,42 @@ mod tests {
     fn apsp_distance_reaching_u32_max_panics() {
         // d(0, 2) = u32::MAX exactly: it would read as unreachable.
         let g = WeightedGraph::from_edges(3, &[(0, 1, u64::from(u32::MAX) - 1), (1, 2, 1)]);
-        g.apsp_upper();
+        g.apsp_upper(&[0; 3]);
+    }
+
+    #[test]
+    fn entry_width_follows_the_largest_distance() {
+        // Uniform paths: (n − 1) · w is the diameter, and the bound. At
+        // 65,534 the lanes and entries are 16 bits; from 65,535 on, both
+        // are 32. A path of mixed weights with a diameter of 65,534 has a
+        // larger bound, so its `u32` lanes narrow into 2-byte entries.
+        for (n, w, bytes) in [(15u32, 4681u64, 2), (16, 4369, 4), (17, 4096, 4)] {
+            let edges: Vec<_> = (1..n).map(|v| (v - 1, v, w)).collect();
+            let g = WeightedGraph::from_edges(n as usize, &edges);
+            assert_eq!(g.distance_bound(), u64::from(n - 1) * w);
+            let (upper, distances) = apsp(&g);
+            assert_eq!(upper.diameter, u64::from(n - 1) * w);
+            assert_eq!(
+                upper.triangle.entry_bytes(),
+                bytes,
+                "diameter {}",
+                upper.diameter
+            );
+            assert!(upper.triangle.follows_width_rule(upper.diameter));
+            assert_eq!(distances[n as usize - 1], upper.diameter);
+        }
+        let g = WeightedGraph::from_edges(3, &[(0, 1, 65_000), (1, 2, 534)]);
+        assert!(g.distance_bound() >= u64::from(u16::MAX));
+        let (upper, distances) = apsp(&g);
+        assert_eq!((upper.diameter, upper.triangle.entry_bytes()), (65_534, 2));
+        assert_eq!(distances, vec![0, 65_000, 65_534, 0, 534, 0]);
+        let wide = Triangle::wide(vec![0, 65_000, 65_534, 0, 534, 0]);
+        assert_eq!(wide.clone().narrow(65_534), upper.triangle);
+        assert_eq!(wide.clone().narrow(65_535), wide);
+        // The lowest-id node of each component bounds it: a star of heavy
+        // spokes beside an isolated node has a bound of twice its spoke.
+        let g = WeightedGraph::from_edges(40, &[(1, 2, 30_000), (1, 3, 20_000)]);
+        assert_eq!(g.distance_bound(), 60_000);
     }
 
     #[test]
@@ -987,13 +1388,17 @@ mod tests {
     }
 
     /// Every lane of the hierarchy's kernel equals `dijkstra`, by node, on
-    /// `u64` lanes and, where the graph allows them, on `u32` lanes; each
-    /// chunk reuses one task state.
+    /// `u64` lanes and, where the bound allows them, on `u32` and `u16`
+    /// lanes; each chunk reuses one task state.
     fn assert_rows_match_dijkstra(g: &WeightedGraph) {
         let h = Hierarchy::build(g);
+        let bound = g.distance_bound();
         assert_lanes_match_dijkstra::<u64>(g, &h);
-        if g.u32_lanes() {
+        if bound < u64::from(u32::MAX) {
             assert_lanes_match_dijkstra::<u32>(g, &h);
+        }
+        if bound < u64::from(u16::MAX) {
+            assert_lanes_match_dijkstra::<u16>(g, &h);
         }
     }
 

@@ -254,10 +254,11 @@ fn weighted_diameter_is_delta_and_pool_invariant() {
 }
 
 /// The all-sources weighted kernels run sources in fixed chunks, so the
-/// packed `u32` APSP triangle and diameter are byte-identical across pool
-/// sizes — on the weighted quotient of a real decomposition (bucket queue)
-/// and on the same quotient with weights scaled past the bucket cap (heap
-/// fallback). The triangle's largest finite entry is the `u64` diameter.
+/// packed APSP triangle, its eccentricities and the diameter are
+/// byte-identical across pool sizes — on the weighted quotient of a real
+/// decomposition (bucket queue) and on the same quotient with weights
+/// scaled past the bucket cap (heap fallback). The triangle's largest
+/// finite entry is the `u64` diameter, and the kernel's too.
 #[test]
 fn weighted_apsp_is_byte_identical_across_pool_sizes() {
     for (name, g) in workload_graphs() {
@@ -268,15 +269,12 @@ fn weighted_apsp_is_byte_identical_across_pool_sizes() {
             .collect();
         let heavy = WeightedGraph::from_edges(wq.num_nodes(), &heavy_edges);
         for (queue, q) in [("bucket", &wq), ("heap", &heavy)] {
-            let (one, four) = on_both_pools(|| (q.apsp_upper(), q.apsp_diameter()));
+            let (one, four) = on_both_pools(|| (q.apsp_upper(&c.radii), q.apsp_diameter()));
             assert_eq!(one, four, "{queue} APSP diverged across pools on {name}");
-            let (upper, diameter) = (q.apsp_upper(), q.apsp_diameter());
-            let largest = upper.iter().filter(|&&d| d != u32::MAX).max();
-            assert_eq!(
-                largest.map_or(0, |&d| u64::from(d)),
-                diameter,
-                "{queue} on {name}"
-            );
+            let (upper, diameter) = (q.apsp_upper(&c.radii), q.apsp_diameter());
+            let largest = upper.triangle.iter().filter(|&d| d != u64::MAX).max();
+            assert_eq!(largest.unwrap_or(0), diameter, "{queue} on {name}");
+            assert_eq!(upper.diameter, diameter, "{queue} on {name}");
         }
     }
 }

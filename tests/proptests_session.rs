@@ -1,8 +1,9 @@
 //! Property tests for the PDEC2 session snapshot and the serve wire codec:
 //! `Session::save` → `Session::load` is the identity on bytes, every strict
 //! prefix of a snapshot is an error (never a silently shorter session),
-//! snapshots with a version-1 or version-2 `ORCL` section still load into
-//! the same session, arbitrary `ORCL` bytes never panic a load, request
+//! snapshots with a version-1, -2 or -3 `ORCL` section still load into
+//! the same session, arbitrary `ORCL` bytes never panic a load, a corrupt
+//! stored eccentricity or quotient diameter fails the checked load, request
 //! encoding round-trips through the frame decoder, and arbitrary bytes
 //! never panic the request, response and `STATS` decoders or a snapshot
 //! parse.
@@ -12,14 +13,17 @@ use pardec::core::wire;
 use pardec::graph::io::{save_snapshot_repr, SectionData, Snapshot, SECTION_GRAPH};
 use pardec::prelude::*;
 use proptest::prelude::*;
+use proptest::strategy::Just;
 
 /// One session — road 12×12, CLUSTER at τ = 2, seed 7 — saved in each older
-/// `ORCL` layout, with its version: 1 (the full `q × q` `u64` matrix) and 2
-/// (the packed `u64` upper triangle). `tests/fixtures/README.md` records
-/// the commands that wrote them.
-const ORCL_FIXTURES: [(u32, &[u8]); 2] = [
+/// `ORCL` layout, with its version: 1 (the full `q × q` `u64` matrix), 2
+/// (the packed `u64` upper triangle) and 3 (the packed `u32` upper
+/// triangle). `tests/fixtures/README.md` records the commands that wrote
+/// them.
+const ORCL_FIXTURES: [(u32, &[u8]); 3] = [
     (1, include_bytes!("fixtures/orcl_v1_road12_tau2_seed7.pdec")),
     (2, include_bytes!("fixtures/orcl_v2_road12_tau2_seed7.pdec")),
+    (3, include_bytes!("fixtures/orcl_v3_road12_tau2_seed7.pdec")),
 ];
 
 fn small_graph() -> impl Strategy<Value = CsrGraph> {
@@ -378,27 +382,53 @@ fn load_both(bytes: &[u8]) -> [std::io::Result<Session>; 2] {
     ]
 }
 
-/// The `ORCL` payload's distances as `u64`s: `width`-byte little-endian
-/// words after the `q u64` header.
-fn oracle_words(bytes: &[u8], width: usize) -> Vec<u64> {
-    let snap = Snapshot::parse(bytes).unwrap();
-    let body = snap.section(SECTION_ORACLE).unwrap().1;
-    body[8..]
-        .chunks_exact(width)
-        .map(|b| {
-            let mut word = [0u8; 8];
-            word[..width].copy_from_slice(b);
-            u64::from_le_bytes(word)
-        })
-        .collect()
+/// Offset of `bytes`' `ORCL` payload in the file.
+fn oracle_offset(bytes: &[u8]) -> usize {
+    Snapshot::parse(bytes).unwrap().sections()[oracle_entry(bytes)].offset
 }
 
-/// Both load paths read each older `ORCL` fixture (version 1 and version 2)
-/// into the oracle a fresh build computes, answer `DIST`, `ECC` and the
-/// diameter bounds identically, and re-save it as the fresh build's
-/// (version-3) snapshot. The fixtures' `GRPH` and `CLUS` payloads equal the
-/// fresh build's, and every version-3 entry is the older layout's word, with
-/// `u64::MAX` narrowed to `u32::MAX`.
+/// The `ORCL` payload's upper triangle of `q` clusters as `u64`
+/// distances, `u64::MAX` for unreachable, whatever its layout: version 1's
+/// full matrix and version 2's triangle of 8-byte words, version 3's of
+/// 4-byte words, and version 4's of the entry width its header names,
+/// after `Δ′_C` and `q` eccentricities.
+fn oracle_distances(bytes: &[u8]) -> Vec<u64> {
+    let snap = Snapshot::parse(bytes).unwrap();
+    let (version, body) = snap.section(SECTION_ORACLE).unwrap();
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let q = word(0) as usize;
+    let (start, width) = match version {
+        1 | 2 => (8, 8),
+        3 => (8, 4),
+        _ => (24 + 8 * q, word(8) as usize),
+    };
+    let words: Vec<u64> = body[start..]
+        .chunks_exact(width)
+        .map(|b| {
+            let mut w = [0u8; 8];
+            w[..width].copy_from_slice(b);
+            match u64::from_le_bytes(w) {
+                d if width < 8 && d == (1 << (8 * width)) - 1 => u64::MAX,
+                d => d,
+            }
+        })
+        .collect();
+    if version == 1 {
+        (0..q)
+            .flat_map(|i| words[i * q + i..(i + 1) * q].to_vec())
+            .collect()
+    } else {
+        words
+    }
+}
+
+/// Both load paths read each older `ORCL` fixture (versions 1 to 3) into
+/// the oracle a fresh build computes, answer `DIST`, `ECC` and the diameter
+/// bounds identically, and re-save it as the fresh build's (version-4,
+/// 2-byte) snapshot. The fixtures' `GRPH` and `CLUS` payloads equal the
+/// fresh build's, every older triangle holds the fresh build's distances,
+/// and the fresh build's stored `ecc` and `Δ′_C` are the scan of its
+/// triangle that a checked load repeats.
 #[test]
 fn orcl_v1_snapshot_loads_like_a_fresh_build() {
     let fresh = fixture_session();
@@ -409,9 +439,13 @@ fn orcl_v1_snapshot_loads_like_a_fresh_build() {
         fresh_snap.section(SECTION_ORACLE).unwrap().0,
         SECTION_ORACLE_VERSION
     );
-    let q = fresh.oracle().unwrap().num_clusters();
-    let fresh_entries = oracle_words(&fresh_bytes, 4);
-    assert_eq!(fresh_entries.len(), q * (q + 1) / 2);
+    let oracle = fresh.oracle().unwrap();
+    let q = oracle.num_clusters();
+    assert_eq!(oracle.entry_bytes(), 2);
+    let fresh_distances = oracle_distances(&fresh_bytes);
+    assert_eq!(fresh_distances.len(), q * (q + 1) / 2);
+    let body = fresh_snap.section(SECTION_ORACLE).unwrap().1;
+    assert_eq!(body.len(), 24 + 8 * q + 2 * q * (q + 1) / 2);
 
     let n = fresh.graph().num_nodes() as NodeId;
     let pairs: Vec<(NodeId, NodeId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
@@ -424,19 +458,11 @@ fn orcl_v1_snapshot_loads_like_a_fresh_build() {
         for tag in [SECTION_GRAPH, SECTION_CLUSTERING] {
             assert_eq!(snap.section(tag), fresh_snap.section(tag), "v{version}");
         }
-        let words = oracle_words(fixture, 8);
-        let upper: Vec<u64> = if version == 1 {
-            (0..q)
-                .flat_map(|i| words[i * q + i..(i + 1) * q].to_vec())
-                .collect()
-        } else {
-            words
-        };
-        let narrowed: Vec<u64> = upper
-            .iter()
-            .map(|&d| if d == u64::MAX { u32::MAX as u64 } else { d })
-            .collect();
-        assert_eq!(narrowed, fresh_entries, "v{version} entries");
+        assert_eq!(
+            oracle_distances(fixture),
+            fresh_distances,
+            "v{version} entries"
+        );
 
         for loaded in load_both(fixture) {
             let loaded = loaded.unwrap();
@@ -473,15 +499,20 @@ fn orcl_v1_snapshot_every_truncation_errors() {
 }
 
 /// An `ORCL` entry whose version does not match its payload is an error:
-/// each of versions 1, 2 and 3 over the other two layouts, and the unknown
-/// version 4 over every layout.
+/// each of versions 1 to 4 over the other three layouts, and the unknown
+/// version 5 over every layout.
 #[test]
 fn orcl_version_must_match_the_payload() {
-    let mut v3 = Vec::new();
-    fixture_session().save(&mut v3).unwrap();
-    let layouts = [ORCL_FIXTURES[0], ORCL_FIXTURES[1], (3, &v3[..])];
+    let mut v4 = Vec::new();
+    fixture_session().save(&mut v4).unwrap();
+    let layouts = [
+        ORCL_FIXTURES[0],
+        ORCL_FIXTURES[1],
+        ORCL_FIXTURES[2],
+        (4, &v4[..]),
+    ];
     for (layout, bytes) in layouts {
-        for version in (1..=4).filter(|&v| v != layout) {
+        for version in (1..=5).filter(|&v| v != layout) {
             assert!(
                 load_both(&with_oracle_version(bytes, version))
                     .iter()
@@ -498,7 +529,11 @@ fn orcl_version_must_match_the_payload() {
 
 /// A finite `u64` word of an older `ORCL` layout that does not fit a `u32`
 /// entry (`2³²`, or exactly `u32::MAX`, which would read as unreachable) is
-/// an error on both load paths; the word `u64::MAX` loads, as unreachable.
+/// an error on both load paths; the word `u64::MAX` loads, as unreachable,
+/// and so does a version-3 entry of `u32::MAX`. In version 4 every entry
+/// fits its width, and it is the stored `Δ′_C` that must: `u16::MAX` over
+/// 2-byte entries, `2³²` and more over any, and any entry width but 2 and
+/// 4, fail on both paths.
 #[test]
 fn orcl_finite_words_must_fit_u32() {
     let fresh = fixture_session();
@@ -506,29 +541,89 @@ fn orcl_finite_words_must_fit_u32() {
     let (u, v) = (c.centers[0], c.centers[1]);
     assert_ne!(fresh.distance(&[(u, v)]).unwrap().0[0], u64::MAX);
     for (version, fixture) in ORCL_FIXTURES {
-        // Entry (0, 1) is word 1 of both layouts: the second word of row 0.
-        let snap = Snapshot::parse(fixture).unwrap();
-        let at = snap.sections()[oracle_entry(fixture)].offset + 8 + 8;
+        // Entry (0, 1) is word 1 of every layout: the second word of row 0.
+        let width = if version == 3 { 4 } else { 8 };
+        let at = oracle_offset(fixture) + 8 + width;
         let patched = |word: u64| {
             let mut bytes = fixture.to_vec();
-            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            bytes[at..at + width].copy_from_slice(&word.to_le_bytes()[..width]);
             bytes
         };
-        for word in [1u64 << 32, u32::MAX as u64] {
-            assert!(
-                load_both(&patched(word)).iter().all(Result::is_err),
-                "v{version} word {word} loaded"
-            );
+        if width == 8 {
+            for word in [1u64 << 32, u32::MAX as u64] {
+                assert!(
+                    load_both(&patched(word)).iter().all(Result::is_err),
+                    "v{version} word {word} loaded"
+                );
+            }
         }
         for loaded in load_both(&patched(u64::MAX)) {
             let (dist, _) = loaded.unwrap().distance(&[(u, v)]).unwrap();
             assert_eq!(
                 dist,
                 [u64::MAX],
-                "v{version}: u64::MAX must read as unreachable"
+                "v{version}: the sentinel must read as unreachable"
             );
         }
     }
+    let mut v4 = Vec::new();
+    fresh.save(&mut v4).unwrap();
+    let at = oracle_offset(&v4);
+    let patched = |field: usize, word: u64| {
+        let mut bytes = v4.clone();
+        bytes[at + 8 * field..at + 8 * field + 8].copy_from_slice(&word.to_le_bytes());
+        bytes
+    };
+    for (field, word) in [
+        (1, 0),
+        (1, 3),
+        (1, 4),
+        (1, 8),
+        (1, u64::MAX),
+        (2, u16::MAX as u64),
+        (2, 1 << 32),
+        (2, u64::MAX),
+    ] {
+        assert!(
+            load_both(&patched(field, word)).iter().all(Result::is_err),
+            "v4 header word {field} = {word} loaded"
+        );
+    }
+}
+
+/// The eccentricities and `Δ′_C` a version-4 `ORCL` section stores are
+/// trusted by the fast load path, as its distances are, and checked by
+/// `load_checked` (behind `snapshot info` and `serve --checked`): one
+/// flipped `ecc` word, or a flipped `Δ′_C` word that still fits the entry
+/// width, loads fast and fails the checked load with an error naming the
+/// oracle.
+#[test]
+fn orcl_v4_stored_eccentricities_and_diameter_are_checked() {
+    let fresh = fixture_session();
+    let mut v4 = Vec::new();
+    fresh.save(&mut v4).unwrap();
+    let at = oracle_offset(&v4);
+    let q = fresh.oracle().unwrap().num_clusters();
+    let flipped = |field: usize| {
+        let mut bytes = v4.clone();
+        bytes[at + 8 * field] ^= 1;
+        bytes
+    };
+    let diameter = fresh.oracle().unwrap().quotient_diameter();
+    // `Δ′_C` (field 2), then the first, a middle and the last `ecc` word.
+    for field in [2, 3, 3 + q / 2, 2 + q] {
+        let bytes = flipped(field);
+        let fast = Session::load(&bytes, FrontierStrategy::TopDown).unwrap();
+        if field == 2 {
+            let stored = fast.oracle().unwrap().quotient_diameter();
+            assert_eq!(stored, diameter ^ 1);
+        } else {
+            assert_ne!(fast.oracle(), fresh.oracle());
+        }
+        let err = Session::load_checked(&bytes, FrontierStrategy::TopDown).unwrap_err();
+        assert!(err.to_string().contains("oracle"), "field {field}: {err}");
+    }
+    assert!(load_both(&v4).iter().all(Result::is_ok));
 }
 
 /// A small session, with its clustering payload, for the arbitrary-`ORCL`
@@ -553,31 +648,53 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A valid snapshot whose `ORCL` body is replaced by arbitrary bytes —
-    /// of any length from 0 to twice the layout's, under versions 0–4, with
+    /// of any length from 0 to twice the layout's, under versions 0–5, with
     /// or without the right cluster count up front, with or without every
     /// byte pushed to `0xFE`/`0xFF` (entries at and next to `u32::MAX`), and
     /// with or without the high half of each 8-byte word cleared so that
-    /// older layouts decode — loads or fails on both paths and never
-    /// panics. A load that succeeds answers `DIST` and `ECC` without
-    /// panicking.
+    /// older layouts decode; version-4 bodies with an entry-bytes word of
+    /// 2, 4 or another value and a `Δ′_C` word that does or does not fit
+    /// the width, truncated anywhere (in the header, the eccentricities or
+    /// the triangle) — loads or fails on both paths and never panics. A
+    /// load that succeeds answers `DIST`, `ECC` and the diameter bounds
+    /// without panicking. Up to version 3 both paths agree; a version-4
+    /// body that the checked path accepts, the fast path accepts too.
     #[test]
     fn arbitrary_orcl_bytes_never_panic_a_load(
-        version in 0u32..5,
+        version in 0u32..6,
         noise in proptest::collection::vec(any::<u8>(), 0..1200),
         exact_len in any::<bool>(),
         len_pick in 0usize..1 << 20,
         right_q in any::<bool>(),
         high_bytes in any::<bool>(),
         small_words in any::<bool>(),
+        entry_bytes in prop_oneof![
+            Just(2u64),
+            Just(4),
+            prop_oneof![Just(0u64), Just(3), Just(8), Just(u64::MAX), any::<u64>()],
+        ],
+        diameter in any::<u64>(),
+        fits in any::<bool>(),
     ) {
+        // A `Δ′_C` word that fits the entry width half of the time.
+        let diameter = match (fits, entry_bytes) {
+            (true, 2) => diameter % 65_535,
+            (true, 4) => 65_535 + diameter % (u64::from(u32::MAX) - 65_535),
+            _ => diameter,
+        };
         let (s, clus) = arbitrary_oracle_base();
         let q = s.clustering().num_clusters();
         let entries = match version {
             1 => q * q,
             _ => q * (q + 1) / 2,
         };
-        let width = if version == 1 || version == 2 { 8 } else { 4 };
-        let expected = 8 + width * entries;
+        let width = match version {
+            1 | 2 => 8,
+            4 => (entry_bytes as usize).min(8),
+            _ => 4,
+        };
+        let head = if version == 4 { 24 + 8 * q } else { 8 };
+        let expected = head + width * entries;
         let len = if exact_len { expected } else { len_pick % (2 * expected + 1) };
         let mut body: Vec<u8> = noise
             .iter()
@@ -587,6 +704,13 @@ proptest! {
             .collect();
         if right_q && len >= 8 {
             body[..8].copy_from_slice(&(q as u64).to_le_bytes());
+        }
+        if version == 4 {
+            for (k, word) in [entry_bytes, diameter].into_iter().enumerate() {
+                let at = 8 + 8 * k;
+                let room = len.saturating_sub(at).min(8);
+                body[at.min(len)..at.min(len) + room].copy_from_slice(&word.to_le_bytes()[..room]);
+            }
         }
         if small_words && width == 8 && len > 8 {
             for word in body[8..].chunks_mut(8) {
@@ -603,10 +727,15 @@ proptest! {
         save_snapshot_repr(s.graph(), &sections, &mut bytes).unwrap();
         let nodes: Vec<NodeId> = (0..s.graph().num_nodes() as NodeId).collect();
         let [fast, checked] = load_both(&bytes);
-        prop_assert_eq!(fast.is_ok(), checked.is_ok());
+        if version == 4 {
+            prop_assert!(fast.is_ok() || checked.is_err());
+        } else {
+            prop_assert_eq!(fast.is_ok(), checked.is_ok());
+        }
         for loaded in [fast, checked].into_iter().flatten() {
             loaded.distance(&[(0, nodes.len() as NodeId - 1)]).unwrap();
             loaded.eccentricity(&nodes).unwrap();
+            loaded.diameter(true, None);
         }
     }
 }

@@ -18,13 +18,19 @@
 //!   deeply, or around a core searched on the heap, and at the corners of
 //!   its sixteen-source chunks: no core, a partial last chunk, everything
 //!   in the core, and weights that need `u64` lanes;
+//! * the triangle's entry width follows the width rule (2 bytes exactly when
+//!   the largest finite distance is below `u16::MAX`), also at diameters of
+//!   65,534, 65,535 and 65,536, where `u32` lanes narrow into 2-byte
+//!   entries, and on `u64` lanes; and the kernel's eccentricities under
+//!   per-node radii and its diameter equal a brute-force loop over the
+//!   heap rows;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
 //!   (any permutation builds a byte-identical graph).
 
 use pardec::core::weighted_cluster::naive;
 use pardec::graph::frontier::{multi_source_bfs, FrontierStrategy};
 use pardec::graph::naive::dijkstra as heap_dijkstra;
-use pardec::graph::weighted::{upper_row_start, INFINITE_ENTRY, INFINITE_WEIGHT};
+use pardec::graph::weighted::{upper_row_start, INFINITE_WEIGHT};
 use pardec::graph::wfrontier::multi_source_dijkstra;
 use pardec::prelude::*;
 use proptest::prelude::*;
@@ -274,13 +280,15 @@ fn kernel_graphs() -> impl Strategy<Value = WeightedGraph> {
 
 /// Shapes at the corners of the chunked all-sources kernel (sixteen
 /// sources per lane matrix), each with a flag that is set when its weights
-/// force the `u64` lanes: trees and forests (no core, so no core table);
-/// node counts one below, at and one above a multiple of 16 (a last chunk
-/// with unused lanes); a weighted clique past the elimination cap (every
-/// node in the core); and graphs with `(n − 1) · max_weight ≥ u32::MAX`
-/// whose distances still fit a `u32` entry: a mesh (with a core) beside a
-/// path, a star (without a core) and a clique past the cap, weighted near
-/// `u32::MAX` over their hop diameter plus one.
+/// reach the hop bound, `(n − 1) · max_weight ≥ u32::MAX`: trees and
+/// forests (no core, so no core table); node counts one below, at and one
+/// above a multiple of 16 (a last chunk with unused lanes); a weighted
+/// clique past the elimination cap (every node in the core); and graphs
+/// whose distances still fit a `u32` entry, weighted near `u32::MAX` over
+/// their hop diameter plus one: a mesh (with a core) beside a path, whose
+/// lowest-id node's eccentricity also forces `u64` lanes, and a star
+/// (without a core) and a clique past the cap, which that eccentricity
+/// keeps on `u32` lanes.
 fn chunk_graphs() -> impl Strategy<Value = (WeightedGraph, bool)> {
     prop_oneof![
         (1usize..70, 1u64..500, 1u64..40, any::<bool>()).prop_map(|(n, s, w, forest)| {
@@ -318,37 +326,200 @@ fn chunk_graphs() -> impl Strategy<Value = (WeightedGraph, bool)> {
     ]
 }
 
-/// Every `u32` entry `(i, j ≥ i)` of `apsp_upper` equals both
-/// `naive::dijkstra(i)[j]` and `naive::dijkstra(j)[i]` (`u32::MAX` where
-/// they are unreachable), `dijkstra` equals the heap reference,
-/// `apsp_diameter` is the triangle's largest finite entry, and both are
-/// identical on 1 and 4 threads.
-fn assert_apsp_matches_heap_dijkstra(g: &WeightedGraph) {
-    let (one, four) = on_both_pools(|| (g.apsp_upper(), g.apsp_diameter()));
-    assert_eq!(one, four);
-    let (upper, diameter) = one;
-    let n = g.num_nodes();
-    assert_eq!(upper.len(), n * (n + 1) / 2);
-    let reference: Vec<Vec<u64>> = (0..n as NodeId).map(|u| heap_dijkstra(g, u)).collect();
-    let entry = |d: u64| match d {
-        INFINITE_WEIGHT => INFINITE_ENTRY,
-        d => u32::try_from(d).expect("kernel graphs keep distances small"),
-    };
-    for i in 0..n {
-        for j in i..n {
-            let d = upper[upper_row_start(n, i) + (j - i)];
-            assert_eq!(d, entry(reference[i][j]), "d({i}, {j})");
-            assert_eq!(d, entry(reference[j][i]), "d({i}, {j}) vs d({j}, {i})");
-        }
-        assert_eq!(g.dijkstra(i as NodeId), reference[i], "dijkstra({i})");
-    }
-    let largest = upper
-        .iter()
-        .copied()
-        .filter(|&d| d != INFINITE_ENTRY)
+/// The bound that picks the kernel's lanes, from the reference rows: the
+/// smaller of `(n − 1) · max_weight` and twice the largest distance from
+/// the lowest-id node of any component.
+fn lane_bound(g: &WeightedGraph, reference: &[Vec<u64>]) -> u64 {
+    let max_w = (0..g.num_nodes() as NodeId)
+        .flat_map(|u| g.neighbors(u).map(|(_, w)| w))
         .max()
         .unwrap_or(0);
-    assert_eq!(diameter, u64::from(largest));
+    let hops = (g.num_nodes().saturating_sub(1) as u128 * u128::from(max_w))
+        .min(u128::from(u64::MAX)) as u64;
+    let roots = reference
+        .iter()
+        .enumerate()
+        .filter(|(u, row)| row[..*u].iter().all(|&d| d == INFINITE_WEIGHT))
+        .flat_map(|(_, row)| row.iter().copied().filter(|&d| d != INFINITE_WEIGHT))
+        .max()
+        .unwrap_or(0);
+    hops.min(roots.saturating_mul(2))
+}
+
+/// Every entry `(i, j ≥ i)` of `apsp_upper`'s triangle equals both
+/// `naive::dijkstra(i)[j]` and `naive::dijkstra(j)[i]` (unreachable
+/// included), `dijkstra` equals the heap reference, the entry width follows
+/// the width rule, the kernel's `ecc` under `radii` and its diameter equal
+/// a brute-force loop over the reference rows, `apsp_diameter` is that
+/// diameter, and all of it is identical on 1 and 4 threads. Returns the
+/// diameter and the lane bound.
+fn assert_apsp_matches_heap_dijkstra(g: &WeightedGraph, radii: &[u32]) -> (u64, u64) {
+    let (one, four) = on_both_pools(|| (g.apsp_upper(radii), g.apsp_diameter()));
+    assert_eq!(one, four);
+    let (apsp, diameter) = one;
+    let n = g.num_nodes();
+    assert_eq!(apsp.triangle.len(), n * (n + 1) / 2);
+    let reference: Vec<Vec<u64>> = (0..n as NodeId).map(|u| heap_dijkstra(g, u)).collect();
+    for (i, row) in reference.iter().enumerate() {
+        for (j, &d_ij) in row.iter().enumerate().skip(i) {
+            let d = apsp.triangle.get(upper_row_start(n, i) + (j - i));
+            assert_eq!(d, d_ij, "d({i}, {j})");
+            assert_eq!(d, reference[j][i], "d({i}, {j}) vs d({j}, {i})");
+        }
+        assert_eq!(&g.dijkstra(i as NodeId), row, "dijkstra({i})");
+    }
+    let finite = |d: &&u64| **d != INFINITE_WEIGHT;
+    let largest = reference
+        .iter()
+        .flatten()
+        .filter(finite)
+        .max()
+        .map_or(0, |&d| d);
+    assert!(
+        largest < u64::from(u32::MAX),
+        "kernel graphs keep distances small"
+    );
+    let ecc: Vec<u64> = reference
+        .iter()
+        .map(|row| {
+            row.iter()
+                .zip(radii)
+                .filter(|(d, _)| finite(d))
+                .map(|(&d, &r)| d + u64::from(r))
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    assert_eq!((apsp.diameter, diameter), (largest, largest));
+    assert_eq!(apsp.ecc, ecc);
+    let bytes = if largest < u64::from(u16::MAX) { 2 } else { 4 };
+    assert_eq!(apsp.triangle.entry_bytes(), bytes, "diameter {largest}");
+    (largest, lane_bound(g, &reference))
+}
+
+/// A path `0 – 1 – … – (n − 1)` whose weights, from `raw`'s proportions,
+/// add up to exactly `total` (some may be 0), then, for a cycle, a closing
+/// edge of `total + extra`: either way `d(0, n − 1) = total` is the largest
+/// distance. With `first`, the first edge weighs `total / 2 + 1`.
+fn exact_path(raw: &[u64], total: u64, first: bool, close: Option<u64>) -> WeightedGraph {
+    let n = raw.len() + 1;
+    let (head, rest) = if first {
+        (total / 2 + 1, &raw[1..])
+    } else {
+        (0, raw)
+    };
+    let sum: u64 = rest.iter().sum();
+    let mut prefix = 0;
+    let mut edges = Vec::new();
+    if first {
+        edges.push((0, 1, head));
+    }
+    for (k, &r) in rest.iter().enumerate() {
+        let at = |p: u64| (total - head) * p / sum;
+        let v = (n - rest.len() + k) as NodeId;
+        edges.push((v - 1, v, at(prefix + r) - at(prefix)));
+        prefix += r;
+    }
+    if let Some(extra) = close {
+        edges.push((n as NodeId - 1, 0, total + extra));
+    }
+    WeightedGraph::from_edges(n, &edges)
+}
+
+/// What a corner case of [`width_graphs`] promises about its distances.
+#[derive(Clone, Copy, Debug)]
+enum Corner {
+    /// Nothing beyond the common checks.
+    Any,
+    /// The largest distance is exactly this.
+    Diameter(u64),
+    /// `B ≥ u16::MAX > Δ`: `u32` lanes narrow into 2-byte entries.
+    Slack,
+    /// `B ≥ u32::MAX`: the kernel runs on `u64` lanes.
+    WideLanes,
+}
+
+/// Corner cases of the width rule and the lane bound: weighted paths and
+/// cycles whose largest distance is 65,534, 65,535 or 65,536 (uniform
+/// paths at 65,534 run on `u16` lanes, mixed weights on `u32` lanes that
+/// narrow); paths with a heavy first edge and a diameter in `[32,768,
+/// 65,535)`, where `B ≥ 65,535 > Δ`; a mesh beside a path weighted near
+/// `u32::MAX` over its hop diameter plus one, which needs `u64` lanes; and
+/// disconnected graphs with isolated nodes, light or heavy.
+fn width_graphs() -> impl Strategy<Value = (WeightedGraph, Corner)> {
+    let targets = prop_oneof![Just(65_534u64), Just(65_535), Just(65_536)];
+    prop_oneof![
+        // Uniform paths: `(n − 1) · w` for each target's divisors.
+        prop_oneof![
+            Just((15usize, 4681u64)),
+            Just((3, 32_767)),
+            Just((16, 4369)),
+            Just((52, 1285)),
+            Just((17, 4096)),
+            Just((5, 16_384)),
+        ]
+        .prop_map(|(n, w)| {
+            let edges: Vec<_> = (1..n as NodeId).map(|v| (v - 1, v, w)).collect();
+            let total = (n as u64 - 1) * w;
+            (
+                WeightedGraph::from_edges(n, &edges),
+                Corner::Diameter(total),
+            )
+        }),
+        (
+            proptest::collection::vec(1u64..1000, 1..70),
+            targets,
+            any::<bool>(),
+            0u64..1000,
+        )
+            .prop_map(|(raw, total, cycle, extra)| {
+                let close = cycle.then_some(extra);
+                (
+                    exact_path(&raw, total, false, close),
+                    Corner::Diameter(total),
+                )
+            }),
+        (
+            proptest::collection::vec(1u64..1000, 4..40),
+            32_768u64..65_535,
+            any::<bool>(),
+            0u64..1000,
+        )
+            .prop_map(|(raw, total, cycle, extra)| {
+                let close = cycle.then_some(extra);
+                (exact_path(&raw, total, true, close), Corner::Slack)
+            }),
+        (3usize..8, 3usize..8, 1u64..500).prop_map(|(r, c, s)| {
+            let top = u64::from(u32::MAX) / (r + c - 1) as u64;
+            let g = generators::disjoint_union(&generators::mesh(r, c), &generators::path(3));
+            (weigh(&g, s, 1000, |w| top - w + 1), Corner::WideLanes)
+        }),
+        (
+            2usize..60,
+            0usize..120,
+            0usize..5,
+            1u64..500,
+            prop_oneof![Just(20u64), Just(5000), Just(40_000)],
+        )
+            .prop_map(|(n, m, isolated, s, w)| {
+                let g = generators::disjoint_union(
+                    &generators::gnm(n, m.min(n * (n - 1) / 2), s),
+                    &CsrGraph::empty(isolated),
+                );
+                let g = generators::disjoint_union(&CsrGraph::empty(isolated), &g);
+                (weigh(&g, s, w, |w| w), Corner::Any)
+            }),
+    ]
+}
+
+/// Per-node radii from a seed: all zero, small, or up to `u32::MAX`.
+fn radii(n: usize, seed: u64, max: u64) -> Vec<u32> {
+    (0..n as u64)
+        .map(|v| {
+            let h = v.wrapping_add(seed).wrapping_mul(0x9e3779b97f4a7c15);
+            ((h >> 17) % (max + 1)) as u32
+        })
+        .collect()
 }
 
 proptest! {
@@ -359,11 +530,11 @@ proptest! {
     /// [`assert_apsp_matches_heap_dijkstra`] on the kernel graphs.
     #[test]
     fn apsp_kernel_matches_heap_dijkstra(g in kernel_graphs()) {
-        assert_apsp_matches_heap_dijkstra(&g);
+        assert_apsp_matches_heap_dijkstra(&g, &vec![0; g.num_nodes()]);
     }
 
     /// [`assert_apsp_matches_heap_dijkstra`] at the chunked kernel's
-    /// corners; the flagged shapes must really need `u64` lanes.
+    /// corners; the flagged shapes must really reach the hop bound.
     #[test]
     fn apsp_chunks_match_heap_dijkstra(case in chunk_graphs()) {
         let (g, wide) = case;
@@ -373,7 +544,28 @@ proptest! {
             .unwrap_or(0);
         let bound = (g.num_nodes() as u128 - 1) * u128::from(max_w);
         prop_assert_eq!(wide, bound >= u128::from(u32::MAX), "n = {}, max weight {}", g.num_nodes(), max_w);
-        assert_apsp_matches_heap_dijkstra(&g);
+        assert_apsp_matches_heap_dijkstra(&g, &vec![0; g.num_nodes()]);
+    }
+
+    /// [`assert_apsp_matches_heap_dijkstra`] under random per-node radii on
+    /// the kernel graphs and the width rule's corners, each of which must
+    /// hold what it promises.
+    #[test]
+    fn apsp_widths_and_eccentricities_match_heap_dijkstra(
+        case in prop_oneof![kernel_graphs().prop_map(|g| (g, Corner::Any)), width_graphs()],
+        seed in any::<u64>(),
+        max_radius in prop_oneof![Just(0u64), 1u64..60, Just(u64::from(u32::MAX))],
+    ) {
+        let (g, corner) = case;
+        let radii = radii(g.num_nodes(), seed, max_radius);
+        let (diameter, bound) = assert_apsp_matches_heap_dijkstra(&g, &radii);
+        let u16_max = u64::from(u16::MAX);
+        match corner {
+            Corner::Any => {}
+            Corner::Diameter(d) => prop_assert_eq!(diameter, d),
+            Corner::Slack => prop_assert!(bound >= u16_max && diameter < u16_max, "B {} Δ {}", bound, diameter),
+            Corner::WideLanes => prop_assert!(bound >= u64::from(u32::MAX), "B {}", bound),
+        }
     }
 }
 
