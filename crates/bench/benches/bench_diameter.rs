@@ -1,5 +1,7 @@
 //! Criterion bench: the Table 3/4 diameter pipeline — our quotient-based
-//! approximation vs the BFS baseline vs exact iFUB.
+//! approximation vs the BFS baseline vs the exact routine of
+//! `pardec_graph::diameter`. The cycle is the exact routine's worst case:
+//! every eccentricity is equal, so its bounds close no node.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pardec_core::bfs_baseline::bfs_diameter;
@@ -11,6 +13,7 @@ fn bench_diameter(c: &mut Criterion) {
     let workloads = [
         ("mesh-100x100", generators::mesh(100, 100)),
         ("road-100x100", generators::road_network(100, 100, 0.4, 103)),
+        ("cycle-4000", generators::cycle(4000)),
     ];
     for (name, g) in &workloads {
         let tau = (g.num_nodes() / 100 / 40).max(1);
@@ -20,8 +23,8 @@ fn bench_diameter(c: &mut Criterion) {
         group.bench_function(format!("{name}/bfs-2approx"), |b| {
             b.iter(|| bfs_diameter(g, 11))
         });
-        group.bench_function(format!("{name}/ifub-exact"), |b| {
-            b.iter(|| diameter::ifub(g, 0))
+        group.bench_function(format!("{name}/exact"), |b| {
+            b.iter(|| diameter::exact_diameter(g))
         });
     }
     group.finish();

@@ -153,10 +153,9 @@ pub fn tau_for_target(n: usize, target: usize) -> usize {
 }
 
 /// Ground-truth diameter of a dataset: the exact diameter, as
-/// [`pardec_graph::diameter::exact_diameter`] computes it (all-pairs BFS on
-/// small graphs, iFUB above). On the low-diameter social sets iFUB needs
-/// few BFS (4 on `synth-social-small` and 14 on `synth-social-large` at the
-/// default scale), so no sampled lower bound has to stand in for it.
+/// [`pardec_graph::diameter::exact_diameter`] computes it. At the default
+/// scale its routine needs 10, 5, 5, 4, 10 and 5 BFS on the six sets, in
+/// [`datasets`] order, so no sampled lower bound has to stand in for it.
 pub fn exact_diameter(g: &CsrGraph) -> u32 {
     pardec_graph::diameter::exact_diameter(g)
 }

@@ -394,7 +394,7 @@ fn cmd_dist_weighted(args: &Args) -> CmdResult {
         a.trace.delta
     )?;
     if args.has_flag("exact") {
-        let exact = g.apsp_diameter();
+        let exact = diameter::exact(&g).diameter;
         out!("exact diameter       {exact}")?;
         out!(
             "approximation ratio  {:.3}",

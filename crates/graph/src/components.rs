@@ -5,7 +5,13 @@ use crate::{CsrGraph, GraphBuilder, NodeId, INVALID_NODE};
 /// Labels every node with a component id in `0..count` (ids assigned in
 /// order of discovery by increasing seed node). Returns `(count, labels)`.
 pub fn connected_components(g: &CsrGraph) -> (usize, Vec<NodeId>) {
-    let n = g.num_nodes();
+    label_components(g.raw_offsets(), g.raw_targets())
+}
+
+/// [`connected_components`] of the CSR adjacency `offsets` / `targets`, the
+/// layout every graph type here shares.
+pub(crate) fn label_components(offsets: &[usize], targets: &[NodeId]) -> (usize, Vec<NodeId>) {
+    let n = offsets.len() - 1;
     let mut label = vec![INVALID_NODE; n];
     let mut count: NodeId = 0;
     let mut stack: Vec<NodeId> = Vec::new();
@@ -16,7 +22,7 @@ pub fn connected_components(g: &CsrGraph) -> (usize, Vec<NodeId>) {
         label[s as usize] = count;
         stack.push(s);
         while let Some(u) = stack.pop() {
-            for &v in g.neighbors(u) {
+            for &v in &targets[offsets[u as usize]..offsets[u as usize + 1]] {
                 if label[v as usize] == INVALID_NODE {
                     label[v as usize] = count;
                     stack.push(v);

@@ -1,19 +1,68 @@
-//! Exact diameter computation — the ground-truth `Δ` column of Tables 1, 3
-//! and 4.
+//! Exact diameter computation — `Δ_C`, `pardec dist exact`, and the
+//! ground-truth `Δ` column of Tables 1, 3 and 4.
 //!
-//! Three routines, in increasing sophistication:
-//! * [`apsp_diameter`] — BFS from every node (parallelized), `O(n(n + m))`;
-//!   fine for quotient graphs and test fixtures;
-//! * [`double_sweep`] — classic 2-sweep lower bound, also yields a good iFUB
-//!   root (the midpoint of the sweep path);
-//! * [`ifub`] — the iFUB algorithm (Crescenzi et al.), exact on connected
-//!   graphs, usually terminating after a handful of BFS runs on road-like
-//!   and mesh-like topologies.
+//! * [`exact`] — the routine every exact diameter runs, generic over a
+//!   single-source kernel ([`SingleSource`]: BFS on a [`CsrGraph`],
+//!   Dijkstra on a [`crate::WeightedGraph`]), with [`exact_diameter`] and
+//!   [`ifub`] its unweighted entry points;
+//! * [`apsp_diameter`] — BFS from every node (parallelized), `O(n(n + m))`,
+//!   the test oracle;
+//! * [`double_sweep`] — the classic 2-sweep lower bound.
+//!
+//! # Exact diameters from a few searches
+//!
+//! [`exact`] takes each connected component apart. On one component every
+//! search from a source `s` tightens two bounds: the *lower bound*, the
+//! largest eccentricity found, and per node `v` the *upper bound*
+//! `min_s ecc(s) + d(s, v)` on `ecc(v)` (Takes and Kosters, 2011). A node
+//! whose upper bound is at most the lower bound cannot raise it, and is
+//! *closed*. The routine runs in three steps:
+//!
+//! 1. *Sum sweeps* (Borassi et al., 2015) find a central root: the first
+//!    search starts at the node of largest degree, and each of the next two
+//!    at the open node farthest, in sum, from the sources so far. Then root
+//!    candidates are searched, each the open node of least eccentricity
+//!    lower bound (the largest `d(s, v)` or `ecc(s) − d(s, v)` over the
+//!    sources), then of least distance sum: at most four, while each one
+//!    lowers the least eccentricity found, whose node is the root. The
+//!    searches of this step are the *pivots*: every node keeps its distance
+//!    from each.
+//! 2. Nodes are visited in iFUB's order (Crescenzi et al., 2013), by
+//!    decreasing distance `r` from the root, each distance's open nodes by
+//!    decreasing upper bound, then increasing id. The loop stops once the
+//!    lower bound reaches `2r`: every pair left lies within `2r` of each
+//!    other through the root.
+//! 3. A visited node `x` is searched only if it is open and has a
+//!    *partner*: an open node `y`, no farther from the root and not itself
+//!    passed over, with `d(p, x) + d(p, y)` above the lower bound for every
+//!    pivot `p`. Only such a pair can be farther apart than the lower
+//!    bound. For each pair of sweeps, a Pareto staircase of the nodes' two
+//!    distances rules most nodes out in a few binary searches; the rest
+//!    scan their candidate partners.
+//!
+//! It also stops once every node is closed. On graphs of 16,384 nodes or
+//! more, step 2's searches run in parallel batches: a batch doubles (up to
+//! 64, and 16 MiB of distances) while none of its searches was made
+//! needless by those before it, and falls back to one search when one
+//! was. Batches and sources follow from the bounds and node ids alone, so
+//! the diameter and the search count are the same at every pool size.
+//!
+//! On the paper tables' six datasets at the default scale the routine runs
+//! 10, 5, 5, 4, 10 and 5 searches, and on the benchmark's quotients 5–16
+//! (`serve`), 5–41 (`road`) and 2–26 (`social`); on cycles, tori and
+//! meshes the pivots rule out every pair after the fifth search, where
+//! iFUB alone runs about half the nodes. Graphs whose far ends hold many
+//! nodes at the diameter cost more: 137 searches on the tables'
+//! `synth-social-large` at CI scale, hundreds to about 1,900 on windowed
+//! power-law graphs with wide windows, and 1,600–2,100 on plain
+//! preferential attachment with 20,000 nodes, where iFUB alone runs
+//! 2,100–4,400 BFS.
 
 use crate::frontier::{single_source_bfs, FrontierStrategy};
 use crate::traversal::{bfs, bfs_with_parents};
 use crate::{components, CsrGraph, NodeId};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// Exact diameter by all-pairs BFS, parallelized over sources.
 ///
@@ -39,8 +88,7 @@ pub struct DoubleSweep {
     pub far_a: NodeId,
     /// Endpoint found by the second sweep (realizes `lower_bound` from `far_a`).
     pub far_b: NodeId,
-    /// Midpoint of the `far_a → far_b` shortest path — an empirically
-    /// excellent root for [`ifub`].
+    /// Midpoint of the `far_a → far_b` shortest path.
     pub midpoint: NodeId,
 }
 
@@ -71,102 +119,377 @@ pub fn double_sweep(g: &CsrGraph, start: NodeId) -> DoubleSweep {
     }
 }
 
-/// Exact diameter of a **connected** graph via iFUB.
-///
-/// Starting from the double-sweep midpoint `r`, nodes are processed fringe
-/// by fringe in order of decreasing BFS level `i`; eccentricities within a
-/// fringe are computed in parallel. The loop stops as soon as the running
-/// lower bound reaches `2·i`: any remaining pair lies within distance `2·i`
-/// of each other through `r`, so the bound is tight.
-///
-/// Returns the diameter together with the number of full BFS executions
-/// spent (a useful cost metric; `n` would mean APSP-equivalent work).
+/// A graph [`exact`] searches one source at a time: breadth-first on a
+/// [`CsrGraph`], Dijkstra on a [`crate::WeightedGraph`].
+pub trait SingleSource: Sync + Sized {
+    /// The CSR adjacency: `offsets` (length `n + 1`) into sorted `targets`.
+    fn adjacency(&self) -> (&[usize], &[NodeId]);
+
+    /// Overwrites `dist` (one entry per node) with the exact distances from
+    /// `src`, `u64::MAX` where unreachable.
+    fn search(&self, src: NodeId, dist: &mut [u64]);
+
+    /// The subgraph on `nodes` (ascending ids, closed under adjacency), node
+    /// `nodes[i]` renumbered to `i`; `local[v]` is `v`'s new id for every
+    /// `v` in `nodes`.
+    fn induced(&self, nodes: &[NodeId], local: &[NodeId]) -> Self;
+
+    /// Length of `u`'s lightest edge: the diameter of its component when
+    /// that component is one edge.
+    fn lightest_edge(&self, u: NodeId) -> u64;
+}
+
+impl SingleSource for CsrGraph {
+    fn adjacency(&self) -> (&[usize], &[NodeId]) {
+        (self.raw_offsets(), self.raw_targets())
+    }
+
+    fn search(&self, src: NodeId, dist: &mut [u64]) {
+        dist.fill(u64::MAX);
+        dist[src as usize] = 0;
+        let mut queue = Vec::with_capacity(self.num_nodes());
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let next = dist[u as usize] + 1;
+            for &v in self.neighbors(u) {
+                if dist[v as usize] == u64::MAX {
+                    dist[v as usize] = next;
+                    queue.push(v);
+                }
+            }
+        }
+    }
+
+    fn induced(&self, nodes: &[NodeId], local: &[NodeId]) -> Self {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for &v in nodes {
+            targets.extend(self.neighbors(v).iter().map(|&w| local[w as usize]));
+            offsets.push(targets.len());
+        }
+        CsrGraph::from_parts(offsets, targets)
+    }
+
+    fn lightest_edge(&self, _u: NodeId) -> u64 {
+        1
+    }
+}
+
+/// An exact diameter and the work it took.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Exact {
+    /// The largest finite distance between two nodes: the maximum of the
+    /// components' diameters, 0 for the empty graph.
+    pub diameter: u64,
+    /// Connected components, isolated nodes included.
+    pub components: usize,
+    /// Single-source searches run, over all components.
+    pub traversals: usize,
+}
+
+/// Exact diameter of any graph: the maximum over connected components of
+/// the routine of the module docs. Components of one node cost nothing and
+/// of one edge cost their edge; the rest are cut out through one shared id
+/// map, so many small components cost little more than their nodes. Emits
+/// a `diameter.exact` span with `nodes`, `components` and `traversals`.
+pub fn exact<G: SingleSource>(g: &G) -> Exact {
+    let (offsets, targets) = g.adjacency();
+    let n = offsets.len() - 1;
+    let mut span = pardec_obs::span!("diameter.exact", nodes = n);
+    let (count, labels) = components::label_components(offsets, targets);
+    let mut result = Exact {
+        diameter: 0,
+        components: count,
+        traversals: 0,
+    };
+    let mut add = |(diameter, traversals): (u64, usize)| {
+        result.diameter = result.diameter.max(diameter);
+        result.traversals += traversals;
+    };
+    if count == 1 {
+        add(connected(g, max_degree_node(offsets)));
+    } else if count > 1 {
+        // Each component's nodes, contiguous and in increasing id order.
+        let mut members: Vec<NodeId> = (0..n as NodeId).collect();
+        members.sort_unstable_by_key(|&v| (labels[v as usize], v));
+        // `local[v]`: `v`'s index within its component, which increases
+        // with `v`, so relabelled adjacency lists stay sorted.
+        let mut local = vec![0 as NodeId; n];
+        for nodes in members.chunk_by(|&a, &b| labels[a as usize] == labels[b as usize]) {
+            match nodes.len() {
+                1 => {}
+                2 => add((g.lightest_edge(nodes[0]), 0)),
+                _ => {
+                    for (i, &v) in nodes.iter().enumerate() {
+                        local[v as usize] = i as NodeId;
+                    }
+                    let part = g.induced(nodes, &local);
+                    add(connected(&part, max_degree_node(part.adjacency().0)));
+                }
+            }
+        }
+    }
+    span.field("components", count);
+    span.field("traversals", result.traversals);
+    result
+}
+
+/// Exact diameter of an unweighted graph: [`exact`] on BFS.
+pub fn exact_diameter(g: &CsrGraph) -> u32 {
+    u32::try_from(exact(g).diameter).expect("hop distances fit in u32")
+}
+
+/// Exact diameter of a **connected** graph, with the number of BFS runs it
+/// took: the routine of the module docs, its first sweep from `start`.
 ///
 /// # Panics
 /// Panics if the graph is empty or disconnected.
 pub fn ifub(g: &CsrGraph, start: NodeId) -> (u32, usize) {
     assert!(g.num_nodes() > 0, "ifub on empty graph");
-    let sweep = double_sweep(g, start);
-    let root = sweep.midpoint;
-    let root_bfs = single_source_bfs(g, root, FrontierStrategy::default_from_env());
-    assert!(
-        root_bfs.visited == g.num_nodes(),
-        "ifub requires a connected graph"
-    );
-    let ecc_r = root_bfs.levels;
-    let mut fringes: Vec<Vec<NodeId>> = vec![Vec::new(); ecc_r as usize + 1];
-    for (v, &d) in root_bfs.dist.iter().enumerate() {
-        fringes[d as usize].push(v as NodeId);
-    }
-    let mut lb = sweep.lower_bound.max(ecc_r);
-    let mut bfs_count = 3; // two sweeps + root BFS
-    let mut i = ecc_r;
-    while i > 0 && lb < 2 * i {
-        let fringe_max = fringes[i as usize]
-            .par_iter()
-            .map(|&v| bfs(g, v).levels)
-            .max()
-            .unwrap_or(0);
-        bfs_count += fringes[i as usize].len();
-        lb = lb.max(fringe_max);
-        i -= 1;
-    }
-    (lb, bfs_count)
+    let (diameter, traversals) = connected(g, start);
+    (
+        u32::try_from(diameter).expect("hop distances fit in u32"),
+        traversals,
+    )
 }
 
-/// Exact diameter of an arbitrary graph: the maximum over connected
-/// components (0 for the empty graph). Components of up to 1024 nodes fall
-/// back to APSP; larger ones use iFUB.
-///
-/// Nodes are bucketed by component once, components of fewer than 3 nodes
-/// (diameter `size − 1`) are never extracted, and the rest are cut out
-/// through one shared id map, so many small components cost little more
-/// than their nodes.
-pub fn exact_diameter(g: &CsrGraph) -> u32 {
-    let n = g.num_nodes();
-    if n == 0 {
-        return 0;
-    }
-    let (count, labels) = components::connected_components(g);
-    if count == 1 {
-        return connected_diameter(g);
-    }
-    // Each component's nodes, contiguous and in increasing id order.
-    let mut members: Vec<NodeId> = (0..n as NodeId).collect();
-    members.sort_unstable_by_key(|&v| (labels[v as usize], v));
-    // `local[v]`: `v`'s index within its component, which increases with
-    // `v`, so relabelled adjacency lists stay sorted: each component is a
-    // valid CSR as is.
-    let mut local = vec![0 as NodeId; n];
-    let mut best = 0;
-    for nodes in members.chunk_by(|&a, &b| labels[a as usize] == labels[b as usize]) {
-        if nodes.len() < 3 {
-            best = best.max(nodes.len() as u32 - 1);
-            continue;
-        }
-        for (i, &v) in nodes.iter().enumerate() {
-            local[v as usize] = i as NodeId;
-        }
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        offsets.push(0);
-        let mut targets = Vec::new();
-        for &v in nodes {
-            targets.extend(g.neighbors(v).iter().map(|&w| local[w as usize]));
-            offsets.push(targets.len());
-        }
-        best = best.max(connected_diameter(&CsrGraph::from_parts(offsets, targets)));
-    }
-    best
+/// The node of largest degree, the lowest id on ties.
+fn max_degree_node(offsets: &[usize]) -> NodeId {
+    (0..offsets.len() - 1)
+        .max_by_key(|&v| (offsets[v + 1] - offsets[v], Reverse(v)))
+        .map_or(0, |v| v as NodeId)
 }
 
-/// Exact diameter of a connected, non-empty graph: APSP up to 1024 nodes,
-/// iFUB above.
-fn connected_diameter(g: &CsrGraph) -> u32 {
-    if g.num_nodes() <= 1024 {
-        apsp_diameter(g)
+/// Sum sweeps run before the root is chosen, the first from the start node.
+const SWEEPS: usize = 3;
+
+/// Root candidates tried at most, each while the last one lowered the
+/// root's eccentricity.
+const ROOTS: usize = 4;
+
+/// Searches whose distances every node keeps: the sweeps and the root
+/// candidates.
+const PIVOTS: usize = SWEEPS + ROOTS;
+
+/// Most distance entries (eight bytes each) that one batch of searches
+/// holds at once.
+const BATCH_ENTRIES: usize = 1 << 21;
+
+/// Largest batch of searches.
+const MAX_BATCH: usize = 64;
+
+/// Graphs of fewer nodes search one source at a time: their searches are
+/// too short to share out.
+const BATCH_MIN_NODES: usize = 1 << 14;
+
+/// The bounds every search of one connected graph tightens.
+struct Bounds {
+    /// The largest eccentricity found: a lower bound on the diameter.
+    lower: u64,
+    /// `upper[v]`: the least `ecc(s) + d(s, v)` over the sources `s` so
+    /// far, an upper bound on `ecc(v)`; a source's own is `ecc(s)`.
+    upper: Vec<u64>,
+    /// `low[v]`: the largest `d(s, v)` and `ecc(s) − d(s, v)` over the
+    /// sources, a lower bound on `ecc(v)`.
+    low: Vec<u64>,
+    /// `sum[v]`: the sum of `d(s, v)` over the sources.
+    sum: Vec<u64>,
+    /// Open nodes: those whose upper bound exceeds `lower`, the only ones
+    /// that can raise it.
+    open: usize,
+    /// Searches run.
+    traversals: usize,
+}
+
+impl Bounds {
+    fn new(n: usize) -> Self {
+        Bounds {
+            lower: 0,
+            upper: vec![u64::MAX; n],
+            low: vec![0; n],
+            sum: vec![0; n],
+            open: n,
+            traversals: 0,
+        }
+    }
+
+    /// Folds in the distances `dist` from one source.
+    ///
+    /// # Panics
+    /// Panics if a node is unreachable.
+    fn record(&mut self, dist: &[u64]) {
+        let ecc = dist.iter().copied().max().unwrap_or(0);
+        assert!(ecc != u64::MAX, "ifub requires a connected graph");
+        self.lower = self.lower.max(ecc);
+        self.traversals += 1;
+        let mut open = 0;
+        for (v, &d) in dist.iter().enumerate() {
+            let up = self.upper[v].min(ecc + d);
+            self.upper[v] = up;
+            self.low[v] = self.low[v].max(d).max(ecc - d);
+            self.sum[v] = self.sum[v].saturating_add(d);
+            open += usize::from(up > self.lower);
+        }
+        self.open = open;
+    }
+
+    /// Whether `v` could still raise the lower bound.
+    fn is_open(&self, v: NodeId) -> bool {
+        self.upper[v as usize] > self.lower
+    }
+}
+
+/// Searches `g` from every node of `batch`, in parallel when there are
+/// several: `lanes` ends holding their distances, `n` entries per search.
+fn search_all<G: SingleSource>(g: &G, n: usize, batch: &[NodeId], lanes: &mut Vec<u64>) {
+    lanes.resize(batch.len() * n, 0);
+    lanes
+        .par_chunks_mut(n)
+        .zip(batch.par_iter())
+        .for_each(|(dist, &s)| g.search(s, dist));
+}
+
+/// For pivots `i` and `j`, the Pareto staircase of `(d_i, d_j)` over the
+/// nodes: `d_i` falling and `d_j` rising, so the entries with `d_i` above a
+/// threshold are a prefix whose last entry holds their largest `d_j`.
+fn staircase(pivot: &[[u64; PIVOTS]], i: usize, j: usize) -> Vec<(u64, u64)> {
+    let mut points: Vec<(u64, u64)> = pivot.iter().map(|p| (p[i], p[j])).collect();
+    points.sort_unstable_by_key(|&(a, b)| (Reverse(a), Reverse(b)));
+    let mut stair: Vec<(u64, u64)> = Vec::new();
+    for (a, b) in points {
+        if stair.last().is_none_or(|&(_, top)| b > top) {
+            stair.push((a, b));
+        }
+    }
+    stair
+}
+
+/// The routine of the module docs on a connected, non-empty graph:
+/// `(diameter, searches run)`.
+fn connected<G: SingleSource>(g: &G, start: NodeId) -> (u64, usize) {
+    let n = g.adjacency().0.len() - 1;
+    let mut b = Bounds::new(n);
+    let mut lanes = Vec::with_capacity(n);
+    // `pivot[v][i]`: `v`'s distance from the `i`-th search of step 1.
+    let mut pivot = vec![[0u64; PIVOTS]; n];
+    let mut pivots = 0;
+    // 1. Sum sweeps, then root candidates while their eccentricity falls.
+    let mut level: Vec<u64> = Vec::new();
+    let mut source = start;
+    while pivots < PIVOTS {
+        search_all(g, n, &[source], &mut lanes);
+        b.record(&lanes);
+        if b.open == 0 {
+            return (b.lower, b.traversals);
+        }
+        for (p, &d) in pivot.iter_mut().zip(&lanes) {
+            p[pivots] = d;
+        }
+        pivots += 1;
+        if pivots > SWEEPS {
+            let ecc = lanes.iter().max();
+            if level.is_empty() || ecc < level.iter().max() {
+                level = lanes.clone();
+            } else {
+                break;
+            }
+        }
+        if pivots == PIVOTS {
+            break;
+        }
+        let open = (0..n as NodeId).filter(|&v| b.is_open(v));
+        source = if pivots < SWEEPS {
+            open.max_by_key(|&v| (b.sum[v as usize], Reverse(v)))
+        } else {
+            open.min_by_key(|&v| (b.low[v as usize], b.sum[v as usize], v))
+        }
+        .expect("an open node is left");
+    }
+    let stairs: Vec<_> = (0..SWEEPS)
+        .flat_map(|i| (i + 1..SWEEPS).map(move |j| (i, j)))
+        .map(|(i, j)| (i, j, staircase(&pivot, i, j)))
+        .collect();
+    // 2. Nodes by decreasing distance from the root, the lowest id first.
+    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+    order.sort_unstable_by_key(|&v| (Reverse(level[v as usize]), v));
+    let cap = if n < BATCH_MIN_NODES {
+        1
     } else {
-        ifub(g, 0).0
+        (BATCH_ENTRIES / n).clamp(1, MAX_BATCH)
+    };
+    let mut width = 1;
+    // `paired[v]`: whether `v` may still have a partner (step 3).
+    let mut paired = vec![true; n];
+    let mut at = 0;
+    while at < n {
+        let r = level[order[at] as usize];
+        let len = order[at..].partition_point(|&v| level[v as usize] == r);
+        let done = |b: &Bounds| b.open == 0 || b.lower >= r.saturating_mul(2);
+        // 3. Whether `x` has a partner: a `y` no farther from the root that
+        //    may lie more than the lower bound away from it.
+        let live = |b: &Bounds, paired: &[bool], x: NodeId| {
+            let lower = b.lower;
+            let px = &pivot[x as usize][..pivots];
+            let near = (lower + 1).saturating_sub(r);
+            let reach = order[at..].partition_point(|&v| level[v as usize] >= near);
+            stairs.iter().all(|(i, j, stair)| {
+                let k = stair.partition_point(|&(a, _)| a + px[*i] > lower);
+                k > 0 && stair[k - 1].1 + px[*j] > lower
+            }) && order[at..at + reach].iter().any(|&y| {
+                y != x
+                    && paired[y as usize]
+                    && b.is_open(y)
+                    && px
+                        .iter()
+                        .zip(&pivot[y as usize])
+                        .all(|(a, c)| a + c > lower)
+            })
+        };
+        // The fringe's open nodes, the largest upper bound first.
+        let mut fringe: Vec<NodeId> = order[at..at + len]
+            .iter()
+            .copied()
+            .filter(|&v| b.is_open(v))
+            .collect();
+        fringe.sort_unstable_by_key(|&v| (Reverse(b.upper[v as usize]), v));
+        let mut next = fringe.into_iter();
+        while !done(&b) {
+            let mut batch = Vec::with_capacity(width);
+            while batch.len() < width {
+                let Some(x) = next.next() else { break };
+                if !b.is_open(x) {
+                    continue;
+                }
+                if live(&b, &paired, x) {
+                    batch.push(x);
+                } else {
+                    paired[x as usize] = false;
+                }
+            }
+            if batch.is_empty() {
+                break;
+            }
+            // A search that the ones before it in the batch made needless
+            // was wasted.
+            search_all(g, n, &batch, &mut lanes);
+            let mut wasted = 0;
+            for (k, (dist, &x)) in lanes.chunks(n).zip(&batch).enumerate() {
+                wasted +=
+                    usize::from(k > 0 && (done(&b) || !b.is_open(x) || !live(&b, &paired, x)));
+                b.record(dist);
+            }
+            // Widen the next batch while no search in this one was wasted.
+            width = if wasted == 0 { (width * 2).min(cap) } else { 1 };
+        }
+        if done(&b) {
+            break;
+        }
+        at += len;
     }
+    (b.lower, b.traversals)
 }
 
 #[cfg(test)]
@@ -228,6 +551,31 @@ mod tests {
         assert!(d >= 120);
     }
 
+    /// Where the bounds prune, a few searches settle the diameter: iFUB
+    /// alone needs thousands of BFS on the mesh, and about half the nodes
+    /// on the cycle and the torus, where the node bounds close nothing and
+    /// the pivots rule out every pair. The power-law graph is the paper
+    /// tables' `synth-social-small` at the default scale (the table prints
+    /// its diameter); the road's diameter was checked against
+    /// [`apsp_diameter`].
+    #[test]
+    fn few_searches_on_meshes_roads_and_power_laws() {
+        for (g, diameter) in [
+            (generators::mesh(100, 100), 198),
+            (generators::cycle(4000), 2000),
+            (generators::torus(60, 60), 60),
+            (generators::road_network(100, 100, 0.4, 103), 199),
+            (
+                generators::windowed_preferential_attachment(60_000, 6, 0.016, 102),
+                24,
+            ),
+        ] {
+            let e = exact(&g);
+            assert_eq!((e.diameter, e.components), (diameter, 1));
+            assert!(e.traversals <= 50, "{} searches", e.traversals);
+        }
+    }
+
     #[test]
     fn exact_diameter_disconnected() {
         let g = generators::disjoint_union(&generators::path(7), &generators::cycle(12));
@@ -235,8 +583,8 @@ mod tests {
         let g = generators::disjoint_union(&generators::path(20), &generators::cycle(6));
         assert_eq!(exact_diameter(&g), 19);
 
-        // Many components: isolated nodes, pairs, paths and meshes, and one
-        // component above the APSP cutoff.
+        // Many components: isolated nodes, pairs, paths and meshes, one of
+        // them of 1,200 nodes.
         let union = |parts: &[CsrGraph]| {
             parts
                 .iter()

@@ -15,8 +15,9 @@
 //!   cluster growth — backed by a direction-optimizing [`frontier`] engine
 //!   with interchangeable top-down / bottom-up / hybrid expansion
 //!   strategies, all byte-identical by construction;
-//! * exact **diameter** computation (double sweep, iFUB, all-pairs BFS) used
-//!   as ground truth in the experiments;
+//! * exact **diameter** computation (one bounds-pruned iFUB routine over BFS
+//!   or Dijkstra, double sweep, all-pairs BFS) used as ground truth in the
+//!   experiments;
 //! * **quotient graphs** of a clustering, both unweighted and weighted as
 //!   defined in §4 of the paper, together with a small weighted-graph type
 //!   and Dijkstra/APSP for computing quotient diameters;

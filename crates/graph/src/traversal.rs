@@ -83,7 +83,7 @@ pub fn bfs<G: NeighborAccess>(g: &G, src: NodeId) -> BfsResult {
 }
 
 /// Sequential BFS that also records parent pointers (for path extraction,
-/// e.g. the double-sweep midpoint used by iFUB).
+/// e.g. the double-sweep midpoint).
 pub fn bfs_with_parents<G: NeighborAccess>(g: &G, src: NodeId) -> (BfsResult, Vec<NodeId>) {
     let n = g.num_nodes();
     let mut dist = vec![INFINITE_DIST; n];

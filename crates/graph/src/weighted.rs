@@ -70,6 +70,7 @@
 //! kernel instead of scanning the triangle.
 
 use crate::combine::{self, pack, PairRecord};
+use crate::diameter::SingleSource;
 use crate::io::Words;
 use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
@@ -455,6 +456,41 @@ impl WeightedGraph {
             }
         }
         Ok(())
+    }
+}
+
+impl SingleSource for WeightedGraph {
+    fn adjacency(&self) -> (&[usize], &[NodeId]) {
+        (&self.offsets, &self.targets)
+    }
+
+    fn search(&self, src: NodeId, dist: &mut [u64]) {
+        self.sssp_into(src, dist, &mut self.new_queue());
+    }
+
+    fn induced(&self, nodes: &[NodeId], local: &[NodeId]) -> Self {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let (mut targets, mut weights) = (Vec::new(), Vec::new());
+        for &v in nodes {
+            for (w, weight) in self.neighbors(v) {
+                targets.push(local[w as usize]);
+                weights.push(weight);
+            }
+            offsets.push(targets.len());
+        }
+        WeightedGraph {
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
+    fn lightest_edge(&self, u: NodeId) -> u64 {
+        self.neighbors(u)
+            .map(|(_, w)| w)
+            .min()
+            .expect("a node of a two-node component has an edge")
     }
 }
 

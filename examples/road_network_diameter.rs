@@ -1,7 +1,7 @@
 //! Long-diameter regime: estimate a road network's diameter with the §4
 //! quotient pipeline and compare cost and accuracy against the BFS baseline
-//! and exact iFUB — the scenario where the paper's algorithm shines
-//! (Table 4's roads rows).
+//! and the exact diameter routine — the scenario where the paper's
+//! algorithm shines (Table 4's roads rows).
 //!
 //! ```text
 //! cargo run --release --example road_network_diameter
@@ -44,7 +44,7 @@ fn main() {
         "BFS 2-approx       {t_bfs:7.3}s   {} ≤ Δ ≤ {}   (Θ(Δ) = {} rounds)",
         bfs.lower_bound, bfs.upper_bound, bfs.rounds,
     );
-    println!("iFUB exact         {t_exact:7.3}s   Δ = {exact}   ({bfs_runs} BFS runs)");
+    println!("exact              {t_exact:7.3}s   Δ = {exact}   ({bfs_runs} BFS runs)");
 
     let ratio = approx.estimate() as f64 / exact as f64;
     println!("\nquotient estimate ratio Δ′/Δ = {ratio:.3} (paper: < 2 on all road networks)");

@@ -5,6 +5,7 @@
 
 use pardec::prelude::*;
 use proptest::prelude::*;
+use proptest::strategy::Just;
 
 /// Strategy: a connected graph from one of the workspace families, with a
 /// size small enough for exact verification.
@@ -24,6 +25,73 @@ fn connected_graph() -> impl Strategy<Value = CsrGraph> {
         (3usize..100).prop_map(generators::path),
         (3usize..60).prop_map(generators::cycle),
     ]
+}
+
+/// Strategy: a graph for the exact diameter routine, connected or not:
+/// random, power-law and road-like graphs, the shapes where its node bounds
+/// close nothing (cycles, tori) or everything (stars, cliques), and
+/// disjoint unions with isolated nodes and pairs.
+fn exact_diameter_graph() -> impl Strategy<Value = CsrGraph> {
+    let part = prop_oneof![
+        (1usize..120, 0usize..200, 1u64..1000).prop_map(|(n, m, s)| generators::gnm(
+            n,
+            m.min(n * (n - 1) / 2),
+            s
+        )),
+        (20usize..250, 1usize..4, 0.02f64..0.5, 1u64..1000)
+            .prop_map(|(n, m, w, s)| { generators::windowed_preferential_attachment(n, m, w, s) }),
+        (2usize..14, 2usize..14, 1u64..1000)
+            .prop_map(|(r, c, s)| generators::road_network(r, c, 0.4, s)),
+        (1usize..80).prop_map(generators::path),
+        (3usize..80).prop_map(generators::cycle),
+        (3usize..10, 3usize..10).prop_map(|(r, c)| generators::torus(r, c)),
+        (2usize..40).prop_map(generators::star),
+        (2usize..16).prop_map(generators::complete),
+        (8usize..40, 0usize..40, 1u64..1000)
+            .prop_map(|(n, tail, s)| generators::lollipop(n, 4, tail, s)),
+        Just(CsrGraph::empty(1)),
+        Just(generators::path(2)),
+    ];
+    prop::collection::vec(part, 1..5).prop_map(|parts| {
+        parts
+            .iter()
+            .fold(CsrGraph::empty(0), |g, p| generators::disjoint_union(&g, p))
+    })
+}
+
+/// Runs `f` in a 1-thread and a 4-thread pool; returns both outputs.
+fn on_both_pools<T: Send>(f: impl Fn() -> T + Sync + Send) -> (T, T) {
+    let run = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool construction cannot fail")
+            .install(&f)
+    };
+    (run(1), run(4))
+}
+
+proptest! {
+    // Wrong answers from a skipped node show up on a few percent of these
+    // graphs, so this property runs more cases than the others.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exact diameter routine (BFS kernel) equals all-pairs BFS on
+    /// connected and disconnected graphs, and its diameter and search count
+    /// are the same at 1 and 4 threads; `ifub` agrees on connected graphs.
+    #[test]
+    fn exact_diameter_matches_all_pairs_bfs(g in exact_diameter_graph()) {
+        let truth = diameter::apsp_diameter(&g);
+        let (one, four) = on_both_pools(|| diameter::exact(&g));
+        prop_assert_eq!(one.diameter, u64::from(truth));
+        prop_assert_eq!(one, four);
+        prop_assert_eq!(one.components, components::connected_components(&g).0);
+        if one.components == 1 {
+            let (d, searches) = diameter::ifub(&g, 0);
+            prop_assert_eq!(d, truth);
+            prop_assert!(searches <= g.num_nodes(), "{} searches on {} nodes", searches, g.num_nodes());
+        }
+    }
 }
 
 proptest! {

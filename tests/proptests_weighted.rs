@@ -25,7 +25,11 @@
 //!   per-node radii and its diameter equal a brute-force loop over the
 //!   heap rows;
 //! * `WeightedGraph::from_edges` is a pure function of the edge multiset
-//!   (any permutation builds a byte-identical graph).
+//!   (any permutation builds a byte-identical graph);
+//! * the exact diameter routine on Dijkstra (`diameter::exact`) equals the
+//!   heap-Dijkstra APSP diameter, also on weighted cycles and tori, where
+//!   its bounds prune nothing, and its diameter and search count are the
+//!   same at 1 and 4 threads.
 
 use pardec::core::weighted_cluster::naive;
 use pardec::graph::frontier::{multi_source_bfs, FrontierStrategy};
@@ -520,6 +524,60 @@ fn radii(n: usize, seed: u64, max: u64) -> Vec<u32> {
             ((h >> 17) % (max + 1)) as u32
         })
         .collect()
+}
+
+/// Graphs for the exact diameter routine: the kernel graphs (random,
+/// disconnected, zero and heavy weights), weighted cycles and tori, where
+/// every eccentricity is close and the bounds prune little, and weighted
+/// lollipops and unions with isolated nodes and single edges.
+fn exact_graphs() -> impl Strategy<Value = WeightedGraph> {
+    let weigh = |g: CsrGraph, s: u64, w: u64| {
+        WeightedGraph::from_edges(g.num_nodes(), &weight_edges(&g, s, w))
+    };
+    prop_oneof![
+        kernel_graphs(),
+        (3usize..90, 1u64..500, 1u64..4).prop_map(move |(n, s, w)| weigh(
+            generators::cycle(n),
+            s,
+            w
+        )),
+        (3usize..9, 3usize..9, 1u64..500, 1u64..4).prop_map(move |(r, c, s, w)| weigh(
+            generators::torus(r, c),
+            s,
+            w
+        )),
+        (8usize..40, 0usize..30, 1u64..500, 1u64..20).prop_map(move |(n, tail, s, w)| weigh(
+            generators::lollipop(n, 4, tail, s),
+            s,
+            w
+        )),
+        (2usize..30, 0usize..6, 1u64..500, 1u64..20).prop_map(move |(n, pairs, s, w)| {
+            let mut g = generators::disjoint_union(
+                &generators::road_network(n.min(8), n.min(8), 0.4, s),
+                &CsrGraph::empty(3),
+            );
+            for _ in 0..pairs {
+                g = generators::disjoint_union(&g, &generators::path(2));
+            }
+            weigh(g, s, w)
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exact routine on Dijkstra equals the heap-Dijkstra APSP
+    /// diameter, with the same diameter and search count at 1 and 4
+    /// threads.
+    #[test]
+    fn exact_diameter_matches_heap_apsp(g in exact_graphs()) {
+        let truth = pardec::graph::naive::apsp_diameter(&g);
+        let (one, four) = on_both_pools(|| diameter::exact(&g));
+        prop_assert_eq!(one.diameter, truth);
+        prop_assert_eq!(one, four);
+        prop_assert!(one.traversals <= g.num_nodes(), "{} searches on {} nodes", one.traversals, g.num_nodes());
+    }
 }
 
 proptest! {
