@@ -5,12 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pardec_core::mr_impl::{mr_bfs, mr_cluster};
 use pardec_core::ClusterParams;
-use pardec_graph::diameter::ifub;
+use pardec_graph::diameter::exact_diameter;
 use pardec_graph::generators::{append_chain, preferential_attachment};
 
 fn bench_figure1(c: &mut Criterion) {
     let base = preferential_attachment(10_000, 6, 101);
-    let delta = ifub(&base, 0).0 as usize;
+    let delta = exact_diameter(&base) as usize;
     let tau = 2;
     let mut group = c.benchmark_group("figure1");
     for cmul in [0usize, 8] {

@@ -40,12 +40,11 @@
 //!    distances rules most nodes out in a few binary searches; the rest
 //!    scan their candidate partners.
 //!
-//! It also stops once every node is closed. On graphs of 16,384 nodes or
-//! more, step 2's searches run in parallel batches: a batch doubles (up to
-//! 64, and 16 MiB of distances) while none of its searches was made
-//! needless by those before it, and falls back to one search when one
-//! was. Batches and sources follow from the bounds and node ids alone, so
-//! the diameter and the search count are the same at every pool size.
+//! It also stops once every node is closed. Searches run one at a time,
+//! and every source follows from the bounds and node ids alone, so the
+//! diameter and the search count are the same at every pool size. Per node
+//! the routine keeps the pivots' distances, in `u32` for hop counts, and
+//! one upper bound.
 //!
 //! On the paper tables' six datasets at the default scale the routine runs
 //! 10, 5, 5, 4, 10 and 5 searches, and on the benchmark's quotients 5–16
@@ -56,7 +55,10 @@
 //! `synth-social-large` at CI scale, hundreds to about 1,900 on windowed
 //! power-law graphs with wide windows, and 1,600–2,100 on plain
 //! preferential attachment with 20,000 nodes, where iFUB alone runs
-//! 2,100–4,400 BFS.
+//! 2,100–4,400 BFS. On larger windowed power-law graphs the root can be
+//! worse than iFUB's double-sweep midpoint: 68–421 searches on
+//! `windowed_preferential_attachment(200_000, 3, 0.016, 1..=3)` against
+//! its 6–134, and 1,704 against 490 with 1,000,000 nodes.
 
 use crate::frontier::{single_source_bfs, FrontierStrategy};
 use crate::traversal::{bfs, bfs_with_parents};
@@ -121,13 +123,20 @@ pub fn double_sweep(g: &CsrGraph, start: NodeId) -> DoubleSweep {
 
 /// A graph [`exact`] searches one source at a time: breadth-first on a
 /// [`CsrGraph`], Dijkstra on a [`crate::WeightedGraph`].
-pub trait SingleSource: Sync + Sized {
+pub trait SingleSource: Sized {
+    /// A distance as [`exact`] stores it per node: `u32` hop counts, `u64`
+    /// path lengths.
+    type Dist: Copy + Ord + Into<u64>;
+
+    /// The distance [`search`](Self::search) gives an unreachable node.
+    const UNREACHABLE: Self::Dist;
+
     /// The CSR adjacency: `offsets` (length `n + 1`) into sorted `targets`.
     fn adjacency(&self) -> (&[usize], &[NodeId]);
 
     /// Overwrites `dist` (one entry per node) with the exact distances from
-    /// `src`, `u64::MAX` where unreachable.
-    fn search(&self, src: NodeId, dist: &mut [u64]);
+    /// `src`, [`UNREACHABLE`](Self::UNREACHABLE) where unreachable.
+    fn search(&self, src: NodeId, dist: &mut [Self::Dist]);
 
     /// The subgraph on `nodes` (ascending ids, closed under adjacency), node
     /// `nodes[i]` renumbered to `i`; `local[v]` is `v`'s new id for every
@@ -140,12 +149,16 @@ pub trait SingleSource: Sync + Sized {
 }
 
 impl SingleSource for CsrGraph {
+    type Dist = u32;
+
+    const UNREACHABLE: u32 = u32::MAX;
+
     fn adjacency(&self) -> (&[usize], &[NodeId]) {
         (self.raw_offsets(), self.raw_targets())
     }
 
-    fn search(&self, src: NodeId, dist: &mut [u64]) {
-        dist.fill(u64::MAX);
+    fn search(&self, src: NodeId, dist: &mut [u32]) {
+        dist.fill(u32::MAX);
         dist[src as usize] = 0;
         let mut queue = Vec::with_capacity(self.num_nodes());
         queue.push(src);
@@ -154,7 +167,7 @@ impl SingleSource for CsrGraph {
             head += 1;
             let next = dist[u as usize] + 1;
             for &v in self.neighbors(u) {
-                if dist[v as usize] == u64::MAX {
+                if dist[v as usize] == u32::MAX {
                     dist[v as usize] = next;
                     queue.push(v);
                 }
@@ -210,7 +223,8 @@ pub fn exact<G: SingleSource>(g: &G) -> Exact {
         result.traversals += traversals;
     };
     if count == 1 {
-        add(connected(g, max_degree_node(offsets)));
+        drop(labels);
+        add(connected(g));
     } else if count > 1 {
         // Each component's nodes, contiguous and in increasing id order.
         let mut members: Vec<NodeId> = (0..n as NodeId).collect();
@@ -226,8 +240,7 @@ pub fn exact<G: SingleSource>(g: &G) -> Exact {
                     for (i, &v) in nodes.iter().enumerate() {
                         local[v as usize] = i as NodeId;
                     }
-                    let part = g.induced(nodes, &local);
-                    add(connected(&part, max_degree_node(part.adjacency().0)));
+                    add(connected(&g.induced(nodes, &local)));
                 }
             }
         }
@@ -243,13 +256,15 @@ pub fn exact_diameter(g: &CsrGraph) -> u32 {
 }
 
 /// Exact diameter of a **connected** graph, with the number of BFS runs it
-/// took: the routine of the module docs, its first sweep from `start`.
+/// took: the routine of the module docs. Like [`exact`], it starts at the
+/// node of largest degree; `_start` is unused, and kept so that callers
+/// written for iFUB's first sweep still compile.
 ///
 /// # Panics
 /// Panics if the graph is empty or disconnected.
-pub fn ifub(g: &CsrGraph, start: NodeId) -> (u32, usize) {
+pub fn ifub(g: &CsrGraph, _start: NodeId) -> (u32, usize) {
     assert!(g.num_nodes() > 0, "ifub on empty graph");
-    let (diameter, traversals) = connected(g, start);
+    let (diameter, traversals) = connected(g);
     (
         u32::try_from(diameter).expect("hop distances fit in u32"),
         traversals,
@@ -263,7 +278,8 @@ fn max_degree_node(offsets: &[usize]) -> NodeId {
         .map_or(0, |v| v as NodeId)
 }
 
-/// Sum sweeps run before the root is chosen, the first from the start node.
+/// Sum sweeps run before the root is chosen, the first from the node of
+/// largest degree.
 const SWEEPS: usize = 3;
 
 /// Root candidates tried at most, each while the last one lowered the
@@ -274,17 +290,6 @@ const ROOTS: usize = 4;
 /// candidates.
 const PIVOTS: usize = SWEEPS + ROOTS;
 
-/// Most distance entries (eight bytes each) that one batch of searches
-/// holds at once.
-const BATCH_ENTRIES: usize = 1 << 21;
-
-/// Largest batch of searches.
-const MAX_BATCH: usize = 64;
-
-/// Graphs of fewer nodes search one source at a time: their searches are
-/// too short to share out.
-const BATCH_MIN_NODES: usize = 1 << 14;
-
 /// The bounds every search of one connected graph tightens.
 struct Bounds {
     /// The largest eccentricity found: a lower bound on the diameter.
@@ -292,11 +297,6 @@ struct Bounds {
     /// `upper[v]`: the least `ecc(s) + d(s, v)` over the sources `s` so
     /// far, an upper bound on `ecc(v)`; a source's own is `ecc(s)`.
     upper: Vec<u64>,
-    /// `low[v]`: the largest `d(s, v)` and `ecc(s) − d(s, v)` over the
-    /// sources, a lower bound on `ecc(v)`.
-    low: Vec<u64>,
-    /// `sum[v]`: the sum of `d(s, v)` over the sources.
-    sum: Vec<u64>,
     /// Open nodes: those whose upper bound exceeds `lower`, the only ones
     /// that can raise it.
     open: usize,
@@ -305,35 +305,24 @@ struct Bounds {
 }
 
 impl Bounds {
-    fn new(n: usize) -> Self {
-        Bounds {
-            lower: 0,
-            upper: vec![u64::MAX; n],
-            low: vec![0; n],
-            sum: vec![0; n],
-            open: n,
-            traversals: 0,
-        }
-    }
-
-    /// Folds in the distances `dist` from one source.
+    /// Folds in the distances `dist` from one source; returns the source's
+    /// eccentricity.
     ///
     /// # Panics
     /// Panics if a node is unreachable.
-    fn record(&mut self, dist: &[u64]) {
-        let ecc = dist.iter().copied().max().unwrap_or(0);
-        assert!(ecc != u64::MAX, "ifub requires a connected graph");
+    fn record<D: Copy + Ord + Into<u64>>(&mut self, dist: &[D], unreachable: D) -> u64 {
+        let ecc = dist.iter().copied().max().expect("a non-empty graph");
+        assert!(ecc != unreachable, "ifub requires a connected graph");
+        let ecc = ecc.into();
         self.lower = self.lower.max(ecc);
         self.traversals += 1;
         let mut open = 0;
-        for (v, &d) in dist.iter().enumerate() {
-            let up = self.upper[v].min(ecc + d);
-            self.upper[v] = up;
-            self.low[v] = self.low[v].max(d).max(ecc - d);
-            self.sum[v] = self.sum[v].saturating_add(d);
-            open += usize::from(up > self.lower);
+        for (up, &d) in self.upper.iter_mut().zip(dist) {
+            *up = (*up).min(ecc + d.into());
+            open += usize::from(*up > self.lower);
         }
         self.open = open;
+        ecc
     }
 
     /// Whether `v` could still raise the lower bound.
@@ -342,23 +331,13 @@ impl Bounds {
     }
 }
 
-/// Searches `g` from every node of `batch`, in parallel when there are
-/// several: `lanes` ends holding their distances, `n` entries per search.
-fn search_all<G: SingleSource>(g: &G, n: usize, batch: &[NodeId], lanes: &mut Vec<u64>) {
-    lanes.resize(batch.len() * n, 0);
-    lanes
-        .par_chunks_mut(n)
-        .zip(batch.par_iter())
-        .for_each(|(dist, &s)| g.search(s, dist));
-}
-
 /// For pivots `i` and `j`, the Pareto staircase of `(d_i, d_j)` over the
 /// nodes: `d_i` falling and `d_j` rising, so the entries with `d_i` above a
 /// threshold are a prefix whose last entry holds their largest `d_j`.
-fn staircase(pivot: &[[u64; PIVOTS]], i: usize, j: usize) -> Vec<(u64, u64)> {
-    let mut points: Vec<(u64, u64)> = pivot.iter().map(|p| (p[i], p[j])).collect();
+fn staircase<D: Copy + Ord>(pivot: &[[D; PIVOTS]], i: usize, j: usize) -> Vec<(D, D)> {
+    let mut points: Vec<(D, D)> = pivot.iter().map(|p| (p[i], p[j])).collect();
     points.sort_unstable_by_key(|&(a, b)| (Reverse(a), Reverse(b)));
-    let mut stair: Vec<(u64, u64)> = Vec::new();
+    let mut stair: Vec<(D, D)> = Vec::new();
     for (a, b) in points {
         if stair.last().is_none_or(|&(_, top)| b > top) {
             stair.push((a, b));
@@ -369,75 +348,86 @@ fn staircase(pivot: &[[u64; PIVOTS]], i: usize, j: usize) -> Vec<(u64, u64)> {
 
 /// The routine of the module docs on a connected, non-empty graph:
 /// `(diameter, searches run)`.
-fn connected<G: SingleSource>(g: &G, start: NodeId) -> (u64, usize) {
+fn connected<G: SingleSource>(g: &G) -> (u64, usize) {
     let n = g.adjacency().0.len() - 1;
-    let mut b = Bounds::new(n);
-    let mut lanes = Vec::with_capacity(n);
+    let mut b = Bounds {
+        lower: 0,
+        upper: vec![u64::MAX; n],
+        open: n,
+        traversals: 0,
+    };
+    let mut dist = vec![G::UNREACHABLE; n];
     // `pivot[v][i]`: `v`'s distance from the `i`-th search of step 1.
-    let mut pivot = vec![[0u64; PIVOTS]; n];
+    let mut pivot = vec![[G::UNREACHABLE; PIVOTS]; n];
     let mut pivots = 0;
-    // 1. Sum sweeps, then root candidates while their eccentricity falls.
-    let mut level: Vec<u64> = Vec::new();
-    let mut source = start;
-    while pivots < PIVOTS {
-        search_all(g, n, &[source], &mut lanes);
-        b.record(&lanes);
-        if b.open == 0 {
-            return (b.lower, b.traversals);
-        }
-        for (p, &d) in pivot.iter_mut().zip(&lanes) {
-            p[pivots] = d;
-        }
-        pivots += 1;
-        if pivots > SWEEPS {
-            let ecc = lanes.iter().max();
-            if level.is_empty() || ecc < level.iter().max() {
-                level = lanes.clone();
-            } else {
+    // The root's pivot and its eccentricity.
+    let mut root = (0, u64::MAX);
+    {
+        // 1. Sum sweeps, then root candidates while their eccentricity
+        //    falls. `low[v]`, the largest `d(s, v)` and `ecc(s) − d(s, v)`
+        //    over the sources, is a lower bound on `ecc(v)`; `sum[v]` is the
+        //    sum of the `d(s, v)`.
+        let mut low = vec![0u64; n];
+        let mut sum = vec![0u64; n];
+        let mut source = max_degree_node(g.adjacency().0);
+        loop {
+            g.search(source, &mut dist);
+            let ecc = b.record(&dist, G::UNREACHABLE);
+            if b.open == 0 {
+                return (b.lower, b.traversals);
+            }
+            for (v, (p, &d)) in pivot.iter_mut().zip(&dist).enumerate() {
+                p[pivots] = d;
+                let d = d.into();
+                low[v] = low[v].max(d).max(ecc - d);
+                sum[v] = sum[v].saturating_add(d);
+            }
+            pivots += 1;
+            if pivots > SWEEPS {
+                if ecc < root.1 {
+                    root = (pivots - 1, ecc);
+                } else {
+                    break;
+                }
+            }
+            if pivots == PIVOTS {
                 break;
             }
+            let open = (0..n as NodeId).filter(|&v| b.is_open(v));
+            source = if pivots < SWEEPS {
+                open.max_by_key(|&v| (sum[v as usize], Reverse(v)))
+            } else {
+                open.min_by_key(|&v| (low[v as usize], sum[v as usize], v))
+            }
+            .expect("an open node is left");
         }
-        if pivots == PIVOTS {
-            break;
-        }
-        let open = (0..n as NodeId).filter(|&v| b.is_open(v));
-        source = if pivots < SWEEPS {
-            open.max_by_key(|&v| (b.sum[v as usize], Reverse(v)))
-        } else {
-            open.min_by_key(|&v| (b.low[v as usize], b.sum[v as usize], v))
-        }
-        .expect("an open node is left");
     }
+    let level = |v: NodeId| -> u64 { pivot[v as usize][root.0].into() };
     let stairs: Vec<_> = (0..SWEEPS)
         .flat_map(|i| (i + 1..SWEEPS).map(move |j| (i, j)))
         .map(|(i, j)| (i, j, staircase(&pivot, i, j)))
         .collect();
     // 2. Nodes by decreasing distance from the root, the lowest id first.
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_unstable_by_key(|&v| (Reverse(level[v as usize]), v));
-    let cap = if n < BATCH_MIN_NODES {
-        1
-    } else {
-        (BATCH_ENTRIES / n).clamp(1, MAX_BATCH)
-    };
-    let mut width = 1;
+    order.sort_unstable_by_key(|&v| (Reverse(pivot[v as usize][root.0]), v));
     // `paired[v]`: whether `v` may still have a partner (step 3).
     let mut paired = vec![true; n];
     let mut at = 0;
     while at < n {
-        let r = level[order[at] as usize];
-        let len = order[at..].partition_point(|&v| level[v as usize] == r);
+        let r = level(order[at]);
+        let len = order[at..].partition_point(|&v| level(v) == r);
         let done = |b: &Bounds| b.open == 0 || b.lower >= r.saturating_mul(2);
         // 3. Whether `x` has a partner: a `y` no farther from the root that
         //    may lie more than the lower bound away from it.
         let live = |b: &Bounds, paired: &[bool], x: NodeId| {
             let lower = b.lower;
-            let px = &pivot[x as usize][..pivots];
+            let px: [u64; PIVOTS] = pivot[x as usize].map(Into::into);
+            let px = &px[..pivots];
             let near = (lower + 1).saturating_sub(r);
-            let reach = order[at..].partition_point(|&v| level[v as usize] >= near);
+            let reach = order[at..].partition_point(|&v| level(v) >= near);
             stairs.iter().all(|(i, j, stair)| {
-                let k = stair.partition_point(|&(a, _)| a + px[*i] > lower);
-                k > 0 && stair[k - 1].1 + px[*j] > lower
+                let k = stair.partition_point(|&(a, _)| a.into() + px[*i] > lower);
+                k > 0 && stair[k - 1].1.into() + px[*j] > lower
             }) && order[at..at + reach].iter().any(|&y| {
                 y != x
                     && paired[y as usize]
@@ -445,7 +435,7 @@ fn connected<G: SingleSource>(g: &G, start: NodeId) -> (u64, usize) {
                     && px
                         .iter()
                         .zip(&pivot[y as usize])
-                        .all(|(a, c)| a + c > lower)
+                        .all(|(&a, &c)| a + c.into() > lower)
             })
         };
         // The fringe's open nodes, the largest upper bound first.
@@ -455,34 +445,19 @@ fn connected<G: SingleSource>(g: &G, start: NodeId) -> (u64, usize) {
             .filter(|&v| b.is_open(v))
             .collect();
         fringe.sort_unstable_by_key(|&v| (Reverse(b.upper[v as usize]), v));
-        let mut next = fringe.into_iter();
-        while !done(&b) {
-            let mut batch = Vec::with_capacity(width);
-            while batch.len() < width {
-                let Some(x) = next.next() else { break };
-                if !b.is_open(x) {
-                    continue;
-                }
-                if live(&b, &paired, x) {
-                    batch.push(x);
-                } else {
-                    paired[x as usize] = false;
-                }
-            }
-            if batch.is_empty() {
+        for x in fringe {
+            if done(&b) {
                 break;
             }
-            // A search that the ones before it in the batch made needless
-            // was wasted.
-            search_all(g, n, &batch, &mut lanes);
-            let mut wasted = 0;
-            for (k, (dist, &x)) in lanes.chunks(n).zip(&batch).enumerate() {
-                wasted +=
-                    usize::from(k > 0 && (done(&b) || !b.is_open(x) || !live(&b, &paired, x)));
-                b.record(dist);
+            if !b.is_open(x) {
+                continue;
             }
-            // Widen the next batch while no search in this one was wasted.
-            width = if wasted == 0 { (width * 2).min(cap) } else { 1 };
+            if live(&b, &paired, x) {
+                g.search(x, &mut dist);
+                b.record(&dist, G::UNREACHABLE);
+            } else {
+                paired[x as usize] = false;
+            }
         }
         if done(&b) {
             break;
@@ -573,6 +548,30 @@ mod tests {
             let e = exact(&g);
             assert_eq!((e.diameter, e.components), (diameter, 1));
             assert!(e.traversals <= 50, "{} searches", e.traversals);
+        }
+    }
+
+    /// On power-law graphs whose far ends hold many nodes, step 2 runs
+    /// hundreds of searches (197 and 437 here): the diameter still equals
+    /// all-pairs BFS, and it and the search count are the same in a 1- and
+    /// a 4-thread pool.
+    #[test]
+    fn many_searches_on_power_laws_match_apsp_at_any_pool_size() {
+        for g in [
+            generators::windowed_preferential_attachment(2000, 3, 0.1, 1),
+            generators::preferential_attachment(2000, 3, 3),
+        ] {
+            let run = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool construction cannot fail")
+                    .install(|| exact(&g))
+            };
+            let one = run(1);
+            assert_eq!(one.diameter, u64::from(apsp_diameter(&g)));
+            assert!(one.traversals > 100, "{} searches", one.traversals);
+            assert_eq!(one, run(4));
         }
     }
 

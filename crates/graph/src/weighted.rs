@@ -460,6 +460,10 @@ impl WeightedGraph {
 }
 
 impl SingleSource for WeightedGraph {
+    type Dist = u64;
+
+    const UNREACHABLE: u64 = INFINITE_WEIGHT;
+
     fn adjacency(&self) -> (&[usize], &[NodeId]) {
         (&self.offsets, &self.targets)
     }

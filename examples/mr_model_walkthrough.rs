@@ -44,7 +44,7 @@ fn main() {
 
     // --- 4. The §5 contrast on a long-diameter graph --------------------------
     let g = generators::road_network(120, 120, 0.4, 9);
-    let delta = diameter::ifub(&g, 0).0;
+    let delta = diameter::exact_diameter(&g);
     let c = mr_cluster(&g, &ClusterParams::new(8, 11));
     let b = mr_bfs(&g, 0);
     println!(

@@ -41,7 +41,7 @@ fn main() {
         approx.quotient_edges,
         approx.radius,
     );
-    let exact = diameter::ifub(&g, 0).0;
+    let exact = diameter::exact_diameter(&g);
     println!(
         "exact Δ = {exact} -> approximation ratio {:.2} (paper observes < 2)",
         approx.estimate() as f64 / exact as f64

@@ -30,7 +30,11 @@ fn main() {
     let t_bfs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let (exact, bfs_runs) = diameter::ifub(&g, 0);
+    let diameter::Exact {
+        diameter: exact,
+        traversals: bfs_runs,
+        ..
+    } = diameter::exact(&g);
     let t_exact = t0.elapsed().as_secs_f64();
 
     println!("\nmethod               time      bounds");
@@ -48,6 +52,6 @@ fn main() {
 
     let ratio = approx.estimate() as f64 / exact as f64;
     println!("\nquotient estimate ratio Δ′/Δ = {ratio:.3} (paper: < 2 on all road networks)");
-    assert!(approx.lower_bound as u64 <= exact as u64);
-    assert!(approx.estimate() >= exact as u64);
+    assert!(approx.lower_bound as u64 <= exact);
+    assert!(approx.estimate() >= exact);
 }

@@ -40,6 +40,8 @@ fn exact_diameter_graph() -> impl Strategy<Value = CsrGraph> {
         )),
         (20usize..250, 1usize..4, 0.02f64..0.5, 1u64..1000)
             .prop_map(|(n, m, w, s)| { generators::windowed_preferential_attachment(n, m, w, s) }),
+        (20usize..250, 1usize..4, 1u64..1000)
+            .prop_map(|(n, m, s)| generators::preferential_attachment(n, m, s)),
         (2usize..14, 2usize..14, 1u64..1000)
             .prop_map(|(r, c, s)| generators::road_network(r, c, 0.4, s)),
         (1usize..80).prop_map(generators::path),
